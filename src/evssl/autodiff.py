@@ -15,10 +15,10 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Parameter",
-    "add", "sub", "mul", "div", "exp", "log", "absolute", "square", "sqrt",
-    "relu", "tanh", "sigmoid", "clamp", "concat", "reshape", "conv2d",
+    "add", "sub", "mul", "div", "absolute", "square", "sqrt",
+    "relu", "tanh", "sigmoid", "concat", "reshape", "conv2d",
     "bilinear_sample", "bilinear_splat", "gather_pixels",
-    "tsum", "tmean", "sum_of_squares", "detach",
+    "tsum", "tmean", "sum_of_squares",
 ]
 
 
@@ -231,14 +231,6 @@ def div(a, b) -> Tensor:
                    lambda g, x, y: -g * x / (y * y))
 
 
-def exp(x) -> Tensor:
-    return _unary(x, np.exp, lambda g, x_, out: g * out)
-
-
-def log(x) -> Tensor:
-    return _unary(x, np.log, lambda g, x_, out: g / x_)
-
-
 def absolute(x) -> Tensor:
     # Subgradient 0 at 0, via sign().
     return _unary(x, np.abs, lambda g, x_, out: g * np.sign(x_))
@@ -266,16 +258,6 @@ def sigmoid(x) -> Tensor:
         return 1.0 / (1.0 + np.exp(-v))
 
     return _unary(x, fwd, lambda g, x_, out: g * out * (1.0 - out))
-
-
-def clamp(x, lo: float, hi: float) -> Tensor:
-    # Gradient passes through inside [lo, hi] (inclusive), zero outside.
-    return _unary(x, lambda v: np.clip(v, lo, hi),
-                  lambda g, x_, out: g * ((x_ >= lo) & (x_ <= hi)))
-
-
-def detach(x: Tensor) -> Tensor:
-    return _as_tensor(x).detach()
 
 
 def reshape(x, shape) -> Tensor:

@@ -1,15 +1,16 @@
 """Event stream I/O, partitioning, timestamp normalization, augmentation.
 
 Events are kept in columnar numpy arrays (timestamps in integer
-microseconds) so downstream kernels can stay vectorized. All types are
-immutable values; every operation returns new arrays.
+microseconds) so downstream kernels can stay vectorized. One type,
+`EventStream`, holds both a whole recording and a fixed-count partition
+of it; a normalized partition also carries its `t_star` column. All
+types are immutable values; every operation returns new arrays.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,13 +33,6 @@ class ConfigurationError(ValueError):
     """Invalid derived configuration value."""
 
 
-class Event(NamedTuple):
-    t: int   # microseconds
-    x: int
-    y: int
-    p: int   # +1 or -1
-
-
 @dataclass(frozen=True)
 class SensorGeometry:
     width: int
@@ -55,33 +49,16 @@ class SensorGeometry:
 
 @dataclass(frozen=True)
 class EventStream:
-    """Column-oriented event list in file/time order."""
+    """Column-oriented events in file/time order: a recording or a partition.
+
+    `t_star` holds the normalized timestamps (t - t0)/(tN - t0) once
+    `normalize_timestamps` has been applied to a partition, else None.
+    """
 
     t: np.ndarray  # uint64, microseconds
     x: np.ndarray  # uint16
     y: np.ndarray  # uint16
     p: np.ndarray  # int8, +1/-1
-    geometry: SensorGeometry
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def event(self, i: int) -> Event:
-        return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
-
-    def slice(self, start: int, stop: int) -> "EventStream":
-        return EventStream(self.t[start:stop], self.x[start:stop],
-                           self.y[start:stop], self.p[start:stop], self.geometry)
-
-
-@dataclass(frozen=True)
-class EventPartition:
-    """Fixed-count slice of a stream; t_star holds normalized timestamps."""
-
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
     geometry: SensorGeometry
     t_star: np.ndarray | None = None
 
@@ -93,13 +70,9 @@ class EventPartition:
         return int(self.t[-1]) - int(self.t[0]) if len(self.t) else 0
 
 
-def _empty_columns(geometry: SensorGeometry):
-    return (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint16),
-            np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=np.int8), geometry)
-
-
 def empty_stream(geometry: SensorGeometry) -> EventStream:
-    return EventStream(*_empty_columns(geometry))
+    return EventStream(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint16),
+                       np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=np.int8), geometry)
 
 
 def make_stream(t, x, y, p, geometry: SensorGeometry) -> EventStream:
@@ -192,8 +165,12 @@ def read_binary_events(path, geometry: SensorGeometry | None = None) -> EventStr
         raise EventFormatError(
             f"count mismatch: header says {count} records, body holds {len(body)} bytes")
     records = np.frombuffer(body, dtype=_EVT1_RECORD)
+    if (records["p"] > 1).any():
+        raise EventFormatError("polarity byte must be 0 or 1")
+    if records["pad"].any():
+        raise EventFormatError("non-zero pad byte")
     p = np.where(records["p"] > 0, 1, -1).astype(np.int8)
-    return EventStream(records["t"].copy(), records["x"].copy(), records["y"].copy(),
+    return make_stream(records["t"].copy(), records["x"].copy(), records["y"].copy(),
                        p, file_geometry)
 
 
@@ -208,18 +185,16 @@ def events_per_pixel_count(geometry: SensorGeometry, density: float) -> int:
     return n
 
 
-def partition_by_count(stream: EventStream, n: int) -> list[EventPartition]:
+def partition_by_count(stream: EventStream, n: int) -> list[EventStream]:
     """Consecutive disjoint partitions of exactly n events; remainder dropped."""
     if n < 2:
         raise ConfigurationError(f"partition size must be >= 2, got {n}")
-    parts = []
-    for start in range(0, len(stream) - n + 1, n):
-        s = stream.slice(start, start + n)
-        parts.append(EventPartition(s.t, s.x, s.y, s.p, s.geometry))
-    return parts
+    return [EventStream(stream.t[i:i + n], stream.x[i:i + n], stream.y[i:i + n],
+                        stream.p[i:i + n], stream.geometry)
+            for i in range(0, len(stream) - n + 1, n)]
 
 
-def normalize_timestamps(partition: EventPartition) -> EventPartition:
+def normalize_timestamps(partition: EventStream) -> EventStream:
     """Attach t_star = (t - t0)/(tN - t0); all zeros if the span is empty."""
     if len(partition) == 0:
         raise ValueError("cannot normalize an empty partition")
@@ -252,9 +227,6 @@ class AugmentationRecord:
     polarity_flip: bool = False
     pause: bool = False
 
-    def any(self) -> bool:
-        return self.h_flip or self.v_flip or self.polarity_flip or self.pause
-
 
 def draw_augmentation(rng: np.random.Generator, config: AugmentConfig) -> AugmentationRecord:
     return AugmentationRecord(
@@ -265,7 +237,7 @@ def draw_augmentation(rng: np.random.Generator, config: AugmentConfig) -> Augmen
     )
 
 
-def apply_augmentation(partition: EventPartition, record: AugmentationRecord) -> EventPartition:
+def apply_augmentation(partition: EventStream, record: AugmentationRecord) -> EventStream:
     x, y, p = partition.x, partition.y, partition.p
     if record.h_flip:
         x = (partition.geometry.width - 1 - x.astype(np.int64)).astype(np.uint16)
@@ -273,13 +245,6 @@ def apply_augmentation(partition: EventPartition, record: AugmentationRecord) ->
         y = (partition.geometry.height - 1 - y.astype(np.int64)).astype(np.uint16)
     if record.polarity_flip:
         p = (-p.astype(np.int64)).astype(np.int8)
-    # The pause flag is carried in the record only; the trainer inserts a
-    # null-voxel forward pass, the events themselves are untouched.
+    # The pause flag is carried in the record only; the trainer inserts an
+    # empty step with a zero voxel, the events themselves are untouched.
     return replace(partition, x=x, y=y, p=p)
-
-
-def augment(partition: EventPartition, rng: np.random.Generator,
-            config: AugmentConfig) -> tuple[EventPartition, AugmentationRecord]:
-    """Randomly flip a partition; the record reports what fired."""
-    record = draw_augmentation(rng, config)
-    return apply_augmentation(partition, record), record

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .events import EventPartition, SensorGeometry
+from .events import EventStream, SensorGeometry
 
 # Divisions the formulation writes with an "epsilon close to zero";
 # 1e-9 sits far below any event count.
@@ -27,17 +27,8 @@ class FlowField:
     u: np.ndarray  # H x W
     v: np.ndarray
 
-    @property
-    def shape(self):
-        return self.u.shape
-
     def as_array(self) -> np.ndarray:
         return np.stack([self.u, self.v])
-
-    @staticmethod
-    def zeros(geometry: SensorGeometry) -> "FlowField":
-        return FlowField(np.zeros((geometry.height, geometry.width)),
-                         np.zeros((geometry.height, geometry.width)))
 
 
 @dataclass(frozen=True)
@@ -65,22 +56,26 @@ class WarpedImages:
     t_ref: float
 
 
-def _require_normalized(partition: EventPartition) -> None:
+def _require_normalized(partition: EventStream) -> None:
     if partition.t_star is None:
         raise ValueError("partition is not normalized; call normalize_timestamps first")
 
 
-def _as_flow_tensor(flow, geometry: SensorGeometry) -> Tensor:
+def as_flow(flow) -> Tensor:
+    """The one flow representation: a (2,H,W) Tensor of (u, v).
+
+    Accepts a FlowField, a (2,H,W) array or a Tensor; a Tensor passes
+    through unchanged, so its graph history is kept.
+    """
     if isinstance(flow, FlowField):
         flow = flow.as_array()
     t = flow if isinstance(flow, Tensor) else Tensor(flow)
-    expected = (2, geometry.height, geometry.width)
-    if t.shape != expected:
-        raise ValueError(f"flow shape {t.shape} != {expected}")
+    if t.ndim != 3 or t.shape[0] != 2:
+        raise ValueError(f"flow must have shape (2,H,W), got {t.shape}")
     return t
 
 
-def build_voxel_grid(partition: EventPartition, bins: int) -> np.ndarray:
+def build_voxel_grid(partition: EventStream, bins: int) -> np.ndarray:
     """Spread each event's polarity over the two nearest of B temporal bins.
 
     Kernel weights max(0, 1-|t_b - t*(B-1)|) partition unity, so summing
@@ -113,7 +108,7 @@ def event_mask(voxel: np.ndarray) -> np.ndarray:
     return np.abs(voxel).sum(axis=0) > 0
 
 
-def warp_events(partition: EventPartition, flow, t_ref: float) -> WarpedEvents:
+def warp_events(partition: EventStream, flow, t_ref: float) -> WarpedEvents:
     """Propagate events to t_ref: x' = x + (t_ref - t*) u(x).
 
     The flow is read at each event's integer source pixel. Positions are
@@ -122,7 +117,10 @@ def warp_events(partition: EventPartition, flow, t_ref: float) -> WarpedEvents:
     _require_normalized(partition)
     if t_ref not in (0.0, 1.0):
         raise ValueError(f"t_ref must be 0 or 1, got {t_ref}")
-    flow_t = _as_flow_tensor(flow, partition.geometry)
+    flow_t = as_flow(flow)
+    expected = (2, partition.geometry.height, partition.geometry.width)
+    if flow_t.shape != expected:
+        raise ValueError(f"flow shape {flow_t.shape} != {expected}")
     iy = partition.y.astype(np.int64)
     ix = partition.x.astype(np.int64)
     dt = t_ref - partition.t_star
@@ -133,7 +131,7 @@ def warp_events(partition: EventPartition, flow, t_ref: float) -> WarpedEvents:
     return WarpedEvents(xs, ys, partition.t_star, partition.p, t_ref, partition.geometry)
 
 
-def source_pixel_counts(partition: EventPartition) -> np.ndarray:
+def source_pixel_counts(partition: EventStream) -> np.ndarray:
     """Per event: how many same-polarity events share its source pixel."""
     w = partition.geometry.width
     pix = partition.y.astype(np.int64) * w + partition.x.astype(np.int64)
@@ -146,7 +144,7 @@ def source_pixel_counts(partition: EventPartition) -> np.ndarray:
     return counts
 
 
-def accumulate_warped_images(partition: EventPartition, warped: WarpedEvents) -> WarpedImages:
+def accumulate_warped_images(partition: EventStream, warped: WarpedEvents) -> WarpedImages:
     """Splat warped events into per-polarity H, T and P images.
 
     T is the (H+eps)-normalized average of event timestamps; P splats
@@ -178,19 +176,19 @@ def average_iwe(images: WarpedImages) -> tuple[Tensor, Tensor]:
     return g_pos, g_neg
 
 
-def _count_image(partition: EventPartition, flow, t_ref: float = 1.0) -> np.ndarray:
+def _count_image(partition: EventStream, flow, t_ref: float = 1.0) -> np.ndarray:
     warped = warp_events(partition, flow, t_ref)
     images = accumulate_warped_images(partition, warped)
     return images.h_pos.data + images.h_neg.data
 
 
-def fwl(partition: EventPartition, flow) -> float:
+def fwl(partition: EventStream, flow) -> float:
     """Variance ratio of the flow-warped to the unwarped event count image.
 
     1 at zero flow; above 1 when warping sharpens the event image.
     """
     _require_normalized(partition)
-    flow_t = _as_flow_tensor(flow, partition.geometry).detach()
+    flow_t = as_flow(flow).detach()
     zero = np.zeros_like(flow_t.data)
     var_zero = float(np.var(_count_image(partition, zero)))
     if var_zero == 0.0:

@@ -14,9 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .events import EventPartition
-from .geometry import (EPS, FlowField, accumulate_warped_images, average_iwe,
-                       warp_events)
+from .events import EventStream
+from .geometry import accumulate_warped_images, as_flow, average_iwe, warp_events
 
 CHARBONNIER_ETA = 1e-3
 
@@ -45,22 +44,13 @@ class LossReport:
     weights: dict[str, float] = field(default_factory=dict)
     total: float = 0.0
 
-    def weighted_sum(self) -> float:
-        return sum(self.weights.get(k, 1.0) * v for k, v in self.terms.items())
 
-
-def _as_flow(flow) -> Tensor:
-    if isinstance(flow, FlowField):
-        return Tensor(flow.as_array())
-    return flow if isinstance(flow, Tensor) else Tensor(flow)
-
-
-def contrast_loss(partition: EventPartition, flow) -> Tensor:
+def contrast_loss(partition: EventStream, flow) -> Tensor:
     """Sum of squared per-polarity average-timestamp images, accumulated
     with events warped both forward (t_ref=1) and backward (t_ref=0)."""
     if len(partition) == 0:
         return Tensor(0.0)
-    flow_t = _as_flow(flow)
+    flow_t = as_flow(flow)
     total = None
     for t_ref in (1.0, 0.0):
         images = accumulate_warped_images(partition, warp_events(partition, flow_t, t_ref))
@@ -76,7 +66,7 @@ def charbonnier_smoothness(flow, eta: float = CHARBONNIER_ETA) -> Tensor:
     - eta, combining both flow components; the result is the mean over all
     horizontal and vertical difference locations.
     """
-    f = _as_flow(flow)
+    f = as_flow(flow)
     _, h, w = f.shape
     n_loc = h * (w - 1) + w * (h - 1)
     if n_loc == 0:
@@ -89,7 +79,7 @@ def charbonnier_smoothness(flow, eta: float = CHARBONNIER_ETA) -> Tensor:
     return ad.div(ad.add(ad.tsum(sx), ad.tsum(sy)), float(n_loc))
 
 
-def flow_total_loss(partition: EventPartition, flow,
+def flow_total_loss(partition: EventStream, flow,
                     weights: LossWeights) -> tuple[Tensor, LossReport]:
     contrast = contrast_loss(partition, flow)
     smooth = charbonnier_smoothness(flow)
@@ -101,7 +91,7 @@ def flow_total_loss(partition: EventPartition, flow,
     return total, report
 
 
-def event_count_increment(partition: EventPartition, weights: LossWeights) -> np.ndarray:
+def event_count_increment(partition: EventStream, weights: LossWeights) -> np.ndarray:
     """Plain per-pixel event integration: c_pos*N+ - c_neg*N- (no warping)."""
     geom = partition.geometry
     w = geom.width
@@ -115,7 +105,7 @@ def event_count_increment(partition: EventPartition, weights: LossWeights) -> np
     return out.reshape(geom.height, w)
 
 
-def reference_increment(partition: EventPartition, flow, weights: LossWeights) -> Tensor:
+def reference_increment(partition: EventStream, flow, weights: LossWeights) -> Tensor:
     """Brightness-increment image the reconstruction is trained against.
 
     With deblurring, events are warped to the partition end and averaged
@@ -125,7 +115,7 @@ def reference_increment(partition: EventPartition, flow, weights: LossWeights) -
     """
     if not weights.deblur_enabled:
         return Tensor(event_count_increment(partition, weights))
-    flow_t = _as_flow(flow).detach()
+    flow_t = as_flow(flow).detach()
     images = accumulate_warped_images(partition, warp_events(partition, flow_t, 1.0))
     g_pos, g_neg = average_iwe(images)
     return ad.sub(ad.mul(g_pos, weights.c_pos), ad.mul(g_neg, weights.c_neg))
@@ -143,19 +133,11 @@ def spatial_gradient(image) -> tuple[Tensor, Tensor]:
     return gx, gy
 
 
-def _flow_data(flow) -> np.ndarray:
-    if isinstance(flow, FlowField):
-        return flow.as_array()
-    if isinstance(flow, Tensor):
-        return flow.data
-    return np.asarray(flow, dtype=np.float64)
-
-
 def warp_previous(image, flow) -> Tensor:
     """Backward-warp an image by the (detached) flow: out(x) = in(x - u(x))."""
     img = image if isinstance(image, Tensor) else Tensor(image)
     h, w = img.shape
-    fd = _flow_data(flow)
+    fd = as_flow(flow).data
     gy, gx = np.mgrid[0:h, 0:w].astype(np.float64)
     grid = np.stack([gx - fd[0], gy - fd[1]])
     sampled = ad.bilinear_sample(ad.reshape(img, (1, h, w)), grid)
@@ -167,7 +149,7 @@ def predicted_increment(l_prev, flow) -> Tensor:
     forward-warped spatial gradients of the previous reconstruction with
     the (detached) flow."""
     gx, gy = spatial_gradient(l_prev)
-    fd = _flow_data(flow)
+    fd = as_flow(flow).data
     wx = warp_previous(gx, fd)
     wy = warp_previous(gy, fd)
     return ad.mul(ad.add(ad.mul(wx, fd[0]), ad.mul(wy, fd[1])), -1.0)

@@ -4,22 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import FlowField
+from .geometry import as_flow
 
 OUTLIER_THRESHOLD_PX = 3.0
 
 
-def _flow_pair(flow) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(flow, FlowField):
-        return flow.u, flow.v
-    arr = np.asarray(flow)
-    return arr[0], arr[1]
-
-
 def flow_metrics(flow, gt_flow, valid_mask: np.ndarray) -> tuple[float, float]:
     """Average endpoint error (px) and percentage of errors above 3 px."""
-    u, v = _flow_pair(flow)
-    gu, gv = _flow_pair(gt_flow)
+    u, v = as_flow(flow).data
+    gu, gv = as_flow(gt_flow).data
     if u.shape != gu.shape or u.shape != valid_mask.shape:
         raise ValueError("flow, ground truth and mask shapes differ")
     if not valid_mask.any():
@@ -71,21 +64,12 @@ def frame_metrics(recon: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
     return mse, ssim(recon, gt)
 
 
-def pearson_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    a = a.ravel() - a.mean()
-    b = b.ravel() - b.mean()
-    denom = np.sqrt((a * a).sum() * (b * b).sum())
-    if denom == 0:
-        raise ValueError("constant image: correlation undefined")
-    return float((a * b).sum() / denom)
-
-
 def flow_color_code(flow) -> np.ndarray:
     """Direction as hue, speed as brightness; H x W x 3 floats in [0,1].
 
     Zero flow everywhere maps to black.
     """
-    u, v = _flow_pair(flow)
+    u, v = as_flow(flow).data
     mag = np.hypot(u, v)
     peak = mag.max()
     value = mag / peak if peak > 0 else np.zeros_like(mag)

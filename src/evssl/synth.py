@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream, EventPartition, SensorGeometry, US_PER_SECOND
+from .events import EventStream, SensorGeometry, US_PER_SECOND, empty_stream
 from .geometry import FlowField
 
 
@@ -125,9 +125,7 @@ def generate_events(scene: SyntheticScene, timestep: float) -> EventStream:
         t_prev = t_next
 
     if not ts_parts:
-        return EventStream(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint16),
-                           np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=np.int8),
-                           scene.geometry)
+        return empty_stream(scene.geometry)
     t_us = np.rint(np.concatenate(ts_parts) * US_PER_SECOND).astype(np.uint64)
     pix = np.concatenate(pix_parts)
     pol = np.concatenate(pol_parts).astype(np.int8)
@@ -137,7 +135,7 @@ def generate_events(scene: SyntheticScene, timestep: float) -> EventStream:
     return EventStream(t_us[order], x[order], y[order], pol[order], scene.geometry)
 
 
-def ground_truth_flow(scene: SyntheticScene, partition: EventPartition) -> FlowField:
+def ground_truth_flow(scene: SyntheticScene, partition: EventStream) -> FlowField:
     """Constant flow: velocity times the partition's wall-clock span."""
     dur_s = partition.duration_us / US_PER_SECOND
     h, w = scene.geometry.height, scene.geometry.width

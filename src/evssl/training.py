@@ -9,20 +9,23 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Parameter, Tensor
-from .events import (AugmentConfig, EventPartition, apply_augmentation,
-                     draw_augmentation)
-from .geometry import build_voxel_grid, event_mask
+from .events import (AugmentConfig, EventStream, apply_augmentation,
+                     draw_augmentation, empty_stream)
+from .geometry import as_flow, build_voxel_grid, event_mask
 from .losses import (LossReport, LossWeights, flow_total_loss,
                      photometric_loss, predicted_increment, recon_total_loss,
                      reference_increment, temporal_loss, tv_loss)
 from .networks import FireFlowNet, ReconNet, detach_state, init_parameters
 
 GRAD_CLIP_NORM = 100.0
+
+Curve = list[tuple[int, LossReport]]
+Step = tuple[EventStream, np.ndarray, np.ndarray]  # partition, voxel grid, event mask
 
 
 @dataclass
@@ -34,21 +37,12 @@ class TrainConfig:
     epochs: int = 120
     unroll_steps: int = 20     # S: recurrent steps per reconstruction update
     tc_start_step: int = 10    # S0: first step the temporal term covers
-    lambda1: float = 1.0
-    lambda2: float = 0.1
-    lambda3: float = 0.05
     bins: int = 5
-    events_per_pixel: float = 0.3
     flow_scale: float = 40.0
     seed: int = 0
-    h_flip_prob: float = 0.5
-    v_flip_prob: float = 0.5
-    polarity_flip_prob: float = 0.5
-    pause_prob: float = 0.0
-    c_pos: float = 1.0
-    c_neg: float = 1.0
-    deblur_enabled: bool = True
     grad_clip_enabled: bool = False
+    weights: LossWeights = field(default_factory=LossWeights)
+    augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -58,15 +52,6 @@ class TrainConfig:
                 f"need 0 <= S0 <= S, got S0={self.tc_start_step}, S={self.unroll_steps}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2,
-                           lambda3=self.lambda3, c_pos=self.c_pos, c_neg=self.c_neg,
-                           deblur_enabled=self.deblur_enabled)
-
-    def augment_config(self) -> AugmentConfig:
-        return AugmentConfig(self.h_flip_prob, self.v_flip_prob,
-                             self.polarity_flip_prob, self.pause_prob)
 
 
 class Adam:
@@ -119,11 +104,18 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
     return norm
 
 
-def _optimize(loss: Tensor, params: list[Parameter], opt: Adam,
-              config: TrainConfig, context: str) -> None:
+def _adam(net, config: TrainConfig) -> Adam:
+    # `Adam` is looked up when called, so a substituted optimizer class is used.
+    return Adam(net.parameters(), config.lr, config.beta1, config.beta2, config.eps_adam)
+
+
+def _optimize(loss: Tensor, report: LossReport, params: list[Parameter], opt: Adam,
+              config: TrainConfig, curve: Curve, name: str) -> None:
+    """One update from `loss`; its report joins `curve` as the next step."""
+    step = len(curve)
     value = loss.item()
     if not np.isfinite(value):
-        raise FloatingPointError(f"non-finite loss at {context}: {value}")
+        raise FloatingPointError(f"non-finite loss at {name} step {step}: {value}")
     opt.zero_grad()
     if loss.requires_grad:
         loss.backward()
@@ -133,26 +125,52 @@ def _optimize(loss: Tensor, params: list[Parameter], opt: Adam,
     if config.grad_clip_enabled:
         clip_gradients(params, GRAD_CLIP_NORM)
     opt.step()
+    curve.append((step, report))
 
 
-def _null_partition(geometry) -> EventPartition:
-    return EventPartition(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint16),
-                          np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=np.int8),
-                          geometry, t_star=np.zeros(0))
+def _voxel_step(partition: EventStream, bins: int) -> Step:
+    if len(partition):
+        voxel = build_voxel_grid(partition, bins)
+    else:
+        geom = partition.geometry
+        voxel = np.zeros((bins, geom.height, geom.width))
+    return partition, voxel, event_mask(voxel)
 
 
-def _sequence_steps(seq: list[EventPartition], record, rng) -> list[EventPartition | None]:
-    """Augmented partitions; a drawn pause inserts one null-voxel step."""
-    steps: list[EventPartition | None] = [apply_augmentation(p, record) for p in seq]
-    if record.pause:
-        steps.insert(int(rng.integers(0, len(steps) + 1)), None)
-    return steps
+def _epoch_steps(sequences, config: TrainConfig, rng: np.random.Generator,
+                 min_length: int):
+    """For each sequence of each epoch, an iterator over its training steps.
+
+    The sequence's partitions share one drawn augmentation; a drawn pause
+    inserts one empty partition, with a zero voxel grid, at a drawn
+    position. Sequences shorter than `min_length` partitions are skipped
+    with a warning before anything is drawn for them.
+    """
+    for _ in range(config.epochs):
+        for seq in sequences:
+            if len(seq) < min_length:
+                warnings.warn(f"sequence with {len(seq)} partitions is shorter than "
+                              f"one training window ({min_length}); skipped")
+                continue
+            record = draw_augmentation(rng, config.augment)
+            parts = [apply_augmentation(p, record) for p in seq]
+            if record.pause:
+                parts.insert(int(rng.integers(0, len(parts) + 1)),
+                             empty_stream(seq[0].geometry))
+            yield (_voxel_step(p, config.bins) for p in parts)
 
 
-Curve = list[tuple[int, LossReport]]
+def _flow_update(net: FireFlowNet, opt: Adam, step: Step, config: TrainConfig,
+                 curve: Curve) -> Tensor:
+    """One contrast-maximization update; returns the flow it was computed from."""
+    partition, voxel, mask = step
+    flow = net(voxel, mask)
+    _optimize(*flow_total_loss(partition, flow, config.weights), net.parameters(), opt,
+              config, curve, "flow")
+    return flow
 
 
-def train_flow(sequences: list[list[EventPartition]], config: TrainConfig,
+def train_flow(sequences: list[list[EventStream]], config: TrainConfig,
                net: FireFlowNet | None = None) -> tuple[FireFlowNet, Curve]:
     """Contrast-maximization training of the flow network."""
     if not sequences:
@@ -161,24 +179,11 @@ def train_flow(sequences: list[list[EventPartition]], config: TrainConfig,
     if net is None:
         net = FireFlowNet(bins=config.bins, flow_scale=config.flow_scale)
         init_parameters(net, rng)
-    opt = Adam(net.parameters(), config.lr, config.beta1, config.beta2, config.eps_adam)
-    weights = config.loss_weights()
-    aug = config.augment_config()
+    opt = _adam(net, config)
     curve: Curve = []
-    step = 0
-    for _ in range(config.epochs):
-        for seq in sequences:
-            record = draw_augmentation(rng, aug)
-            geometry = seq[0].geometry
-            for item in _sequence_steps(seq, record, rng):
-                part = item if item is not None else _null_partition(geometry)
-                voxel = build_voxel_grid(part, config.bins) if len(part) else \
-                    np.zeros((config.bins, geometry.height, geometry.width))
-                flow = net(voxel, event_mask(voxel))
-                loss, report = flow_total_loss(part, flow, weights)
-                _optimize(loss, net.parameters(), opt, config, f"flow step {step}")
-                curve.append((step, report))
-                step += 1
+    for steps in _epoch_steps(sequences, config, rng, 1):
+        for step in steps:
+            _flow_update(net, opt, step, config, curve)
     return net, curve
 
 
@@ -190,24 +195,25 @@ class ReconTrainResult:
     flow_curve: Curve = field(default_factory=list)
 
 
-def train_recon(sequences: list[list[EventPartition]], config: TrainConfig,
+def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
                 flow_provider=None, flow_net: FireFlowNet | None = None,
                 joint: bool = False,
                 recon_net: ReconNet | None = None) -> ReconTrainResult:
     """Unrolled photometric-constancy training of the reconstruction network.
 
     Flow comes from `flow_provider(partition, voxel, mask) -> (2,H,W)`, a
-    frozen `flow_net`, or, with `joint=True`, a flow network updated on
-    each partition just before the reconstruction step consumes its
-    (detached) output. The reconstruction update fires every S+1 steps;
-    hidden state and the previous frame are truncated there and reset at
-    sequence starts. Sequences shorter than one unroll window are skipped.
+    frozen `flow_net`, or, with `joint=True`, a flow network (`flow_net`
+    or a new one) updated on each partition just before the
+    reconstruction step consumes its (detached) output. The
+    reconstruction update fires every S+1 steps; hidden state and the
+    previous frame are truncated there and reset at sequence starts.
+    Sequences shorter than one unroll window are skipped.
     """
     if not sequences:
         raise ValueError("empty dataset")
-    if flow_provider is None and flow_net is None:
-        raise ValueError("need a flow provider or a flow network")
-    s_steps = config.unroll_steps
+    if flow_provider is None and flow_net is None and not joint:
+        raise ValueError("need a flow provider, a flow network or joint=True")
+    window = config.unroll_steps + 1
     rng = np.random.default_rng(config.seed)
     if recon_net is None:
         recon_net = ReconNet(bins=config.bins)
@@ -215,69 +221,46 @@ def train_recon(sequences: list[list[EventPartition]], config: TrainConfig,
     if joint and flow_net is None:
         flow_net = FireFlowNet(bins=config.bins, flow_scale=config.flow_scale)
         init_parameters(flow_net, rng)
-    opt_r = Adam(recon_net.parameters(), config.lr, config.beta1, config.beta2,
-                 config.eps_adam)
-    opt_f = Adam(flow_net.parameters(), config.lr, config.beta1, config.beta2,
-                 config.eps_adam) if joint else None
-    weights = config.loss_weights()
-    aug = config.augment_config()
+    opt_r = _adam(recon_net, config)
+    opt_f = _adam(flow_net, config) if joint else None
+    weights = config.weights
     result = ReconTrainResult(recon_net, flow_net)
-    step = 0
-    flow_step = 0
-    for _ in range(config.epochs):
-        for seq in sequences:
-            if len(seq) < s_steps + 1:
-                warnings.warn(f"sequence with {len(seq)} partitions is shorter than "
-                              f"one unroll window (S+1={s_steps + 1}); skipped")
-                continue
-            record = draw_augmentation(rng, aug)
-            geometry = seq[0].geometry
-            h, w = geometry.height, geometry.width
-            state = None
-            l_prev: Tensor = Tensor(np.zeros((h, w)))
-            pe_terms: list[Tensor] = []
-            tc_terms: list[Tensor] = []
-            tv_terms: list[Tensor] = []
-            for item in _sequence_steps(seq, record, rng):
-                if item is None:
-                    voxel = np.zeros((config.bins, h, w))
-                    mask = np.zeros((h, w), dtype=bool)
-                    flow_values = np.zeros((2, h, w))
-                    reference = Tensor(np.zeros((h, w)))
+    for steps in _epoch_steps(sequences, config, rng, window):
+        state = None
+        l_prev: Tensor | None = None
+        pe_terms: list[Tensor] = []
+        tc_terms: list[Tensor] = []
+        tv_terms: list[Tensor] = []
+        for partition, voxel, mask in steps:
+            if l_prev is None:
+                l_prev = Tensor(np.zeros(mask.shape))
+            if not len(partition):
+                # A pause: no events, so no motion and no brightness change.
+                flow = np.zeros((2, *mask.shape))
+                reference = Tensor(np.zeros(mask.shape))
+            else:
+                if joint:
+                    flow = _flow_update(flow_net, opt_f, (partition, voxel, mask), config,
+                                        result.flow_curve).data
+                elif flow_net is not None:
+                    flow = flow_net(voxel, mask).data
                 else:
-                    voxel = build_voxel_grid(item, config.bins)
-                    mask = event_mask(voxel)
-                    if joint:
-                        flow_t = flow_net(voxel, mask)
-                        f_loss, f_report = flow_total_loss(item, flow_t, weights)
-                        _optimize(f_loss, flow_net.parameters(), opt_f, config,
-                                  f"joint flow step {flow_step}")
-                        result.flow_curve.append((flow_step, f_report))
-                        flow_step += 1
-                        flow_values = flow_t.data
-                    elif flow_net is not None:
-                        flow_values = flow_net(voxel, mask).data
-                    else:
-                        flow_values = np.asarray(flow_provider(item, voxel, mask))
-                    reference = reference_increment(item, flow_values, weights)
-                l_k, state = recon_net(voxel, state)
-                pe_terms.append(photometric_loss(reference,
-                                                 predicted_increment(l_prev, flow_values)))
-                tc_terms.append(temporal_loss(l_k, l_prev, flow_values))
-                tv_terms.append(tv_loss(l_k))
-                l_prev = l_k
-                if len(pe_terms) == s_steps + 1:
-                    total, report = recon_total_loss(pe_terms, tc_terms, tv_terms,
-                                                     weights, config.tc_start_step)
-                    _optimize(total, recon_net.parameters(), opt_r, config,
-                              f"recon step {step}")
-                    result.curve.append((step, report))
-                    step += 1
-                    state = detach_state(state)
-                    l_prev = l_prev.detach()
-                    pe_terms, tc_terms, tv_terms = [], [], []
-            # Trailing steps that do not fill a window are dropped, like the
-            # trailing events that do not fill a partition.
+                    flow = as_flow(flow_provider(partition, voxel, mask)).data
+                reference = reference_increment(partition, flow, weights)
+            l_k, state = recon_net(voxel, state)
+            pe_terms.append(photometric_loss(reference, predicted_increment(l_prev, flow)))
+            tc_terms.append(temporal_loss(l_k, l_prev, flow))
+            tv_terms.append(tv_loss(l_k))
+            l_prev = l_k
+            if len(pe_terms) == window:
+                _optimize(*recon_total_loss(pe_terms, tc_terms, tv_terms, weights,
+                                            config.tc_start_step),
+                          recon_net.parameters(), opt_r, config, result.curve, "recon")
+                state = detach_state(state)
+                l_prev = l_prev.detach()
+                pe_terms, tc_terms, tv_terms = [], [], []
+        # Trailing steps that do not fill a window are dropped, like the
+        # trailing events that do not fill a partition.
     return result
 
 
@@ -378,16 +361,3 @@ def load_network_state(net, tensors: dict[str, np.ndarray]) -> None:
         p.data = data
         p.grad = None
 
-
-def checkpoint_config_text(config: TrainConfig, step: int) -> str:
-    lines = [f"{f.name} = {getattr(config, f.name)}" for f in fields(config)]
-    lines.append(f"step = {step}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_checkpoint_step(config_text: str) -> int:
-    for line in config_text.splitlines():
-        key, _, value = line.partition("=")
-        if key.strip() == "step":
-            return int(value.strip())
-    return 0

@@ -55,10 +55,10 @@ def blob_partitions(blob_scene):
 
 def random_partition(rng, geometry=None, n_events=40):
     """Small random normalized partition for property tests."""
-    from evssl.events import EventPartition
+    from evssl.events import EventStream
     geometry = geometry or SensorGeometry(16, 16)
     t = np.sort(rng.integers(0, 100_000, size=n_events).astype(np.uint64))
-    part = EventPartition(
+    part = EventStream(
         t,
         rng.integers(0, geometry.width, size=n_events).astype(np.uint16),
         rng.integers(0, geometry.height, size=n_events).astype(np.uint16),

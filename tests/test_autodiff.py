@@ -40,14 +40,6 @@ def test_scalar_broadcast_allowed():
     assert np.array_equal(out.data, [3.0, 6.0])
 
 
-def test_clamp_values_and_gradient_zones():
-    x = Parameter("x", [-2.0, 0.5, 3.0])
-    out = ad.tsum(ad.clamp(x, 0.0, 1.0))
-    assert np.array_equal(out.data, 1.5)
-    out.backward()
-    assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
-
-
 def test_operator_sugar_matches_functions():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(3, 3)))
@@ -63,7 +55,7 @@ def test_no_operation_mutates_inputs():
     x = Tensor(rng.normal(size=(4, 4)))
     before = x.data.copy()
     ad.relu(x)
-    ad.exp(x)
+    ad.sigmoid(x)
     ad.add(x, x)
     ad.conv2d(ad.reshape(x, (1, 4, 4)), Tensor(np.ones((1, 1, 3, 3))))
     assert np.array_equal(x.data, before)
@@ -132,21 +124,19 @@ def test_deep_graph_backward_no_recursion_limit():
 def test_detach_blocks_gradient_and_keeps_values():
     w = Parameter("w", [1.0, 2.0])
     inner = ad.mul(w, 3.0)
-    cut = ad.detach(inner)
+    cut = inner.detach()
     assert np.array_equal(cut.data, inner.data)
     loss = ad.tsum(ad.square(cut))
     loss.backward()
     assert w.grad is None
     assert not cut.requires_grad
-    assert not ad.detach(cut).requires_grad  # idempotent
+    assert not cut.detach().requires_grad  # idempotent
 
 
 # ---------------------------------------------------------------------------
 # gradient suite: elementwise ops
 
 UNARY_CASES = [
-    ("exp", ad.exp, (-2.0, 2.0)),
-    ("log", ad.log, (0.2, 3.0)),
     ("abs", ad.absolute, (0.1, 2.0)),      # away from the kink at 0
     ("square", ad.square, (-2.0, 2.0)),
     ("sqrt", ad.sqrt, (0.2, 3.0)),
@@ -181,15 +171,6 @@ def test_binary_gradients(name, op, box):
         b = leaf(rng, (3, 4), *box, name="b")
         # Squaring makes the loss depend nonlinearly on both operands.
         check_gradients(lambda: ad.tsum(ad.square(op(a, b))), [a, b])
-
-
-def test_clamp_gradient_away_from_bounds():
-    for seed in range(N_INSTANCES):
-        rng = np.random.default_rng(200 + seed)
-        x = leaf(rng, (3, 4), -3.0, 3.0)
-        # Keep samples clear of the clamp corners at +-1.
-        x.data[np.abs(np.abs(x.data) - 1.0) < 0.05] = 0.5
-        check_gradients(lambda: ad.tsum(ad.square(ad.clamp(x, -1.0, 1.0))), [x])
 
 
 def test_scalar_broadcast_gradients():

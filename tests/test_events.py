@@ -29,14 +29,18 @@ def event_streams(draw, max_events=200):
 # text parsing
 
 
+def _columns(stream, i):
+    return int(stream.t[i]), int(stream.x[i]), int(stream.y[i]), int(stream.p[i])
+
+
 def test_parse_simple_line():
     stream = ev.parse_text_events("0.000000 5 7 1\n", GEOM)
-    assert stream.event(0) == ev.Event(0, 5, 7, 1)
+    assert _columns(stream, 0) == (0, 5, 7, 1)
 
 
 def test_parse_seconds_to_microseconds_and_negative_polarity():
     stream = ev.parse_text_events("1.5 0 0 0\n", GEOM)
-    assert stream.event(0) == ev.Event(1_500_000, 0, 0, -1)
+    assert _columns(stream, 0) == (1_500_000, 0, 0, -1)
 
 
 def test_parse_out_of_bounds():
@@ -48,7 +52,7 @@ def test_parse_comments_and_blank_lines():
     text = "# header\n\n0.0 1 2 1\n  \n0.5 3 4 0\n"
     stream = ev.parse_text_events(text, GEOM)
     assert len(stream) == 2
-    assert stream.event(1) == ev.Event(500_000, 3, 4, -1)
+    assert _columns(stream, 1) == (500_000, 3, 4, -1)
 
 
 def test_parse_error_reports_line_number():
@@ -63,7 +67,7 @@ def test_parse_rejects_bad_polarity():
 
 def test_parse_accepts_bytes():
     stream = ev.parse_text_events(b"0.25 2 3 1\n", GEOM)
-    assert stream.event(0) == ev.Event(250_000, 2, 3, 1)
+    assert _columns(stream, 0) == (250_000, 2, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +115,37 @@ def test_binary_geometry_check(tmp_path):
     ev.write_binary_events(path, GEOM, ev.empty_stream(GEOM))
     with pytest.raises(ev.EventFormatError, match="geometry"):
         ev.read_binary_events(path, ev.SensorGeometry(64, 64))
+
+
+def _corrupt_evt1(tmp_path, offset, value: bytes):
+    """One-event 16x16 EVT1 file with `value` written `offset` bytes into
+    its record (t at 0, x at 8, y at 10, polarity at 12, pad at 13)."""
+    geometry = ev.SensorGeometry(16, 16)
+    path = tmp_path / "one.evt1"
+    ev.write_binary_events(path, geometry, ev.make_stream([0], [3], [4], [1], geometry))
+    raw = bytearray(path.read_bytes())
+    start = 4 + 16 + offset  # after magic and header
+    raw[start:start + len(value)] = value
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def test_binary_rejects_out_of_sensor_coordinate(tmp_path):
+    path = _corrupt_evt1(tmp_path, 8, (20).to_bytes(2, "little"))
+    with pytest.raises(ev.EventBoundsError):
+        ev.read_binary_events(path)
+
+
+def test_binary_rejects_polarity_byte_above_one(tmp_path):
+    path = _corrupt_evt1(tmp_path, 12, b"\x02")
+    with pytest.raises(ev.EventFormatError, match="polarity"):
+        ev.read_binary_events(path)
+
+
+def test_binary_rejects_non_zero_pad_byte(tmp_path):
+    path = _corrupt_evt1(tmp_path, 13, b"\x01")
+    with pytest.raises(ev.EventFormatError, match="pad"):
+        ev.read_binary_events(path)
 
 
 @settings(max_examples=50, deadline=None)
@@ -175,7 +210,7 @@ def test_partitions_are_disjoint_and_ordered():
 
 
 def test_normalize_midpoint():
-    part = ev.EventPartition(np.array([0, 50, 100], dtype=np.uint64),
+    part = ev.EventStream(np.array([0, 50, 100], dtype=np.uint64),
                              np.zeros(3, dtype=np.uint16), np.zeros(3, dtype=np.uint16),
                              np.ones(3, dtype=np.int8), GEOM)
     out = ev.normalize_timestamps(part)
@@ -183,7 +218,7 @@ def test_normalize_midpoint():
 
 
 def test_normalize_degenerate_all_equal():
-    part = ev.EventPartition(np.array([7, 7, 7], dtype=np.uint64),
+    part = ev.EventStream(np.array([7, 7, 7], dtype=np.uint64),
                              np.zeros(3, dtype=np.uint16), np.zeros(3, dtype=np.uint16),
                              np.ones(3, dtype=np.int8), GEOM)
     out = ev.normalize_timestamps(part)
@@ -191,7 +226,7 @@ def test_normalize_degenerate_all_equal():
 
 
 def test_normalize_two_events():
-    part = ev.EventPartition(np.array([10, 40], dtype=np.uint64),
+    part = ev.EventStream(np.array([10, 40], dtype=np.uint64),
                              np.zeros(2, dtype=np.uint16), np.zeros(2, dtype=np.uint16),
                              np.ones(2, dtype=np.int8), GEOM)
     out = ev.normalize_timestamps(part)
@@ -199,7 +234,7 @@ def test_normalize_two_events():
 
 
 def test_normalize_rejects_unsorted():
-    part = ev.EventPartition(np.array([40, 10], dtype=np.uint64),
+    part = ev.EventStream(np.array([40, 10], dtype=np.uint64),
                              np.zeros(2, dtype=np.uint16), np.zeros(2, dtype=np.uint16),
                              np.ones(2, dtype=np.int8), GEOM)
     with pytest.raises(ValueError):
@@ -211,7 +246,7 @@ def test_normalize_rejects_unsorted():
 def test_normalize_range_and_monotonicity(ts):
     ts = sorted(ts)
     n = len(ts)
-    part = ev.EventPartition(np.array(ts, dtype=np.uint64),
+    part = ev.EventStream(np.array(ts, dtype=np.uint64),
                              np.zeros(n, dtype=np.uint16), np.zeros(n, dtype=np.uint16),
                              np.ones(n, dtype=np.int8), GEOM)
     out = ev.normalize_timestamps(part)
@@ -226,7 +261,7 @@ def test_normalize_range_and_monotonicity(ts):
 
 
 def _simple_partition():
-    return ev.EventPartition(np.array([0, 10], dtype=np.uint64),
+    return ev.EventStream(np.array([0, 10], dtype=np.uint64),
                              np.array([0, 5], dtype=np.uint16),
                              np.array([3, 7], dtype=np.uint16),
                              np.array([1, -1], dtype=np.int8), GEOM)
@@ -247,8 +282,9 @@ def test_polarity_flip():
 def test_zero_probabilities_are_identity():
     rng = np.random.default_rng(0)
     cfg = ev.AugmentConfig(0.0, 0.0, 0.0, 0.0)
-    out, record = ev.augment(_simple_partition(), rng, cfg)
-    assert not record.any()
+    record = ev.draw_augmentation(rng, cfg)
+    out = ev.apply_augmentation(_simple_partition(), record)
+    assert record == ev.AugmentationRecord()
     assert np.array_equal(out.x, _simple_partition().x)
     assert np.array_equal(out.p, _simple_partition().p)
 
@@ -267,14 +303,14 @@ def test_double_flip_is_identity():
 def test_probability_one_always_fires():
     rng = np.random.default_rng(1)
     cfg = ev.AugmentConfig(1.0, 1.0, 1.0, 1.0)
-    _, record = ev.augment(_simple_partition(), rng, cfg)
+    record = ev.draw_augmentation(rng, cfg)
     assert record.h_flip and record.v_flip and record.polarity_flip and record.pause
 
 
 def test_augmentation_preserves_sorting():
     rng = np.random.default_rng(2)
     cfg = ev.AugmentConfig(1.0, 1.0, 1.0, 0.0)
-    out, _ = ev.augment(_simple_partition(), rng, cfg)
+    out = ev.apply_augmentation(_simple_partition(), ev.draw_augmentation(rng, cfg))
     assert np.all(np.diff(out.t.astype(np.int64)) >= 0)
 
 

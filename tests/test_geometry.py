@@ -5,7 +5,7 @@ from evssl import autodiff as ad
 from evssl import geometry as geo
 from evssl import synth
 from evssl.autodiff import Parameter, Tensor
-from evssl.events import EventPartition, SensorGeometry, normalize_timestamps
+from evssl.events import EventStream, SensorGeometry, normalize_timestamps
 
 from conftest import random_partition
 from gradcheck import check_gradients
@@ -16,7 +16,7 @@ GEOM = SensorGeometry(16, 16)
 def partition_from(events, geometry=GEOM):
     """events: list of (t_us, x, y, p)."""
     t, x, y, p = zip(*events)
-    part = EventPartition(np.array(t, dtype=np.uint64), np.array(x, dtype=np.uint16),
+    part = EventStream(np.array(t, dtype=np.uint64), np.array(x, dtype=np.uint16),
                           np.array(y, dtype=np.uint16), np.array(p, dtype=np.int8),
                           geometry)
     return normalize_timestamps(part)
@@ -64,7 +64,7 @@ def test_voxel_mass_conservation_random():
 
 
 def test_voxel_empty_partition_needs_normalization():
-    part = EventPartition(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint16),
+    part = EventStream(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint16),
                           np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=np.int8), GEOM)
     with pytest.raises(ValueError):
         geo.build_voxel_grid(part, 5)
@@ -186,7 +186,7 @@ def test_splat_mass_conservation_interior():
         part = random_partition(rng, n_events=50)
         # Small flow keeps every warped position strictly inside the frame.
         safe = (part.x > 3) & (part.x < 12) & (part.y > 3) & (part.y < 12)
-        part = EventPartition(part.t[safe], part.x[safe], part.y[safe], part.p[safe],
+        part = EventStream(part.t[safe], part.x[safe], part.y[safe], part.p[safe],
                               part.geometry, part.t_star[safe])
         if len(part) == 0:
             continue

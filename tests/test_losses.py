@@ -7,7 +7,7 @@ from evssl import autodiff as ad
 from evssl import losses
 from evssl import synth
 from evssl.autodiff import Parameter, Tensor
-from evssl.events import EventPartition, SensorGeometry, normalize_timestamps
+from evssl.events import EventStream, SensorGeometry, normalize_timestamps
 from evssl.losses import LossWeights
 
 from conftest import random_partition
@@ -19,14 +19,14 @@ W = LossWeights()
 
 def partition_from(events, geometry=GEOM):
     t, x, y, p = zip(*events)
-    part = EventPartition(np.array(t, dtype=np.uint64), np.array(x, dtype=np.uint16),
+    part = EventStream(np.array(t, dtype=np.uint64), np.array(x, dtype=np.uint16),
                           np.array(y, dtype=np.uint16), np.array(p, dtype=np.int8),
                           geometry)
     return normalize_timestamps(part)
 
 
 def empty_partition(geometry=GEOM):
-    return EventPartition(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint16),
+    return EventStream(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint16),
                           np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=np.int8),
                           geometry, t_star=np.zeros(0))
 
@@ -110,7 +110,8 @@ def test_flow_total_reduces_to_contrast_when_lambda_zero():
     weights = LossWeights(lambda1=0.0)
     total, report = losses.flow_total_loss(part, flow, weights)
     assert total.item() == pytest.approx(losses.contrast_loss(part, flow).item())
-    assert report.total == pytest.approx(report.weighted_sum())
+    assert report.total == pytest.approx(
+        sum(report.weights[k] * v for k, v in report.terms.items()))
 
 
 def test_flow_total_constant_flow_equals_contrast():
@@ -371,7 +372,8 @@ def test_recon_total_bookkeeping_and_bounds():
     tv = _const_terms([5.0, 6.0])
     total, report = losses.recon_total_loss(pe, tc, tv, weights, 0)
     assert total.item() == pytest.approx(3.0 + 0.25 * 7.0 + 0.5 * 11.0)
-    assert report.total == pytest.approx(report.weighted_sum())
+    assert report.total == pytest.approx(
+        sum(report.weights[k] * v for k, v in report.terms.items()))
     with pytest.raises(ValueError):
         losses.recon_total_loss(pe, tc, tv, weights, tc_start=5)
 
