@@ -4,8 +4,11 @@ Define-by-run: every operation returns a new Tensor and, when any input
 requires gradients, records a backward closure. `backward()` on a scalar
 root accumulates gradients into every reachable tensor's `.grad`.
 
-Broadcasting is deliberately restricted to scalar-with-tensor; all other
-operands must have identical shapes. No operation mutates its inputs.
+Ops are module functions only; Tensor has no arithmetic operators.
+Broadcasting is restricted to scalar-with-tensor; all other operands must
+have identical shapes. No operation mutates its inputs. The ops cover the
+graph the paper builds: conv2d is stride-1 and same-padded, and
+bilinear_sample and bilinear_splat take constant grids and values.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ __all__ = [
     "add", "sub", "mul", "div", "absolute", "square", "sqrt",
     "relu", "tanh", "sigmoid", "concat", "reshape", "conv2d",
     "bilinear_sample", "bilinear_splat", "gather_pixels",
-    "tsum", "tmean", "sum_of_squares",
+    "tsum", "sum_of_squares",
 ]
 
 
@@ -85,32 +88,6 @@ class Tensor:
                 fn(node.grad)
                 node._backward = None
                 node._parents = ()
-
-    # Operator sugar; all semantics live in the module-level functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __getitem__(self, key):
         data = self.data[key]
@@ -294,40 +271,18 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # Convolution
 
 
-_COL_INDEX_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _col_indices(c: int, hp: int, wp: int, k: int, stride: int) -> np.ndarray:
-    key = (c, hp, wp, k, stride)
-    idx = _COL_INDEX_CACHE.get(key)
-    if idx is None:
-        ho = (hp - k) // stride + 1
-        wo = (wp - k) // stride + 1
-        ci = np.arange(c)[:, None, None, None, None]
-        ki = np.arange(k)[None, :, None, None, None]
-        kj = np.arange(k)[None, None, :, None, None]
-        oy = np.arange(ho)[None, None, None, :, None]
-        ox = np.arange(wo)[None, None, None, None, :]
-        idx = ((ci * hp + ki + oy * stride) * wp + kj + ox * stride).ravel()
-        _COL_INDEX_CACHE[key] = idx
-    return idx
-
-
-def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
     c, hp, wp = xp.shape
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
+    ho, wo = hp - k + 1, wp - k + 1
     s0, s1, s2 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, (c, k, k, ho, wo), (s0, s1, s2, s1 * stride, s2 * stride))
+    view = np.lib.stride_tricks.as_strided(xp, (c, k, k, ho, wo), (s0, s1, s2, s1, s2))
     return view.reshape(c * k * k, ho * wo)
 
 
-def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None) -> Tensor:
-    """2-D cross-correlation; input C_in*H*W, weight C_out*C_in*k*k.
+def conv2d(x, weight, bias=None) -> Tensor:
+    """Stride-1 2-D cross-correlation; input C_in*H*W, weight C_out*C_in*k*k.
 
-    `padding=None` means zero-padding of (k-1)//2, which preserves the
-    spatial size at stride 1.
+    Zero padding of (k-1)//2 keeps the spatial size.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     bias = _as_tensor(bias) if bias is not None else None
@@ -338,16 +293,12 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None) ->
         raise ValueError(f"channel mismatch: input {x.shape} vs weight {weight.shape}")
     if bias is not None and bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
-    if padding is None:
-        padding = (k - 1) // 2
+    p = (k - 1) // 2
+    _, h, w = x.shape
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    _, hp, wp = xp.shape
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    col = _im2col(xp, k, stride)
+    xp = np.pad(x.data, ((0, 0), (p, p), (p, p)))
     wmat = weight.data.reshape(c_out, -1)
-    out = (wmat @ col).reshape(c_out, ho, wo)
+    out = (wmat @ _im2col(xp, k)).reshape(c_out, h, w)
     if bias is not None:
         out = out + bias.data[:, None, None]
 
@@ -362,15 +313,13 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None) ->
         if weight.requires_grad:
             # im2col is recomputed rather than retained: unrolled recurrent
             # graphs would otherwise hold one col matrix per conv per step.
-            _accum(weight, (g2 @ _im2col(xp, k, stride).T).reshape(weight.shape), own=True)
+            _accum(weight, (g2 @ _im2col(xp, k).T).reshape(weight.shape), own=True)
         if x.requires_grad:
-            cols_grad = wmat.T @ g2
-            flat = np.bincount(_col_indices(c_in, hp, wp, k, stride),
-                               weights=cols_grad.ravel(), minlength=c_in * hp * wp)
-            gxp = flat.reshape(c_in, hp, wp)
-            if padding:
-                gxp = gxp[:, padding:-padding, padding:-padding]
-            _accum(x, gxp, own=True)
+            # Transposed convolution: the same-padded gradient correlated with
+            # the flipped kernel, input and output channels swapped.
+            wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+            gp = np.pad(g, ((0, 0), (p, p), (p, p)))
+            _accum(x, (wt @ _im2col(gp, k)).reshape(c_in, h, w), own=True)
 
     return Tensor._from_op(out, parents, backward)
 
@@ -379,80 +328,66 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None) ->
 # Bilinear sampling / splatting
 
 
+def _constant(name: str, a) -> np.ndarray:
+    if isinstance(a, Tensor):
+        raise TypeError(f"{name} must be a constant array; a Tensor gets no gradient")
+    return np.asarray(a, dtype=np.float64)
+
+
 def bilinear_sample(image, grid) -> Tensor:
     """Sample image (C,H,W) at absolute coordinates grid (2,H',W').
 
-    grid[0] holds x (column), grid[1] holds y (row) coordinates.
-    Out-of-range coordinates replicate the border. Differentiable with
-    respect to both the image and the grid.
+    grid is a constant array: grid[0] holds x (column), grid[1] holds y
+    (row) coordinates. Out-of-range coordinates replicate the border.
+    Differentiable with respect to the image only.
     """
-    image, grid = _as_tensor(image), _as_tensor(grid)
+    image, grid = _as_tensor(image), _constant("grid", grid)
     c, h, w = image.shape
     if grid.ndim != 3 or grid.shape[0] != 2:
         raise ValueError(f"grid must be (2,H,W), got {grid.shape}")
     out_shape = grid.shape[1:]
 
-    gx = np.clip(grid.data[0], 0.0, w - 1.0).ravel()
-    gy = np.clip(grid.data[1], 0.0, h - 1.0).ravel()
+    gx = np.clip(grid[0], 0.0, w - 1.0).ravel()
+    gy = np.clip(grid[1], 0.0, h - 1.0).ravel()
     x0 = np.floor(gx).astype(np.int64)
     y0 = np.floor(gy).astype(np.int64)
-    x0 = np.minimum(x0, w - 1)
-    y0 = np.minimum(y0, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     fx = gx - x0
     fy = gy - y0
+    corners = ((y0 * w + x0, (1.0 - fx) * (1.0 - fy)),
+               (y0 * w + x1, fx * (1.0 - fy)),
+               (y1 * w + x0, (1.0 - fx) * fy),
+               (y1 * w + x1, fx * fy))
 
     flat = image.data.reshape(c, -1)
-    i00 = flat[:, y0 * w + x0]
-    i10 = flat[:, y0 * w + x1]
-    i01 = flat[:, y1 * w + x0]
-    i11 = flat[:, y1 * w + x1]
-    w00 = (1.0 - fx) * (1.0 - fy)
-    w10 = fx * (1.0 - fy)
-    w01 = (1.0 - fx) * fy
-    w11 = fx * fy
-    out = (w00 * i00 + w10 * i10 + w01 * i01 + w11 * i11).reshape(c, *out_shape)
+    out = sum(wt * flat[:, idx] for idx, wt in corners).reshape(c, *out_shape)
 
-    if not (image.requires_grad or grid.requires_grad):
+    if not image.requires_grad:
         return Tensor(out)
 
     def backward(g):
         g2 = g.reshape(c, -1)
-        if image.requires_grad:
-            gimg = np.zeros(c * h * w)
-            ch_off = (np.arange(c) * (h * w))[:, None]
-            for idx, wt in (((y0 * w + x0), w00), ((y0 * w + x1), w10),
-                            ((y1 * w + x0), w01), ((y1 * w + x1), w11)):
-                gimg += np.bincount((ch_off + idx[None, :]).ravel(),
-                                    weights=(g2 * wt[None, :]).ravel(),
-                                    minlength=c * h * w)
-            _accum(image, gimg.reshape(c, h, w), own=True)
-        if grid.requires_grad:
-            # Chain through the border clamp: zero outside the frame.
-            live_x = (grid.data[0].ravel() >= 0.0) & (grid.data[0].ravel() <= w - 1.0)
-            live_y = (grid.data[1].ravel() >= 0.0) & (grid.data[1].ravel() <= h - 1.0)
-            dgx = ((i10 - i00) * (1.0 - fy) + (i11 - i01) * fy) * g2
-            dgy = ((i01 - i00) * (1.0 - fx) + (i11 - i10) * fx) * g2
-            ggrid = np.stack([
-                (dgx.sum(axis=0) * live_x).reshape(out_shape),
-                (dgy.sum(axis=0) * live_y).reshape(out_shape),
-            ])
-            _accum(grid, ggrid, own=True)
+        gimg = np.zeros(c * h * w)
+        ch_off = (np.arange(c) * (h * w))[:, None]
+        for idx, wt in corners:
+            gimg += np.bincount((ch_off + idx[None, :]).ravel(),
+                                weights=(g2 * wt[None, :]).ravel(), minlength=c * h * w)
+        _accum(image, gimg.reshape(c, h, w), own=True)
 
-    return Tensor._from_op(out, (image, grid), backward)
+    return Tensor._from_op(out, (image,), backward)
 
 
 def bilinear_splat(values, xs, ys, shape: tuple[int, int]) -> Tensor:
-    """Scatter-add values at continuous positions into an (H,W) image.
+    """Scatter-add constant values at continuous positions into an (H,W) image.
 
     Each value is spread over the four neighbouring pixels with bilinear
     corner weights; corners falling outside the frame are dropped.
-    Differentiable with respect to values and positions.
+    Differentiable with respect to the positions only.
     """
-    values, xs, ys = _as_tensor(values), _as_tensor(xs), _as_tensor(ys)
+    values, xs, ys = _constant("values", values), _as_tensor(xs), _as_tensor(ys)
     if not (values.shape == xs.shape == ys.shape) or values.ndim != 1:
-        raise ValueError("values, xs, ys must be equal-length 1-D tensors")
+        raise ValueError("values, xs, ys must be equal-length 1-D arrays")
     h, w = shape
     x0 = np.floor(xs.data)
     y0 = np.floor(ys.data)
@@ -461,46 +396,32 @@ def bilinear_splat(values, xs, ys, shape: tuple[int, int]) -> Tensor:
     x0 = x0.astype(np.int64)
     y0 = y0.astype(np.int64)
 
-    corners = (
-        (x0, y0, (1.0 - fx) * (1.0 - fy)),
-        (x0 + 1, y0, fx * (1.0 - fy)),
-        (x0, y0 + 1, (1.0 - fx) * fy),
-        (x0 + 1, y0 + 1, fx * fy),
-    )
+    # Per corner: the in-frame mask and the flat pixel index, 0 where the
+    # corner is out of frame and its weight is zeroed.
+    corners = []
     out = np.zeros(h * w)
-    for cx, cy, cw in corners:
+    for cx, cy, cw in ((x0, y0, (1.0 - fx) * (1.0 - fy)),
+                       (x0 + 1, y0, fx * (1.0 - fy)),
+                       (x0, y0 + 1, (1.0 - fx) * fy),
+                       (x0 + 1, y0 + 1, fx * fy)):
         ok = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        if ok.any():
-            out += np.bincount((cy[ok] * w + cx[ok]),
-                               weights=values.data[ok] * cw[ok], minlength=h * w)
+        idx = np.where(ok, cy * w + cx, 0)
+        out += np.bincount(idx, weights=np.where(ok, values * cw, 0.0), minlength=h * w)
+        corners.append((ok, idx))
     out = out.reshape(h, w)
 
-    if not (values.requires_grad or xs.requires_grad or ys.requires_grad):
+    if not (xs.requires_grad or ys.requires_grad):
         return Tensor(out)
 
     def backward(g):
         gf = g.ravel()
-
-        def corner_grad(cx, cy):
-            ok = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-            out_g = np.zeros(len(cx))
-            out_g[ok] = gf[cy[ok] * w + cx[ok]]
-            return out_g
-
-        g00 = corner_grad(x0, y0)
-        g10 = corner_grad(x0 + 1, y0)
-        g01 = corner_grad(x0, y0 + 1)
-        g11 = corner_grad(x0 + 1, y0 + 1)
-        if values.requires_grad:
-            _accum(values,
-                   g00 * (1.0 - fx) * (1.0 - fy) + g10 * fx * (1.0 - fy)
-                   + g01 * (1.0 - fx) * fy + g11 * fx * fy, own=True)
+        g00, g10, g01, g11 = (np.where(ok, gf[idx], 0.0) for ok, idx in corners)
         if xs.requires_grad:
-            _accum(xs, values.data * ((1.0 - fy) * (g10 - g00) + fy * (g11 - g01)), own=True)
+            _accum(xs, values * ((1.0 - fy) * (g10 - g00) + fy * (g11 - g01)), own=True)
         if ys.requires_grad:
-            _accum(ys, values.data * ((1.0 - fx) * (g01 - g00) + fx * (g11 - g10)), own=True)
+            _accum(ys, values * ((1.0 - fx) * (g01 - g00) + fx * (g11 - g10)), own=True)
 
-    return Tensor._from_op(out, (values, xs, ys), backward)
+    return Tensor._from_op(out, (xs, ys), backward)
 
 
 def gather_pixels(field, iy: np.ndarray, ix: np.ndarray) -> Tensor:
@@ -522,60 +443,25 @@ def gather_pixels(field, iy: np.ndarray, ix: np.ndarray) -> Tensor:
 # Reductions
 
 
-def _check_mask(x: Tensor, mask) -> np.ndarray | None:
-    if mask is None:
-        return None
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape:
-        raise ValueError(f"mask shape {mask.shape} != tensor shape {x.shape}")
-    return mask
-
-
-def tsum(x, mask=None) -> Tensor:
+def tsum(x) -> Tensor:
     x = _as_tensor(x)
-    mask = _check_mask(x, mask)
-    data = np.asarray(x.data.sum() if mask is None else x.data[mask].sum())
+    data = np.asarray(x.data.sum())
     if not x.requires_grad:
         return Tensor(data)
 
     def backward(g):
-        full = np.full_like(x.data, float(g)) if mask is None \
-            else np.where(mask, float(g), 0.0)
-        _accum(x, full, own=True)
+        _accum(x, np.full_like(x.data, float(g)), own=True)
 
     return Tensor._from_op(data, (x,), backward)
 
 
-def tmean(x, mask=None) -> Tensor:
+def sum_of_squares(x) -> Tensor:
     x = _as_tensor(x)
-    mask = _check_mask(x, mask)
-    n = x.size if mask is None else int(mask.sum())
-    if n == 0:
-        raise ValueError("mean over an empty mask")
-    data = np.asarray((x.data.sum() if mask is None else x.data[mask].sum()) / n)
+    data = np.asarray((x.data * x.data).sum())
     if not x.requires_grad:
         return Tensor(data)
 
     def backward(g):
-        gv = float(g) / n
-        full = np.full_like(x.data, gv) if mask is None else np.where(mask, gv, 0.0)
-        _accum(x, full, own=True)
-
-    return Tensor._from_op(data, (x,), backward)
-
-
-def sum_of_squares(x, mask=None) -> Tensor:
-    x = _as_tensor(x)
-    mask = _check_mask(x, mask)
-    sq = x.data * x.data
-    data = np.asarray(sq.sum() if mask is None else sq[mask].sum())
-    if not x.requires_grad:
-        return Tensor(data)
-
-    def backward(g):
-        full = 2.0 * x.data * float(g)
-        if mask is not None:
-            full = np.where(mask, full, 0.0)
-        _accum(x, full, own=True)
+        _accum(x, 2.0 * x.data * float(g), own=True)
 
     return Tensor._from_op(data, (x,), backward)

@@ -91,7 +91,7 @@ def make_stream(t, x, y, p, geometry: SensorGeometry) -> EventStream:
 
 
 def parse_text_events(data: bytes | str, geometry: SensorGeometry) -> EventStream:
-    """Parse `t_seconds x y p` lines (p in {0,1}); '#' lines are comments."""
+    """Parse non-decreasing `t_seconds x y p` lines (p in {0,1}); '#' lines are comments."""
     if isinstance(data, bytes):
         data = data.decode("ascii")
     ts, xs, ys, ps = [], [], [], []
@@ -114,7 +114,10 @@ def parse_text_events(data: bytes | str, geometry: SensorGeometry) -> EventStrea
         if not (0 <= x < geometry.width and 0 <= y < geometry.height):
             raise EventBoundsError(
                 f"line {lineno}: ({x},{y}) outside {geometry.width}x{geometry.height}")
-        ts.append(round(t_sec * US_PER_SECOND))
+        t_us = round(t_sec * US_PER_SECOND)
+        if ts and t_us < ts[-1]:
+            raise EventParseError(f"line {lineno}: timestamp {fields[0]} decreases")
+        ts.append(t_us)
         xs.append(x)
         ys.append(y)
         ps.append(1 if p == 1 else -1)
@@ -169,8 +172,12 @@ def read_binary_events(path, geometry: SensorGeometry | None = None) -> EventStr
         raise EventFormatError("polarity byte must be 0 or 1")
     if records["pad"].any():
         raise EventFormatError("non-zero pad byte")
+    t = records["t"]
+    back = np.flatnonzero(t[1:] < t[:-1])  # not np.diff: uint64 wraps around
+    if back.size:
+        raise EventFormatError(f"record {back[0] + 1}: timestamp decreases")
     p = np.where(records["p"] > 0, 1, -1).astype(np.int8)
-    return make_stream(records["t"].copy(), records["x"].copy(), records["y"].copy(),
+    return make_stream(t.copy(), records["x"].copy(), records["y"].copy(),
                        p, file_geometry)
 
 

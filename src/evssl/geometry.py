@@ -160,8 +160,8 @@ def accumulate_warped_images(partition: EventStream, warped: WarpedEvents) -> Wa
         xs, ys = warped.xs[sel], warped.ys[sel]
         ones = np.ones(int(sel.sum()))
         h_img = ad.bilinear_splat(ones, xs, ys, shape)
-        t_num = ad.bilinear_splat(Tensor(warped.t_star[sel]), xs, ys, shape)
-        p_img = ad.bilinear_splat(Tensor(1.0 / n_src[sel]), xs, ys, shape)
+        t_num = ad.bilinear_splat(warped.t_star[sel], xs, ys, shape)
+        p_img = ad.bilinear_splat(1.0 / n_src[sel], xs, ys, shape)
         t_img = ad.div(t_num, ad.add(h_img, EPS))
         images[f"h_{tag}"] = h_img
         images[f"t_{tag}"] = t_img

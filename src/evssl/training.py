@@ -165,6 +165,8 @@ def _flow_update(net: FireFlowNet, opt: Adam, step: Step, config: TrainConfig,
     """One contrast-maximization update; returns the flow it was computed from."""
     partition, voxel, mask = step
     flow = net(voxel, mask)
+    if not np.isfinite(flow.data).all():
+        raise FloatingPointError(f"non-finite flow at flow step {len(curve)}")
     _optimize(*flow_total_loss(partition, flow, config.weights), net.parameters(), opt,
               config, curve, "flow")
     return flow
@@ -204,15 +206,19 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
     Flow comes from `flow_provider(partition, voxel, mask) -> (2,H,W)`, a
     frozen `flow_net`, or, with `joint=True`, a flow network (`flow_net`
     or a new one) updated on each partition just before the
-    reconstruction step consumes its (detached) output. The
-    reconstruction update fires every S+1 steps; hidden state and the
-    previous frame are truncated there and reset at sequence starts.
-    Sequences shorter than one unroll window are skipped.
+    reconstruction step consumes its (detached) output; a provider
+    excludes the other two. The reconstruction update fires every S+1
+    steps; hidden state and the previous frame are truncated there and
+    reset at sequence starts. Sequences shorter than one unroll window
+    are skipped.
     """
     if not sequences:
         raise ValueError("empty dataset")
     if flow_provider is None and flow_net is None and not joint:
         raise ValueError("need a flow provider, a flow network or joint=True")
+    if flow_provider is not None and (flow_net is not None or joint):
+        raise ValueError("flow_provider cannot be combined with "
+                         + ("joint=True" if joint else "flow_net"))
     window = config.unroll_steps + 1
     rng = np.random.default_rng(config.seed)
     if recon_net is None:

@@ -40,16 +40,6 @@ def test_scalar_broadcast_allowed():
     assert np.array_equal(out.data, [3.0, 6.0])
 
 
-def test_operator_sugar_matches_functions():
-    rng = np.random.default_rng(0)
-    a = Tensor(rng.normal(size=(3, 3)))
-    b = Tensor(rng.normal(size=(3, 3)))
-    assert np.array_equal((a + b).data, ad.add(a, b).data)
-    assert np.array_equal((a - b).data, ad.sub(a, b).data)
-    assert np.array_equal((a * b).data, ad.mul(a, b).data)
-    assert np.array_equal((-a).data, -a.data)
-
-
 def test_no_operation_mutates_inputs():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(4, 4)))
@@ -224,16 +214,6 @@ def test_sum_value():
     assert ad.tsum(Tensor([1.0, 2.0, 3.0])).item() == 6.0
 
 
-def test_masked_mean_value():
-    mask = np.array([True, False, True])
-    assert ad.tmean(Tensor([1.0, 2.0, 3.0]), mask).item() == 2.0
-
-
-def test_mean_empty_mask_errors():
-    with pytest.raises(ValueError):
-        ad.tmean(Tensor([1.0, 2.0]), np.array([False, False]))
-
-
 def test_sum_of_squares_value():
     assert ad.sum_of_squares(Tensor([1.0, 2.0])).item() == 5.0
 
@@ -242,12 +222,8 @@ def test_reduction_gradients():
     for seed in range(N_INSTANCES):
         rng = np.random.default_rng(800 + seed)
         x = leaf(rng, (4, 4))
-        mask = rng.random((4, 4)) > 0.4
-        if not mask.any():
-            mask[0, 0] = True
-        check_gradients(lambda: ad.tsum(x, mask), [x])
-        check_gradients(lambda: ad.tmean(x, mask), [x])
-        check_gradients(lambda: ad.sum_of_squares(x, mask), [x])
+        check_gradients(lambda: ad.tsum(x), [x])
+        check_gradients(lambda: ad.sum_of_squares(x), [x])
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +258,16 @@ def test_conv2d_rejects_even_kernels():
         ad.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
 
 
-@pytest.mark.parametrize("kernel,stride", [(1, 1), (3, 1), (5, 1), (3, 2)])
-def test_conv2d_gradients(kernel, stride):
+# The input gradient is a transposed convolution, which swaps the channel
+# roles, so one case has more input than output channels.
+@pytest.mark.parametrize("kernel,c_in,c_out", [(1, 2, 3), (3, 2, 3), (5, 2, 3), (3, 4, 2)])
+def test_conv2d_gradients(kernel, c_in, c_out):
     for seed in range(N_INSTANCES):
         rng = np.random.default_rng(900 + seed)
-        x = leaf(rng, (2, 6, 7), name="x")
-        w = leaf(rng, (3, 2, kernel, kernel), -1.0, 1.0, name="w")
-        b = leaf(rng, (3,), -0.5, 0.5, name="b")
-        check_gradients(
-            lambda: ad.tsum(ad.square(ad.conv2d(x, w, b, stride=stride))), [x, w, b])
+        x = leaf(rng, (c_in, 6, 7), name="x")
+        w = leaf(rng, (c_out, c_in, kernel, kernel), -1.0, 1.0, name="w")
+        b = leaf(rng, (c_out,), -0.5, 0.5, name="b")
+        check_gradients(lambda: ad.tsum(ad.square(ad.conv2d(x, w, b))), [x, w, b])
 
 
 def test_conv2d_same_padding_preserves_size():
@@ -312,7 +289,7 @@ def _identity_grid(h, w):
 def test_bilinear_sample_identity():
     rng = np.random.default_rng(0)
     img = Tensor(rng.normal(size=(2, 4, 5)))
-    out = ad.bilinear_sample(img, Tensor(_identity_grid(4, 5)))
+    out = ad.bilinear_sample(img, _identity_grid(4, 5))
     assert np.allclose(out.data, img.data)
 
 
@@ -321,14 +298,14 @@ def test_bilinear_sample_half_pixel_shift_on_ramp():
     ramp = Tensor(np.arange(w, dtype=np.float64)[None, None, :].repeat(4, axis=1))
     grid = _identity_grid(4, w)
     grid[0] += 0.5
-    out = ad.bilinear_sample(ramp, Tensor(grid))
+    out = ad.bilinear_sample(ramp, grid)
     assert np.allclose(out.data[0, :, :-1], ramp.data[0, :, :-1] + 0.5)
 
 
 def test_bilinear_sample_border_replicate():
     img = Tensor(np.arange(4, dtype=np.float64)[None, None, :])
     grid = np.stack([np.array([[-3.0, 10.0]]), np.zeros((1, 2))])
-    out = ad.bilinear_sample(img, Tensor(grid))
+    out = ad.bilinear_sample(img, grid)
     assert np.allclose(out.data[0, 0], [0.0, 3.0])
 
 
@@ -341,9 +318,8 @@ def test_bilinear_sample_gradients():
         gx += np.where(np.abs(gx - np.round(gx)) < 0.05, 0.07, 0.0)
         gy = rng.uniform(0.1, 3.9, size=(4, 5))
         gy += np.where(np.abs(gy - np.round(gy)) < 0.05, 0.07, 0.0)
-        grid = Parameter("grid", np.stack([gx, gy]))
-        check_gradients(
-            lambda: ad.tsum(ad.square(ad.bilinear_sample(img, grid))), [img, grid])
+        grid = np.stack([gx, gy])
+        check_gradients(lambda: ad.tsum(ad.square(ad.bilinear_sample(img, grid))), [img])
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +327,20 @@ def test_bilinear_sample_gradients():
 
 
 def test_bilinear_splat_integer_position():
-    out = ad.bilinear_splat(Tensor([1.0]), Tensor([2.0]), Tensor([1.0]), (3, 4))
+    out = ad.bilinear_splat(np.array([1.0]), Tensor([2.0]), Tensor([1.0]), (3, 4))
     expected = np.zeros((3, 4))
     expected[1, 2] = 1.0
     assert np.array_equal(out.data, expected)
 
 
 def test_bilinear_splat_quarter_split():
-    out = ad.bilinear_splat(Tensor([1.0]), Tensor([1.25]), Tensor([0.0]), (2, 4))
+    out = ad.bilinear_splat(np.array([1.0]), Tensor([1.25]), Tensor([0.0]), (2, 4))
     assert out.data[0, 1] == pytest.approx(0.75)
     assert out.data[0, 2] == pytest.approx(0.25)
 
 
 def test_bilinear_splat_drops_out_of_frame_corners():
-    out = ad.bilinear_splat(Tensor([1.0]), Tensor([-0.5]), Tensor([0.0]), (2, 3))
+    out = ad.bilinear_splat(np.array([1.0]), Tensor([-0.5]), Tensor([0.0]), (2, 3))
     assert out.data[0, 0] == pytest.approx(0.5)
     assert out.data.sum() == pytest.approx(0.5)
 
@@ -373,7 +349,7 @@ def test_bilinear_splat_gradients():
     for seed in range(N_INSTANCES):
         rng = np.random.default_rng(1100 + seed)
         n = 8
-        vals = leaf(rng, (n,), 0.3, 1.5, name="vals")
+        vals = rng.uniform(0.3, 1.5, size=n)
         xs = Parameter("xs", rng.uniform(0.15, 4.8, size=n))
         ys = Parameter("ys", rng.uniform(0.15, 3.8, size=n))
         for p in (xs, ys):
@@ -384,4 +360,12 @@ def test_bilinear_splat_gradients():
             img = ad.bilinear_splat(vals, xs, ys, (5, 6))
             return ad.sum_of_squares(ad.sub(img, target))
 
-        check_gradients(build, [vals, xs, ys])
+        check_gradients(build, [xs, ys])
+
+
+def test_sample_and_splat_reject_tensor_constants():
+    # A Tensor grid or values would silently get no gradient.
+    with pytest.raises(TypeError, match="constant array"):
+        ad.bilinear_sample(Tensor(np.zeros((1, 2, 2))), Tensor(_identity_grid(2, 2)))
+    with pytest.raises(TypeError, match="constant array"):
+        ad.bilinear_splat(Parameter("v", [1.0]), Tensor([0.5]), Tensor([0.5]), (2, 2))

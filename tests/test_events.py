@@ -65,6 +65,11 @@ def test_parse_rejects_bad_polarity():
         ev.parse_text_events("0.0 1 2 7\n", GEOM)
 
 
+def test_parse_rejects_decreasing_timestamp():
+    with pytest.raises(ev.EventParseError, match="line 2: timestamp 0.1 decreases"):
+        ev.parse_text_events("0.5 1 1 1\n0.1 2 2 0\n", GEOM)
+
+
 def test_parse_accepts_bytes():
     stream = ev.parse_text_events(b"0.25 2 3 1\n", GEOM)
     assert _columns(stream, 0) == (250_000, 2, 3, 1)
@@ -139,6 +144,14 @@ def test_binary_rejects_out_of_sensor_coordinate(tmp_path):
 def test_binary_rejects_polarity_byte_above_one(tmp_path):
     path = _corrupt_evt1(tmp_path, 12, b"\x02")
     with pytest.raises(ev.EventFormatError, match="polarity"):
+        ev.read_binary_events(path)
+
+
+def test_binary_rejects_decreasing_timestamp(tmp_path):
+    path = tmp_path / "unsorted.evt1"
+    stream = ev.make_stream([50, 10, 40, 5], [1, 2, 3, 4], [1, 2, 3, 4], [1, -1, 1, -1], GEOM)
+    ev.write_binary_events(path, GEOM, stream)
+    with pytest.raises(ev.EventFormatError, match="record 1: timestamp decreases"):
         ev.read_binary_events(path)
 
 

@@ -82,8 +82,7 @@ def test_non_finite_loss_raises():
     net = FireFlowNet(bins=5)
     for p in net.parameters():
         p.data = np.full_like(p.data, np.nan)
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(FloatingPointError, match="non-finite loss"):
+    with pytest.raises(FloatingPointError, match="non-finite flow at flow step 0"):
         training.train_flow(_sequences([1]), _config(), net)
 
 
@@ -98,6 +97,14 @@ def test_joint_recon_builds_and_trains_its_own_flow_net():
 def test_recon_needs_a_flow_source():
     with pytest.raises(ValueError, match="flow"):
         training.train_recon(_sequences([3]), _config())
+
+
+def test_recon_rejects_provider_with_another_flow_source():
+    net = FireFlowNet(bins=5)
+    init_parameters(net, np.random.default_rng(0))
+    for kw, other in ((dict(flow_net=net), "flow_net"), (dict(joint=True), "joint=True")):
+        with pytest.raises(ValueError, match=f"flow_provider cannot be combined with {other}"):
+            training.train_recon(_sequences([3]), _config(), flow_provider=_constant_flow, **kw)
 
 
 # ---------------------------------------------------------------------------
