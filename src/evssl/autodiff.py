@@ -9,6 +9,8 @@ Broadcasting is restricted to scalar-with-tensor; all other operands must
 have identical shapes. No operation mutates its inputs. The ops cover the
 graph the paper builds: conv2d is stride-1 and same-padded, and
 bilinear_sample and bilinear_splat take constant grids and values.
+Sampling and splatting are adjoint and share one corner kernel: the
+gradient of a sample is a splat of the same corners.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Same values, no graph history."""
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Reverse accumulation from a scalar root.
@@ -334,6 +333,33 @@ def _constant(name: str, a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
 
+def _corners(xs: np.ndarray, ys: np.ndarray, h: int, w: int):
+    """Per bilinear corner of positions in an (h, w) frame: the in-frame mask,
+    the flat pixel index and the weight, both 0 out of frame; plus fx, fy."""
+    x0, y0 = np.floor(xs), np.floor(ys)
+    fx, fy = xs - x0, ys - y0
+    x0, y0 = x0.astype(np.int64), y0.astype(np.int64)
+    corners = []
+    for cx, cy, cw in ((x0, y0, (1.0 - fx) * (1.0 - fy)),
+                       (x0 + 1, y0, fx * (1.0 - fy)),
+                       (x0, y0 + 1, (1.0 - fx) * fy),
+                       (x0 + 1, y0 + 1, fx * fy)):
+        ok = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+        corners.append((ok, np.where(ok, cy * w + cx, 0), np.where(ok, cw, 0.0)))
+    return corners, fx, fy
+
+
+def _scatter(corners, values: np.ndarray, size: int) -> np.ndarray:
+    """Scatter each row of values (C,N) into its own image of `size` pixels."""
+    c = values.shape[0]
+    offsets = (np.arange(c) * size)[:, None]
+    out = np.zeros(c * size)
+    for _, idx, wt in corners:
+        out += np.bincount((offsets + idx).ravel(), weights=(values * wt).ravel(),
+                           minlength=c * size)
+    return out.reshape(c, size)
+
+
 def bilinear_sample(image, grid) -> Tensor:
     """Sample image (C,H,W) at absolute coordinates grid (2,H',W').
 
@@ -347,79 +373,52 @@ def bilinear_sample(image, grid) -> Tensor:
         raise ValueError(f"grid must be (2,H,W), got {grid.shape}")
     out_shape = grid.shape[1:]
 
+    # After clamping, a corner past the last pixel has weight 0, so dropping
+    # it replicates the border.
     gx = np.clip(grid[0], 0.0, w - 1.0).ravel()
     gy = np.clip(grid[1], 0.0, h - 1.0).ravel()
-    x0 = np.floor(gx).astype(np.int64)
-    y0 = np.floor(gy).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = gx - x0
-    fy = gy - y0
-    corners = ((y0 * w + x0, (1.0 - fx) * (1.0 - fy)),
-               (y0 * w + x1, fx * (1.0 - fy)),
-               (y1 * w + x0, (1.0 - fx) * fy),
-               (y1 * w + x1, fx * fy))
+    corners, _, _ = _corners(gx, gy, h, w)
 
     flat = image.data.reshape(c, -1)
-    out = sum(wt * flat[:, idx] for idx, wt in corners).reshape(c, *out_shape)
+    out = sum(wt * np.take(flat, idx, axis=1) for _, idx, wt in corners).reshape(c, *out_shape)
 
     if not image.requires_grad:
         return Tensor(out)
 
     def backward(g):
-        g2 = g.reshape(c, -1)
-        gimg = np.zeros(c * h * w)
-        ch_off = (np.arange(c) * (h * w))[:, None]
-        for idx, wt in corners:
-            gimg += np.bincount((ch_off + idx[None, :]).ravel(),
-                                weights=(g2 * wt[None, :]).ravel(), minlength=c * h * w)
-        _accum(image, gimg.reshape(c, h, w), own=True)
+        _accum(image, _scatter(corners, g.reshape(c, -1), h * w).reshape(c, h, w), own=True)
 
     return Tensor._from_op(out, (image,), backward)
 
 
 def bilinear_splat(values, xs, ys, shape: tuple[int, int]) -> Tensor:
-    """Scatter-add constant values at continuous positions into an (H,W) image.
+    """Scatter-add constant values (C,N) at N continuous positions into a
+    (C,H,W) image, one channel per row.
 
     Each value is spread over the four neighbouring pixels with bilinear
     corner weights; corners falling outside the frame are dropped.
     Differentiable with respect to the positions only.
     """
     values, xs, ys = _constant("values", values), _as_tensor(xs), _as_tensor(ys)
-    if not (values.shape == xs.shape == ys.shape) or values.ndim != 1:
-        raise ValueError("values, xs, ys must be equal-length 1-D arrays")
+    if values.ndim != 2 or xs.ndim != 1 or not (values.shape[1:] == xs.shape == ys.shape):
+        raise ValueError("values must be (C,N) and xs, ys (N,)")
     h, w = shape
-    x0 = np.floor(xs.data)
-    y0 = np.floor(ys.data)
-    fx = xs.data - x0
-    fy = ys.data - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-
-    # Per corner: the in-frame mask and the flat pixel index, 0 where the
-    # corner is out of frame and its weight is zeroed.
-    corners = []
-    out = np.zeros(h * w)
-    for cx, cy, cw in ((x0, y0, (1.0 - fx) * (1.0 - fy)),
-                       (x0 + 1, y0, fx * (1.0 - fy)),
-                       (x0, y0 + 1, (1.0 - fx) * fy),
-                       (x0 + 1, y0 + 1, fx * fy)):
-        ok = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        idx = np.where(ok, cy * w + cx, 0)
-        out += np.bincount(idx, weights=np.where(ok, values * cw, 0.0), minlength=h * w)
-        corners.append((ok, idx))
-    out = out.reshape(h, w)
+    corners, fx, fy = _corners(xs.data, ys.data, h, w)
+    out = _scatter(corners, values, h * w).reshape(-1, h, w)
 
     if not (xs.requires_grad or ys.requires_grad):
         return Tensor(out)
 
     def backward(g):
-        gf = g.ravel()
-        g00, g10, g01, g11 = (np.where(ok, gf[idx], 0.0) for ok, idx in corners)
+        gf = g.reshape(values.shape[0], -1)
+        g00, g10, g01, g11 = (np.where(ok, np.take(gf, idx, axis=1), 0.0)
+                              for ok, idx, _ in corners)
         if xs.requires_grad:
-            _accum(xs, values * ((1.0 - fy) * (g10 - g00) + fy * (g11 - g01)), own=True)
+            gx = values * ((1.0 - fy) * (g10 - g00) + fy * (g11 - g01))
+            _accum(xs, gx.sum(axis=0), own=True)
         if ys.requires_grad:
-            _accum(ys, values * ((1.0 - fx) * (g01 - g00) + fx * (g11 - g10)), own=True)
+            gy = values * ((1.0 - fx) * (g01 - g00) + fx * (g11 - g10))
+            _accum(ys, gy.sum(axis=0), own=True)
 
     return Tensor._from_op(out, (xs, ys), backward)
 

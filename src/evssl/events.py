@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 US_PER_SECOND = 1_000_000
+# Whole seconds whose microseconds still fit the uint64 timestamp column.
+_MAX_T_SECONDS = (2**64 - 1) // US_PER_SECOND
 
 
 class EventParseError(ValueError):
@@ -93,7 +95,8 @@ def make_stream(t, x, y, p, geometry: SensorGeometry) -> EventStream:
 def parse_text_events(data: bytes | str, geometry: SensorGeometry) -> EventStream:
     """Parse non-decreasing `t_seconds x y p` lines (p in {0,1}); '#' lines are comments."""
     if isinstance(data, bytes):
-        data = data.decode("ascii")
+        # A non-ASCII byte becomes U+FFFD and fails to parse as a field.
+        data = data.decode("ascii", errors="replace")
     ts, xs, ys, ps = [], [], [], []
     for lineno, line in enumerate(io.StringIO(data), start=1):
         line = line.strip()
@@ -107,8 +110,8 @@ def parse_text_events(data: bytes | str, geometry: SensorGeometry) -> EventStrea
             x, y, p = int(fields[1]), int(fields[2]), int(fields[3])
         except ValueError as e:
             raise EventParseError(f"line {lineno}: {e}") from None
-        if t_sec < 0:
-            raise EventParseError(f"line {lineno}: negative timestamp")
+        if not 0 <= t_sec <= _MAX_T_SECONDS:  # also rejects NaN
+            raise EventParseError(f"line {lineno}: timestamp {fields[0]} out of range")
         if p not in (0, 1):
             raise EventParseError(f"line {lineno}: polarity must be 0 or 1, got {p}")
         if not (0 <= x < geometry.width and 0 <= y < geometry.height):
@@ -121,9 +124,7 @@ def parse_text_events(data: bytes | str, geometry: SensorGeometry) -> EventStrea
         xs.append(x)
         ys.append(y)
         ps.append(1 if p == 1 else -1)
-    return EventStream(np.asarray(ts, dtype=np.uint64), np.asarray(xs, dtype=np.uint16),
-                       np.asarray(ys, dtype=np.uint16), np.asarray(ps, dtype=np.int8),
-                       geometry)
+    return make_stream(ts, xs, ys, ps, geometry)
 
 
 # EVT1 binary format (little-endian):
@@ -159,7 +160,10 @@ def read_binary_events(path, geometry: SensorGeometry | None = None) -> EventStr
     if len(raw) < 4 + _EVT1_HEADER.itemsize:
         raise EventFormatError("truncated header")
     header = np.frombuffer(raw, dtype=_EVT1_HEADER, count=1, offset=4)[0]
-    file_geometry = SensorGeometry(int(header["width"]), int(header["height"]))
+    try:
+        file_geometry = SensorGeometry(int(header["width"]), int(header["height"]))
+    except ValueError as e:
+        raise EventFormatError(f"header: {e}") from None
     if geometry is not None and geometry != file_geometry:
         raise EventFormatError(f"geometry mismatch: file has {file_geometry}, expected {geometry}")
     count = int(header["count"])
@@ -196,6 +200,9 @@ def partition_by_count(stream: EventStream, n: int) -> list[EventStream]:
     """Consecutive disjoint partitions of exactly n events; remainder dropped."""
     if n < 2:
         raise ConfigurationError(f"partition size must be >= 2, got {n}")
+    back = np.flatnonzero(stream.t[1:] < stream.t[:-1])
+    if back.size:
+        raise ValueError(f"event {back[0] + 1}: timestamp decreases")
     return [EventStream(stream.t[i:i + n], stream.x[i:i + n], stream.y[i:i + n],
                         stream.p[i:i + n], stream.geometry)
             for i in range(0, len(stream) - n + 1, n)]

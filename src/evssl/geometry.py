@@ -2,7 +2,10 @@
 
 The voxel grid and event mask are plain numpy (network inputs). Warping
 and accumulation run through the autodiff graph so the contrast and
-reconstruction losses stay differentiable in the flow field.
+reconstruction losses stay differentiable in the flow field: events are
+warped once per reference time, then each polarity is splatted once, its
+count, timestamp and source-density images sharing one set of bilinear
+corners. FWL reads two count images, each one splat of all events.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .events import EventStream, SensorGeometry
+from .events import EventStream
 
 # Divisions the formulation writes with an "epsilon close to zero";
 # 1e-9 sits far below any event count.
@@ -32,28 +35,15 @@ class FlowField:
 
 
 @dataclass(frozen=True)
-class WarpedEvents:
-    """Continuous event positions after propagation to t_ref."""
-
-    xs: Tensor  # (N,)
-    ys: Tensor
-    t_star: np.ndarray
-    p: np.ndarray
-    t_ref: float
-    geometry: SensorGeometry
-
-
-@dataclass(frozen=True)
 class WarpedImages:
     """Per-polarity count (H), average-timestamp (T) and source-density (P) images."""
 
     h_pos: Tensor
-    h_neg: Tensor
     t_pos: Tensor
-    t_neg: Tensor
     p_pos: Tensor
+    h_neg: Tensor
+    t_neg: Tensor
     p_neg: Tensor
-    t_ref: float
 
 
 def _require_normalized(partition: EventStream) -> None:
@@ -84,22 +74,16 @@ def build_voxel_grid(partition: EventStream, bins: int) -> np.ndarray:
     _require_normalized(partition)
     if bins < 2:
         raise ValueError(f"bin count must be >= 2, got {bins}")
-    geom = partition.geometry
-    h, w = geom.height, geom.width
-    grid = np.zeros(bins * h * w)
-    if len(partition):
-        tb = partition.t_star * (bins - 1)
-        b0 = np.floor(tb).astype(np.int64)
-        b0 = np.minimum(b0, bins - 1)
-        w1 = tb - b0
-        pix = partition.y.astype(np.int64) * w + partition.x.astype(np.int64)
-        pol = partition.p.astype(np.float64)
-        grid += np.bincount(b0 * (h * w) + pix, weights=pol * (1.0 - w1),
-                            minlength=bins * h * w)
-        hi = b0 + 1 < bins
-        if hi.any():
-            grid += np.bincount((b0[hi] + 1) * (h * w) + pix[hi],
-                                weights=pol[hi] * w1[hi], minlength=bins * h * w)
+    h, w = partition.geometry.height, partition.geometry.width
+    tb = partition.t_star * (bins - 1)
+    b0 = np.minimum(np.floor(tb).astype(np.int64), bins - 1)
+    w1 = tb - b0
+    pix = partition.y.astype(np.int64) * w + partition.x.astype(np.int64)
+    pol = partition.p.astype(np.float64)
+    grid = np.bincount(b0 * (h * w) + pix, weights=pol * (1.0 - w1), minlength=bins * h * w)
+    hi = b0 + 1 < bins
+    grid += np.bincount((b0[hi] + 1) * (h * w) + pix[hi],
+                        weights=pol[hi] * w1[hi], minlength=bins * h * w)
     return grid.reshape(bins, h, w)
 
 
@@ -108,8 +92,8 @@ def event_mask(voxel: np.ndarray) -> np.ndarray:
     return np.abs(voxel).sum(axis=0) > 0
 
 
-def warp_events(partition: EventStream, flow, t_ref: float) -> WarpedEvents:
-    """Propagate events to t_ref: x' = x + (t_ref - t*) u(x).
+def warp_events(partition: EventStream, flow, t_ref: float) -> tuple[Tensor, Tensor]:
+    """Propagate events to t_ref: x' = x + (t_ref - t*) u(x); returns (xs, ys).
 
     The flow is read at each event's integer source pixel. Positions are
     continuous and may leave the frame; splatting handles that.
@@ -128,45 +112,35 @@ def warp_events(partition: EventStream, flow, t_ref: float) -> WarpedEvents:
     v_i = ad.gather_pixels(flow_t[1], iy, ix)
     xs = ad.add(ad.mul(u_i, dt), ix.astype(np.float64))
     ys = ad.add(ad.mul(v_i, dt), iy.astype(np.float64))
-    return WarpedEvents(xs, ys, partition.t_star, partition.p, t_ref, partition.geometry)
+    return xs, ys
 
 
 def source_pixel_counts(partition: EventStream) -> np.ndarray:
     """Per event: how many same-polarity events share its source pixel."""
-    w = partition.geometry.width
-    pix = partition.y.astype(np.int64) * w + partition.x.astype(np.int64)
-    counts = np.empty(len(partition), dtype=np.int64)
-    for pol in (1, -1):
-        sel = partition.p == pol
-        if sel.any():
-            per_pixel = np.bincount(pix[sel], minlength=w * partition.geometry.height)
-            counts[sel] = per_pixel[pix[sel]]
-    return counts
+    pixels = partition.geometry.pixels
+    pix = partition.y.astype(np.int64) * partition.geometry.width + partition.x.astype(np.int64)
+    key = np.where(partition.p > 0, pixels, 0) + pix
+    return np.bincount(key, minlength=2 * pixels)[key]
 
 
-def accumulate_warped_images(partition: EventStream, warped: WarpedEvents) -> WarpedImages:
-    """Splat warped events into per-polarity H, T and P images.
+def accumulate_warped_images(partition: EventStream, flow, t_ref: float) -> WarpedImages:
+    """Warp events to t_ref and splat them into per-polarity H, T and P images.
 
-    T is the (H+eps)-normalized average of event timestamps; P splats
-    1/n_src per event, recovering the count of contributing source pixels
-    when a pixel's events land together. Out-of-frame corners are dropped.
+    One splat per polarity spreads the rows [1, t*, 1/n_src] over the same
+    corners. T is the (H+eps)-normalized average of event timestamps; P
+    recovers the count of contributing source pixels when a pixel's events
+    land together. Out-of-frame corners are dropped.
     """
-    geom = partition.geometry
-    shape = (geom.height, geom.width)
-    n_src = source_pixel_counts(partition).astype(np.float64)
-    images = {}
-    for pol, tag in ((1, "pos"), (-1, "neg")):
-        sel = partition.p == pol
-        xs, ys = warped.xs[sel], warped.ys[sel]
-        ones = np.ones(int(sel.sum()))
-        h_img = ad.bilinear_splat(ones, xs, ys, shape)
-        t_num = ad.bilinear_splat(warped.t_star[sel], xs, ys, shape)
-        p_img = ad.bilinear_splat(1.0 / n_src[sel], xs, ys, shape)
-        t_img = ad.div(t_num, ad.add(h_img, EPS))
-        images[f"h_{tag}"] = h_img
-        images[f"t_{tag}"] = t_img
-        images[f"p_{tag}"] = p_img
-    return WarpedImages(t_ref=warped.t_ref, **images)
+    xs, ys = warp_events(partition, flow, t_ref)
+    shape = (partition.geometry.height, partition.geometry.width)
+    rows = np.stack([np.ones(len(partition)), partition.t_star,
+                     1.0 / source_pixel_counts(partition)])
+    images = []
+    for sel in (partition.p > 0, partition.p < 0):
+        splat = ad.bilinear_splat(rows[:, sel], xs[sel], ys[sel], shape)
+        h_img = splat[0]
+        images += [h_img, ad.div(splat[1], ad.add(h_img, EPS)), splat[2]]
+    return WarpedImages(*images)
 
 
 def average_iwe(images: WarpedImages) -> tuple[Tensor, Tensor]:
@@ -176,22 +150,16 @@ def average_iwe(images: WarpedImages) -> tuple[Tensor, Tensor]:
     return g_pos, g_neg
 
 
-def _count_image(partition: EventStream, flow, t_ref: float = 1.0) -> np.ndarray:
-    warped = warp_events(partition, flow, t_ref)
-    images = accumulate_warped_images(partition, warped)
-    return images.h_pos.data + images.h_neg.data
-
-
 def fwl(partition: EventStream, flow) -> float:
     """Variance ratio of the flow-warped to the unwarped event count image.
 
     1 at zero flow; above 1 when warping sharpens the event image.
     """
-    _require_normalized(partition)
-    flow_t = as_flow(flow).detach()
-    zero = np.zeros_like(flow_t.data)
-    var_zero = float(np.var(_count_image(partition, zero)))
+    xs, ys = warp_events(partition, as_flow(flow).detach(), 1.0)
+    shape = (partition.geometry.height, partition.geometry.width)
+    ones = np.ones((1, len(partition)))
+    var_flow = float(np.var(ad.bilinear_splat(ones, xs, ys, shape).data))
+    var_zero = float(np.var(ad.bilinear_splat(ones, partition.x, partition.y, shape).data))
     if var_zero == 0.0:
         raise ValueError("unwarped event image has zero variance; FWL undefined")
-    var_flow = float(np.var(_count_image(partition, flow_t)))
     return var_flow / var_zero

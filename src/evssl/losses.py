@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .events import EventStream
-from .geometry import accumulate_warped_images, as_flow, average_iwe, warp_events
+from .geometry import accumulate_warped_images, as_flow, average_iwe
 
 CHARBONNIER_ETA = 1e-3
 
@@ -50,10 +50,9 @@ def contrast_loss(partition: EventStream, flow) -> Tensor:
     with events warped both forward (t_ref=1) and backward (t_ref=0)."""
     if len(partition) == 0:
         return Tensor(0.0)
-    flow_t = as_flow(flow)
     total = None
     for t_ref in (1.0, 0.0):
-        images = accumulate_warped_images(partition, warp_events(partition, flow_t, t_ref))
+        images = accumulate_warped_images(partition, flow, t_ref)
         term = ad.add(ad.sum_of_squares(images.t_pos), ad.sum_of_squares(images.t_neg))
         total = term if total is None else ad.add(total, term)
     return total
@@ -91,33 +90,21 @@ def flow_total_loss(partition: EventStream, flow,
     return total, report
 
 
-def event_count_increment(partition: EventStream, weights: LossWeights) -> np.ndarray:
-    """Plain per-pixel event integration: c_pos*N+ - c_neg*N- (no warping)."""
-    geom = partition.geometry
-    w = geom.width
-    pix = partition.y.astype(np.int64) * w + partition.x.astype(np.int64)
-    out = np.zeros(geom.height * w)
-    pos = partition.p > 0
-    if pos.any():
-        out += weights.c_pos * np.bincount(pix[pos], minlength=out.size)
-    if (~pos).any():
-        out -= weights.c_neg * np.bincount(pix[~pos], minlength=out.size)
-    return out.reshape(geom.height, w)
-
-
 def reference_increment(partition: EventStream, flow, weights: LossWeights) -> Tensor:
     """Brightness-increment image the reconstruction is trained against.
 
     With deblurring, events are warped to the partition end and averaged
     per contributing source pixel before integration; without it (ablation)
-    the raw per-pixel polarity sums are integrated directly. The flow is
-    detached either way.
+    the per-pixel event counts of a zero-flow accumulation are integrated
+    directly. The flow is detached either way.
     """
-    if not weights.deblur_enabled:
-        return Tensor(event_count_increment(partition, weights))
     flow_t = as_flow(flow).detach()
-    images = accumulate_warped_images(partition, warp_events(partition, flow_t, 1.0))
-    g_pos, g_neg = average_iwe(images)
+    if not weights.deblur_enabled:
+        # Zero flow leaves every event on its integer pixel with weight 1.
+        images = accumulate_warped_images(partition, np.zeros_like(flow_t.data), 1.0)
+        g_pos, g_neg = images.h_pos, images.h_neg
+    else:
+        g_pos, g_neg = average_iwe(accumulate_warped_images(partition, flow_t, 1.0))
     return ad.sub(ad.mul(g_pos, weights.c_pos), ad.mul(g_neg, weights.c_neg))
 
 

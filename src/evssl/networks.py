@@ -54,14 +54,15 @@ class ResidualBlock:
 
 
 class ConvGRUCell:
-    """Convolutional GRU; gates see [h, x], the candidate sees [r*h, x].
+    """Convolutional GRU over `channels`-channel input and state; gates see
+    [h, x], the candidate sees [r*h, x].
 
     h' = (1-z)*h + z*tanh(Wc*[r*h, x]); sigmoid gates keep the state
     bounded whenever the candidate is tanh-bounded.
     """
 
-    def __init__(self, name: str, channels: int, input_channels: int | None = None):
-        c_in = (input_channels or channels) + channels
+    def __init__(self, name: str, channels: int):
+        c_in = 2 * channels
         self.channels = channels
         self.update = ConvLayer(f"{name}.update", c_in, channels, activation=None)
         self.reset = ConvLayer(f"{name}.reset", c_in, channels, activation=None)
@@ -101,10 +102,8 @@ class FireFlowNet:
         self.pred = ConvLayer("pred", channels, 2, kernel=1, activation="tanh")
 
     def parameters(self) -> list[Parameter]:
-        params = []
-        for block in (self.e1, self.e2, self.e3, self.r1, self.r2, self.pred):
-            params.extend(block.parameters())
-        return params
+        blocks = (self.e1, self.e2, self.e3, self.r1, self.r2, self.pred)
+        return [p for block in blocks for p in block.parameters()]
 
     def __call__(self, voxel: np.ndarray, mask: np.ndarray) -> Tensor:
         """Flow (2,H,W) in pixels per partition; exactly zero off-mask."""
@@ -132,10 +131,8 @@ class ReconNet:
         self.pred = ConvLayer("pred", channels, 1, kernel=1, activation=None)
 
     def parameters(self) -> list[Parameter]:
-        params = []
-        for block in (self.head, self.g1, self.g2, self.r1, self.r2, self.pred):
-            params.extend(block.parameters())
-        return params
+        blocks = (self.head, self.g1, self.g2, self.r1, self.r2, self.pred)
+        return [p for block in blocks for p in block.parameters()]
 
     def initial_state(self, height: int, width: int) -> tuple[Tensor, Tensor]:
         return (self.g1.initial_state(height, width),

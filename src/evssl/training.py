@@ -7,6 +7,7 @@ frozen provider, a frozen network, or a jointly trained one.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from .losses import (LossReport, LossWeights, flow_total_loss,
                      photometric_loss, predicted_increment, recon_total_loss,
                      reference_increment, temporal_loss, tv_loss)
 from .networks import FireFlowNet, ReconNet, detach_state, init_parameters
+from .synth import ground_truth_flow
 
 GRAD_CLIP_NORM = 100.0
 
@@ -31,9 +33,6 @@ Step = tuple[EventStream, np.ndarray, np.ndarray]  # partition, voxel grid, even
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     epochs: int = 120
     unroll_steps: int = 20     # S: recurrent steps per reconstruction update
     tc_start_step: int = 10    # S0: first step the temporal term covers
@@ -57,13 +56,13 @@ class TrainConfig:
 class Adam:
     """Standard Adam with bias correction; moments keyed by parameter name."""
 
-    def __init__(self, params: list[Parameter], lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[Parameter], lr: float = 1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -104,11 +103,6 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
     return norm
 
 
-def _adam(net, config: TrainConfig) -> Adam:
-    # `Adam` is looked up when called, so a substituted optimizer class is used.
-    return Adam(net.parameters(), config.lr, config.beta1, config.beta2, config.eps_adam)
-
-
 def _optimize(loss: Tensor, report: LossReport, params: list[Parameter], opt: Adam,
               config: TrainConfig, curve: Curve, name: str) -> None:
     """One update from `loss`; its report joins `curve` as the next step."""
@@ -122,6 +116,8 @@ def _optimize(loss: Tensor, report: LossReport, params: list[Parameter], opt: Ad
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
+        elif not np.isfinite(p.grad).all():
+            raise FloatingPointError(f"non-finite gradient of {p.name!r} at {name} step {step}")
     if config.grad_clip_enabled:
         clip_gradients(params, GRAD_CLIP_NORM)
     opt.step()
@@ -181,7 +177,7 @@ def train_flow(sequences: list[list[EventStream]], config: TrainConfig,
     if net is None:
         net = FireFlowNet(bins=config.bins, flow_scale=config.flow_scale)
         init_parameters(net, rng)
-    opt = _adam(net, config)
+    opt = Adam(net.parameters(), config.lr)
     curve: Curve = []
     for steps in _epoch_steps(sequences, config, rng, 1):
         for step in steps:
@@ -227,8 +223,8 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
     if joint and flow_net is None:
         flow_net = FireFlowNet(bins=config.bins, flow_scale=config.flow_scale)
         init_parameters(flow_net, rng)
-    opt_r = _adam(recon_net, config)
-    opt_f = _adam(flow_net, config) if joint else None
+    opt_r = Adam(recon_net.parameters(), config.lr)
+    opt_f = Adam(flow_net.parameters(), config.lr) if joint else None
     weights = config.weights
     result = ReconTrainResult(recon_net, flow_net)
     for steps in _epoch_steps(sequences, config, rng, window):
@@ -252,6 +248,9 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
                     flow = flow_net(voxel, mask).data
                 else:
                     flow = as_flow(flow_provider(partition, voxel, mask)).data
+                if not np.isfinite(flow).all():
+                    raise FloatingPointError(
+                        f"non-finite flow at recon step {len(result.curve)}")
                 reference = reference_increment(partition, flow, weights)
             l_k, state = recon_net(voxel, state)
             pe_terms.append(photometric_loss(reference, predicted_increment(l_prev, flow)))
@@ -274,12 +273,10 @@ class GroundTruthFlowProvider:
     """Frozen provider handing out the scene's analytic flow per partition."""
 
     def __init__(self, scene):
-        from .synth import ground_truth_flow
         self._scene = scene
-        self._gt = ground_truth_flow
 
     def __call__(self, partition, voxel, mask):
-        return self._gt(self._scene, partition).as_array()
+        return ground_truth_flow(self._scene, partition).as_array()
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +325,24 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         offset += n
         return chunk
 
+    def text(n: int, what: str) -> str:
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{what} is not UTF-8") from None
+
     (count,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name = text(name_len, "tensor name")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = int(np.prod(shape)) if rank else 1
+        size = math.prod(shape)
         data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
         tensors[name] = data
     (blob_len,) = struct.unpack("<I", take(4))
-    config_text = take(blob_len).decode("utf-8")
+    config_text = text(blob_len, "config blob")
     if offset != len(raw):
         raise CheckpointError(f"{len(raw) - offset} trailing bytes after config blob")
     return tensors, config_text

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from evssl import synth
 from evssl.events import (SensorGeometry, events_per_pixel_count,
@@ -51,6 +52,15 @@ def blob_partitions(blob_scene):
     stream = synth.generate_events(blob_scene, 1e-3)
     n = events_per_pixel_count(blob_scene.geometry, BLOB_DENSITY)
     return [normalize_timestamps(p) for p in partition_by_count(stream, n)]
+
+
+def corrupted(raw: bytes, data) -> bytes:
+    """`raw` truncated at a drawn length, or with one drawn byte flipped;
+    `data` is a hypothesis `st.data()` draw."""
+    if data.draw(st.booleans()):
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    i = data.draw(st.integers(0, len(raw) - 1))
+    return raw[:i] + bytes([raw[i] ^ data.draw(st.integers(1, 255))]) + raw[i + 1:]
 
 
 def random_partition(rng, geometry=None, n_events=40):

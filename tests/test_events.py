@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from evssl import events as ev
 
+from conftest import corrupted
+
 
 GEOM = ev.SensorGeometry(128, 128)
 
@@ -73,6 +75,28 @@ def test_parse_rejects_decreasing_timestamp():
 def test_parse_accepts_bytes():
     stream = ev.parse_text_events(b"0.25 2 3 1\n", GEOM)
     assert _columns(stream, 0) == (250_000, 2, 3, 1)
+
+
+def test_parse_rejects_non_ascii_bytes_in_fields_only():
+    with pytest.raises(ev.EventParseError, match="line 2: invalid literal"):
+        ev.parse_text_events(b"0.0 1 1 1\n0.25 2 3 1\xff\n", GEOM)
+    assert len(ev.parse_text_events(b"# caf\xe9\n0.25 2 3 1\n", GEOM)) == 1
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-0.5", "1e30"])
+def test_parse_rejects_timestamp_outside_uint64_microseconds(t):
+    with pytest.raises(ev.EventParseError, match=f"line 1: timestamp {t} out of range"):
+        ev.parse_text_events(f"{t} 2 3 1\n", GEOM)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parse_corrupt_bytes_raise_only_typed_errors(data):
+    raw = b"# t x y p\n0.000125 3 4 1\n0.5 127 0 0\n1.25 5 6 1\n"
+    try:
+        ev.parse_text_events(corrupted(raw, data), GEOM)
+    except (ev.EventParseError, ev.EventBoundsError):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +185,25 @@ def test_binary_rejects_non_zero_pad_byte(tmp_path):
         ev.read_binary_events(path)
 
 
+def test_binary_rejects_header_geometry_below_minimum(tmp_path):
+    path = _corrupt_evt1(tmp_path, -16, (4).to_bytes(4, "little") * 2)
+    with pytest.raises(ev.EventFormatError, match="header: geometry must be at least 8x8"):
+        ev.read_binary_events(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_binary_corrupt_bytes_raise_only_typed_errors(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("evt") / "s.evt1"
+    ev.write_binary_events(path, GEOM, ev.make_stream(
+        [5, 9, 9, 70], [0, 127, 3, 64], [1, 2, 127, 0], [1, -1, -1, 1], GEOM))
+    path.write_bytes(corrupted(path.read_bytes(), data))
+    try:
+        ev.read_binary_events(path)
+    except (ev.EventFormatError, ev.EventBoundsError):
+        pass
+
+
 @settings(max_examples=50, deadline=None)
 @given(stream=event_streams())
 def test_binary_round_trip_property(stream, tmp_path_factory):
@@ -210,6 +253,12 @@ def test_partition_by_count_sizes(n_events, n, expected_parts):
     parts = ev.partition_by_count(_stream_of(n_events), n)
     assert len(parts) == expected_parts
     assert all(len(p) == n for p in parts)
+
+
+def test_partition_rejects_decreasing_timestamps():
+    stream = ev.make_stream([50, 60, 10, 20], [1, 2, 3, 4], [1, 2, 3, 4], [1, -1, 1, -1], GEOM)
+    with pytest.raises(ValueError, match="event 2: timestamp decreases"):
+        ev.partition_by_count(stream, 2)
 
 
 def test_partitions_are_disjoint_and_ordered():

@@ -111,19 +111,19 @@ def test_warp_zero_flow_is_identity():
     rng = np.random.default_rng(0)
     part = random_partition(rng)
     for t_ref in (0.0, 1.0):
-        warped = geo.warp_events(part, zero_flow(), t_ref)
-        assert np.array_equal(warped.xs.data, part.x.astype(np.float64))
-        assert np.array_equal(warped.ys.data, part.y.astype(np.float64))
+        xs, ys = geo.warp_events(part, zero_flow(), t_ref)
+        assert np.array_equal(xs.data, part.x.astype(np.float64))
+        assert np.array_equal(ys.data, part.y.astype(np.float64))
 
 
 def test_warp_forward_and_backward_arithmetic():
     part = partition_from([(0, 0, 0, 1), (40, 5, 7, 1), (100, 9, 9, 1)])
     flow = constant_flow(1.0, 0.0)
-    fwd = geo.warp_events(part, flow, 1.0)
-    assert fwd.xs.data[1] == pytest.approx(5.6)   # x + (1 - 0.4) * 1
-    assert fwd.ys.data[1] == pytest.approx(7.0)
-    bwd = geo.warp_events(part, flow, 0.0)
-    assert bwd.xs.data[1] == pytest.approx(4.6)   # x + (0 - 0.4) * 1
+    xs, ys = geo.warp_events(part, flow, 1.0)
+    assert xs.data[1] == pytest.approx(5.6)   # x + (1 - 0.4) * 1
+    assert ys.data[1] == pytest.approx(7.0)
+    xs, _ = geo.warp_events(part, flow, 0.0)
+    assert xs.data[1] == pytest.approx(4.6)   # x + (0 - 0.4) * 1
 
 
 def test_warp_rejects_other_t_ref():
@@ -138,7 +138,7 @@ def test_warp_rejects_other_t_ref():
 
 def test_accumulate_single_event():
     part = partition_from([(0, 9, 9, -1), (50, 5, 7, 1), (100, 8, 2, -1)])
-    images = geo.accumulate_warped_images(part, geo.warp_events(part, zero_flow(), 1.0))
+    images = geo.accumulate_warped_images(part, zero_flow(), 1.0)
     assert images.h_pos.data[7, 5] == pytest.approx(1.0)
     assert images.t_pos.data[7, 5] == pytest.approx(0.5 / (1.0 + geo.EPS))
     assert images.p_pos.data[7, 5] == pytest.approx(1.0)
@@ -149,8 +149,7 @@ def test_accumulate_single_event():
 def test_accumulate_half_pixel_split():
     # Warp target (5.5, 7.0): t*=0 event at x=5 with u=0.5 at t_ref=1.
     part = partition_from([(0, 5, 7, 1)])
-    images = geo.accumulate_warped_images(
-        part, geo.warp_events(part, constant_flow(0.5, 0.0), 1.0))
+    images = geo.accumulate_warped_images(part, constant_flow(0.5, 0.0), 1.0)
     assert images.h_pos.data[7, 5] == pytest.approx(0.5)
     assert images.h_pos.data[7, 6] == pytest.approx(0.5)
 
@@ -159,7 +158,7 @@ def test_accumulate_same_pixel_bundle():
     # Three +1 events at one pixel, identical warp target: hand accumulation
     # gives H=3, P=3*(1/3)=1, G=3/(1+eps).
     part = partition_from([(0, 4, 4, 1), (50, 4, 4, 1), (100, 4, 4, 1)])
-    images = geo.accumulate_warped_images(part, geo.warp_events(part, zero_flow(), 0.0))
+    images = geo.accumulate_warped_images(part, zero_flow(), 0.0)
     g_pos, _ = geo.average_iwe(images)
     assert images.h_pos.data[4, 4] == pytest.approx(3.0)
     assert images.p_pos.data[4, 4] == pytest.approx(1.0)
@@ -172,8 +171,7 @@ def test_accumulate_t_in_unit_interval_and_zero_where_empty():
         part = random_partition(rng, n_events=60)
         flow = rng.uniform(-3, 3, size=(2, 16, 16))
         for t_ref in (0.0, 1.0):
-            images = geo.accumulate_warped_images(
-                part, geo.warp_events(part, flow, t_ref))
+            images = geo.accumulate_warped_images(part, flow, t_ref)
             for t_img, h_img in ((images.t_pos, images.h_pos),
                                  (images.t_neg, images.h_neg)):
                 assert np.all(t_img.data >= 0.0) and np.all(t_img.data <= 1.0)
@@ -191,7 +189,7 @@ def test_splat_mass_conservation_interior():
         if len(part) == 0:
             continue
         flow = rng.uniform(-2, 2, size=(2, 16, 16))
-        images = geo.accumulate_warped_images(part, geo.warp_events(part, flow, 1.0))
+        images = geo.accumulate_warped_images(part, flow, 1.0)
         assert images.h_pos.data.sum() == pytest.approx(float((part.p > 0).sum()))
         assert images.h_neg.data.sum() == pytest.approx(float((part.p < 0).sum()))
 
@@ -199,7 +197,7 @@ def test_splat_mass_conservation_interior():
 def test_zero_flow_accumulation_matches_unwarped_counts():
     rng = np.random.default_rng(7)
     part = random_partition(rng, n_events=80)
-    images = geo.accumulate_warped_images(part, geo.warp_events(part, zero_flow(), 1.0))
+    images = geo.accumulate_warped_images(part, zero_flow(), 1.0)
     counts = np.zeros((16, 16))
     for x, y, p in zip(part.x, part.y, part.p):
         if p > 0:
@@ -211,12 +209,12 @@ def test_average_iwe_values():
     shape = (4, 4)
     mk = lambda v: Tensor(np.full(shape, float(v)))
     images = geo.WarpedImages(h_pos=mk(3), h_neg=mk(4), t_pos=mk(0), t_neg=mk(0),
-                              p_pos=mk(1), p_neg=mk(2), t_ref=1.0)
+                              p_pos=mk(1), p_neg=mk(2))
     g_pos, g_neg = geo.average_iwe(images)
     assert g_pos.data[0, 0] == pytest.approx(3.0, rel=1e-6)
     assert g_neg.data[0, 0] == pytest.approx(2.0, rel=1e-6)
     zero = geo.WarpedImages(h_pos=mk(0), h_neg=mk(0), t_pos=mk(0), t_neg=mk(0),
-                            p_pos=mk(0), p_neg=mk(0), t_ref=1.0)
+                            p_pos=mk(0), p_neg=mk(0))
     g0, _ = geo.average_iwe(zero)
     assert np.all(g0.data == 0.0)
 
@@ -238,8 +236,7 @@ def test_warped_image_gradients_match_finite_differences():
         t_ref = float(rng.integers(0, 2))
 
         def build():
-            images = geo.accumulate_warped_images(
-                part, geo.warp_events(part, flow, t_ref))
+            images = geo.accumulate_warped_images(part, flow, t_ref)
             return ad.add(
                 ad.add(ad.tsum(ad.mul(images.h_pos, probe_h)),
                        ad.tsum(ad.mul(images.t_pos, probe_t))),

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evssl import autodiff as ad
 from evssl import training
 from evssl.events import AugmentConfig, SensorGeometry
+from evssl.losses import LossReport
 from evssl.networks import FireFlowNet, ReconNet, init_parameters
 from evssl.training import CheckpointError, TrainConfig
 
-from conftest import random_partition
+from conftest import corrupted, random_partition
 
 
 GEOM = SensorGeometry(16, 16)
@@ -86,6 +90,70 @@ def test_non_finite_loss_raises():
         training.train_flow(_sequences([1]), _config(), net)
 
 
+def test_non_finite_provider_flow_raises():
+    def nan_flow(partition, voxel, mask):
+        return np.full((2, *mask.shape), np.nan)
+
+    with pytest.raises(FloatingPointError, match="non-finite flow at recon step 0"):
+        training.train_recon(_sequences([3]), _config(), flow_provider=nan_flow)
+
+
+def test_non_finite_gradient_raises():
+    # sqrt(sum(p^2)) at p = 0: the loss is 0, its gradient is not finite.
+    p = ad.Parameter("p", np.zeros(3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loss = ad.sqrt(ad.tsum(ad.square(p)))
+        with pytest.raises(FloatingPointError,
+                           match="non-finite gradient of 'p' at flow step 0"):
+            training._optimize(loss, LossReport(), [p], training.Adam([p], 1e-3),
+                               _config(), [], "flow")
+
+
+# ---------------------------------------------------------------------------
+# gradient clipping
+
+
+def _with_grads(*grads):
+    params = [ad.Parameter(f"p{i}", np.zeros_like(g)) for i, g in enumerate(grads)]
+    for p, g in zip(params, grads):
+        p.grad = np.array(g, dtype=np.float64)
+    return params
+
+
+def test_clip_gradients_scales_the_norm_to_the_maximum():
+    params = _with_grads([3.0, 0.0], [[4.0]])
+    assert training.clip_gradients(params, 1.0) == 5.0
+    assert training.global_gradient_norm(params) == pytest.approx(1.0, rel=1e-15)
+    assert np.allclose(params[0].grad, [0.6, 0.0]) and np.allclose(params[1].grad, [[0.8]])
+
+
+def test_clip_gradients_below_the_maximum_changes_nothing():
+    params = _with_grads([3.0, 0.0], [[4.0]])
+    assert training.clip_gradients(params, 5.5) == 5.0
+    assert np.array_equal(params[0].grad, [3.0, 0.0]) and np.array_equal(params[1].grad, [[4.0]])
+
+
+def test_train_flow_clips_every_update(monkeypatch):
+    clip = training.clip_gradients
+    norms = []
+
+    def recording(params, max_norm):
+        norms.append((clip(params, max_norm), training.global_gradient_norm(params)))
+        return norms[-1][0]
+
+    monkeypatch.setattr(training, "clip_gradients", recording)
+    seqs = _sequences([3])
+    config = _config(epochs=1, grad_clip_enabled=True, augment=AugmentConfig(pause_prob=0.0))
+    net, curve = training.train_flow(seqs, config)
+    assert len(norms) == len(curve) == 3
+    for before, after in norms:
+        assert before > training.GRAD_CLIP_NORM
+        assert after == pytest.approx(training.GRAD_CLIP_NORM, rel=1e-12)
+    unclipped, _ = training.train_flow(seqs, _config(epochs=1, augment=config.augment))
+    pa, pb = _params(net), _params(unclipped)
+    assert any(not np.array_equal(pa[k], pb[k]) for k in pa)
+
+
 def test_joint_recon_builds_and_trains_its_own_flow_net():
     seqs = _sequences([3])
     result = training.train_recon(seqs, _config(epochs=1), joint=True)
@@ -147,6 +215,31 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         training.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("offset,what", [(10, "tensor name"), (-1, "config blob")])
+def test_checkpoint_rejects_non_utf8_text(tmp_path, offset, what):
+    # The first tensor name starts after magic, count and name length; the
+    # config blob "cfg" ends the file.
+    path = _saved(tmp_path, {"w": np.zeros(2)})
+    raw = bytearray(path.read_bytes())
+    raw[offset] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=f"{what} is not UTF-8"):
+        training.load_checkpoint(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_checkpoint_corrupt_bytes_raise_only_checkpoint_errors(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckp") / "net.ckp1"
+    training.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)},
+                             "lr = 0.001\n")
+    path.write_bytes(corrupted(path.read_bytes(), data))
+    try:
+        training.load_checkpoint(path)
+    except CheckpointError:
+        pass
 
 
 def test_load_network_state_unknown_name():
