@@ -349,15 +349,12 @@ def _corners(xs: np.ndarray, ys: np.ndarray, h: int, w: int):
     return corners, fx, fy
 
 
-def _scatter(corners, values: np.ndarray, size: int) -> np.ndarray:
-    """Scatter each row of values (C,N) into its own image of `size` pixels."""
+def _scatter(idx: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Add each row of values (C,N) at flat pixel indices idx (N,) into its
+    own image of `size` pixels: one bincount over row-offset indices."""
     c = values.shape[0]
-    offsets = (np.arange(c) * size)[:, None]
-    out = np.zeros(c * size)
-    for _, idx, wt in corners:
-        out += np.bincount((offsets + idx).ravel(), weights=(values * wt).ravel(),
-                           minlength=c * size)
-    return out.reshape(c, size)
+    flat = ((np.arange(c) * size)[:, None] + idx).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=c * size).reshape(c, size)
 
 
 def bilinear_sample(image, grid) -> Tensor:
@@ -386,54 +383,54 @@ def bilinear_sample(image, grid) -> Tensor:
         return Tensor(out)
 
     def backward(g):
-        _accum(image, _scatter(corners, g.reshape(c, -1), h * w).reshape(c, h, w), own=True)
+        gf = g.reshape(c, -1)
+        grad = sum(_scatter(idx, gf * wt, h * w) for _, idx, wt in corners)
+        _accum(image, grad.reshape(c, h, w), own=True)
 
     return Tensor._from_op(out, (image,), backward)
 
 
-def bilinear_splat(values, xs, ys, shape: tuple[int, int]) -> Tensor:
-    """Scatter-add constant values (C,N) at N continuous positions into a
-    (C,H,W) image, one channel per row.
+def bilinear_splat(values, pos, shape: tuple[int, int]) -> Tensor:
+    """Scatter-add constant values (C,N) at N continuous positions pos (2,N)
+    of (x, y) into a (C,H,W) image, one channel per row.
 
     Each value is spread over the four neighbouring pixels with bilinear
     corner weights; corners falling outside the frame are dropped.
     Differentiable with respect to the positions only.
     """
-    values, xs, ys = _constant("values", values), _as_tensor(xs), _as_tensor(ys)
-    if values.ndim != 2 or xs.ndim != 1 or not (values.shape[1:] == xs.shape == ys.shape):
-        raise ValueError("values must be (C,N) and xs, ys (N,)")
+    values, pos = _constant("values", values), _as_tensor(pos)
+    if values.ndim != 2 or pos.shape != (2, values.shape[1]):
+        raise ValueError("values must be (C,N) and pos (2,N)")
     h, w = shape
-    corners, fx, fy = _corners(xs.data, ys.data, h, w)
-    out = _scatter(corners, values, h * w).reshape(-1, h, w)
+    corners, fx, fy = _corners(pos.data[0], pos.data[1], h, w)
+    out = sum(_scatter(idx, values * wt, h * w) for _, idx, wt in corners).reshape(-1, h, w)
 
-    if not (xs.requires_grad or ys.requires_grad):
+    if not pos.requires_grad:
         return Tensor(out)
 
     def backward(g):
         gf = g.reshape(values.shape[0], -1)
         g00, g10, g01, g11 = (np.where(ok, np.take(gf, idx, axis=1), 0.0)
                               for ok, idx, _ in corners)
-        if xs.requires_grad:
-            gx = values * ((1.0 - fy) * (g10 - g00) + fy * (g11 - g01))
-            _accum(xs, gx.sum(axis=0), own=True)
-        if ys.requires_grad:
-            gy = values * ((1.0 - fx) * (g01 - g00) + fx * (g11 - g10))
-            _accum(ys, gy.sum(axis=0), own=True)
+        gx = values * ((1.0 - fy) * (g10 - g00) + fy * (g11 - g01))
+        gy = values * ((1.0 - fx) * (g01 - g00) + fx * (g11 - g10))
+        _accum(pos, np.stack([gx.sum(axis=0), gy.sum(axis=0)]), own=True)
 
-    return Tensor._from_op(out, (xs, ys), backward)
+    return Tensor._from_op(out, (pos,), backward)
 
 
 def gather_pixels(field, iy: np.ndarray, ix: np.ndarray) -> Tensor:
-    """Read field (H,W) at integer pixel indices; differentiable in field."""
+    """Read field (C,H,W) at N integer pixel indices into (C,N);
+    differentiable in field."""
     field = _as_tensor(field)
-    h, w = field.shape
-    data = field.data[iy, ix]
+    c, h, w = field.shape
+    idx = iy * w + ix
+    data = np.take(field.data.reshape(c, -1), idx, axis=1)
     if not field.requires_grad:
         return Tensor(data)
 
     def backward(g):
-        flat = np.bincount(iy * w + ix, weights=g, minlength=h * w)
-        _accum(field, flat.reshape(h, w), own=True)
+        _accum(field, _scatter(idx, g, h * w).reshape(c, h, w), own=True)
 
     return Tensor._from_op(data, (field,), backward)
 

@@ -1,11 +1,15 @@
 """Voxel-grid encoding, differentiable event warping, and warped-event images.
 
 The voxel grid and event mask are plain numpy (network inputs). Warping
-and accumulation run through the autodiff graph so the contrast and
-reconstruction losses stay differentiable in the flow field: events are
-warped once per reference time, then each polarity is splatted once, its
-count, timestamp and source-density images sharing one set of bilinear
-corners. FWL reads two count images, each one splat of all events.
+and accumulation run through the autodiff graph so the contrast loss
+stays differentiable in the flow field. Events are warped once per
+reference time into one (2,N) position Tensor, and all of them are
+splatted once: polarity is a row of the splat, not a selection of
+events. The rows are the per-polarity counts and per-polarity sums of
+one per-event weight, and each consumer reads the rows it needs: the
+contrast loss weights by timestamp, the deblurred reference increment
+by inverse source-pixel count. FWL reads two count images, each one
+splat of all events.
 """
 
 from __future__ import annotations
@@ -32,18 +36,6 @@ class FlowField:
 
     def as_array(self) -> np.ndarray:
         return np.stack([self.u, self.v])
-
-
-@dataclass(frozen=True)
-class WarpedImages:
-    """Per-polarity count (H), average-timestamp (T) and source-density (P) images."""
-
-    h_pos: Tensor
-    t_pos: Tensor
-    p_pos: Tensor
-    h_neg: Tensor
-    t_neg: Tensor
-    p_neg: Tensor
 
 
 def _require_normalized(partition: EventStream) -> None:
@@ -92,8 +84,9 @@ def event_mask(voxel: np.ndarray) -> np.ndarray:
     return np.abs(voxel).sum(axis=0) > 0
 
 
-def warp_events(partition: EventStream, flow, t_ref: float) -> tuple[Tensor, Tensor]:
-    """Propagate events to t_ref: x' = x + (t_ref - t*) u(x); returns (xs, ys).
+def warp_events(partition: EventStream, flow, t_ref: float) -> Tensor:
+    """Propagate events to t_ref: x' = x + (t_ref - t*) u(x); returns the
+    (2,N) positions, row 0 holding x and row 1 y.
 
     The flow is read at each event's integer source pixel. Positions are
     continuous and may leave the frame; splatting handles that.
@@ -107,12 +100,9 @@ def warp_events(partition: EventStream, flow, t_ref: float) -> tuple[Tensor, Ten
         raise ValueError(f"flow shape {flow_t.shape} != {expected}")
     iy = partition.y.astype(np.int64)
     ix = partition.x.astype(np.int64)
-    dt = t_ref - partition.t_star
-    u_i = ad.gather_pixels(flow_t[0], iy, ix)
-    v_i = ad.gather_pixels(flow_t[1], iy, ix)
-    xs = ad.add(ad.mul(u_i, dt), ix.astype(np.float64))
-    ys = ad.add(ad.mul(v_i, dt), iy.astype(np.float64))
-    return xs, ys
+    dt = np.broadcast_to(t_ref - partition.t_star, (2, len(partition)))
+    src = np.stack([ix, iy]).astype(np.float64)
+    return ad.add(ad.mul(ad.gather_pixels(flow_t, iy, ix), dt), src)
 
 
 def source_pixel_counts(partition: EventStream) -> np.ndarray:
@@ -123,31 +113,21 @@ def source_pixel_counts(partition: EventStream) -> np.ndarray:
     return np.bincount(key, minlength=2 * pixels)[key]
 
 
-def accumulate_warped_images(partition: EventStream, flow, t_ref: float) -> WarpedImages:
-    """Warp events to t_ref and splat them into per-polarity H, T and P images.
+def accumulate_warped_images(partition: EventStream, flow, t_ref: float,
+                             weights: np.ndarray) -> Tensor:
+    """Warp events to t_ref and splat them into a (4,H,W) image whose rows
+    are [H+, H-, W+, W-]: per-polarity event counts and per-polarity sums
+    of the per-event `weights` (N,).
 
-    One splat per polarity spreads the rows [1, t*, 1/n_src] over the same
-    corners. T is the (H+eps)-normalized average of event timestamps; P
-    recovers the count of contributing source pixels when a pixel's events
-    land together. Out-of-frame corners are dropped.
+    All events share one splat; polarity selects the rows an event adds
+    to. Weighting by t* gives the numerators of the average-timestamp
+    images, by 1/source_pixel_counts the source-pixel density P.
+    Out-of-frame corners are dropped.
     """
-    xs, ys = warp_events(partition, flow, t_ref)
+    pos = warp_events(partition, flow, t_ref)
     shape = (partition.geometry.height, partition.geometry.width)
-    rows = np.stack([np.ones(len(partition)), partition.t_star,
-                     1.0 / source_pixel_counts(partition)])
-    images = []
-    for sel in (partition.p > 0, partition.p < 0):
-        splat = ad.bilinear_splat(rows[:, sel], xs[sel], ys[sel], shape)
-        h_img = splat[0]
-        images += [h_img, ad.div(splat[1], ad.add(h_img, EPS)), splat[2]]
-    return WarpedImages(*images)
-
-
-def average_iwe(images: WarpedImages) -> tuple[Tensor, Tensor]:
-    """Per-polarity average number of warped events per source pixel, H/(P+eps)."""
-    g_pos = ad.div(images.h_pos, ad.add(images.p_pos, EPS))
-    g_neg = ad.div(images.h_neg, ad.add(images.p_neg, EPS))
-    return g_pos, g_neg
+    sign = np.stack([partition.p > 0, partition.p < 0]).astype(np.float64)
+    return ad.bilinear_splat(np.concatenate([sign, sign * weights]), pos, shape)
 
 
 def fwl(partition: EventStream, flow) -> float:
@@ -155,11 +135,12 @@ def fwl(partition: EventStream, flow) -> float:
 
     1 at zero flow; above 1 when warping sharpens the event image.
     """
-    xs, ys = warp_events(partition, as_flow(flow).detach(), 1.0)
+    pos = warp_events(partition, as_flow(flow).detach(), 1.0)
     shape = (partition.geometry.height, partition.geometry.width)
     ones = np.ones((1, len(partition)))
-    var_flow = float(np.var(ad.bilinear_splat(ones, xs, ys, shape).data))
-    var_zero = float(np.var(ad.bilinear_splat(ones, partition.x, partition.y, shape).data))
+    var_flow = float(np.var(ad.bilinear_splat(ones, pos, shape).data))
+    unwarped = np.stack([partition.x, partition.y])
+    var_zero = float(np.var(ad.bilinear_splat(ones, unwarped, shape).data))
     if var_zero == 0.0:
         raise ValueError("unwarped event image has zero variance; FWL undefined")
     return var_flow / var_zero

@@ -8,6 +8,7 @@ networks only share information through values, never gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .events import EventStream
-from .geometry import accumulate_warped_images, as_flow, average_iwe
+from .geometry import EPS, accumulate_warped_images, as_flow, source_pixel_counts
 
 CHARBONNIER_ETA = 1e-3
 
@@ -30,10 +31,11 @@ class LossWeights:
     deblur_enabled: bool = True
 
     def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.c_pos <= 0 or self.c_neg <= 0:
-            raise ValueError("contrast thresholds must be positive")
+        # Chained comparisons so that NaN and infinity fail too.
+        if not all(0 <= w < math.inf for w in (self.lambda1, self.lambda2, self.lambda3)):
+            raise ValueError("loss weights must be finite and non-negative")
+        if not all(0 < c < math.inf for c in (self.c_pos, self.c_neg)):
+            raise ValueError("contrast thresholds must be finite and positive")
 
 
 @dataclass
@@ -46,14 +48,15 @@ class LossReport:
 
 
 def contrast_loss(partition: EventStream, flow) -> Tensor:
-    """Sum of squared per-polarity average-timestamp images, accumulated
-    with events warped both forward (t_ref=1) and backward (t_ref=0)."""
+    """Sum of squared per-polarity average-timestamp images T = W/(H+eps),
+    W the t*-weighted counts, accumulated with events warped both forward
+    (t_ref=1) and backward (t_ref=0)."""
     if len(partition) == 0:
         return Tensor(0.0)
     total = None
     for t_ref in (1.0, 0.0):
-        images = accumulate_warped_images(partition, flow, t_ref)
-        term = ad.add(ad.sum_of_squares(images.t_pos), ad.sum_of_squares(images.t_neg))
+        img = accumulate_warped_images(partition, flow, t_ref, partition.t_star)
+        term = ad.sum_of_squares(ad.div(img[2:], ad.add(img[:2], EPS)))
         total = term if total is None else ad.add(total, term)
     return total
 
@@ -98,14 +101,16 @@ def reference_increment(partition: EventStream, flow, weights: LossWeights) -> T
     the per-pixel event counts of a zero-flow accumulation are integrated
     directly. The flow is detached either way.
     """
-    flow_t = as_flow(flow).detach()
+    flow = as_flow(flow).data
     if not weights.deblur_enabled:
         # Zero flow leaves every event on its integer pixel with weight 1.
-        images = accumulate_warped_images(partition, np.zeros_like(flow_t.data), 1.0)
-        g_pos, g_neg = images.h_pos, images.h_neg
-    else:
-        g_pos, g_neg = average_iwe(accumulate_warped_images(partition, flow_t, 1.0))
-    return ad.sub(ad.mul(g_pos, weights.c_pos), ad.mul(g_neg, weights.c_neg))
+        flow = np.zeros_like(flow)
+    img = accumulate_warped_images(partition, flow, 1.0,
+                                   1.0 / source_pixel_counts(partition)).data
+    # Deblurred: the average number of warped events per contributing
+    # source pixel, G = H/(P+eps), P the splat of 1/source_pixel_counts.
+    g = img[:2] / (img[2:] + EPS) if weights.deblur_enabled else img[:2]
+    return Tensor(g[0] * weights.c_pos - g[1] * weights.c_neg)
 
 
 def spatial_gradient(image) -> tuple[Tensor, Tensor]:

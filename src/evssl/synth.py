@@ -53,12 +53,6 @@ def gaussian_blobs(geometry: SensorGeometry, count: int, sigma: float,
     return base
 
 
-def from_grayscale(image: np.ndarray) -> np.ndarray:
-    """Map an 8-bit grayscale image to a log-intensity pattern."""
-    g = np.asarray(image, dtype=np.float64) / 255.0
-    return np.log(0.1 + 0.9 * g)
-
-
 def render_scene(scene: SyntheticScene, t: float) -> np.ndarray:
     """Brightness at time t: the base pattern shifted by velocity*t.
 

@@ -21,7 +21,8 @@ from .geometry import as_flow, build_voxel_grid, event_mask
 from .losses import (LossReport, LossWeights, flow_total_loss,
                      photometric_loss, predicted_increment, recon_total_loss,
                      reference_increment, temporal_loss, tv_loss)
-from .networks import FireFlowNet, ReconNet, detach_state, init_parameters
+from .networks import (DEFAULT_FLOW_SCALE, FireFlowNet, ReconNet, detach_state,
+                       init_parameters)
 from .synth import ground_truth_flow
 
 GRAD_CLIP_NORM = 100.0
@@ -37,15 +38,18 @@ class TrainConfig:
     unroll_steps: int = 20     # S: recurrent steps per reconstruction update
     tc_start_step: int = 10    # S0: first step the temporal term covers
     bins: int = 5
-    flow_scale: float = 40.0
+    flow_scale: float = DEFAULT_FLOW_SCALE
     seed: int = 0
     grad_clip_enabled: bool = False
     weights: LossWeights = field(default_factory=LossWeights)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        # Chained comparisons so that NaN and infinity fail too.
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
+        if not 0 < self.flow_scale < math.inf:
+            raise ValueError(f"flow scale must be finite and positive, got {self.flow_scale}")
         if not 0 <= self.tc_start_step <= self.unroll_steps:
             raise ValueError(
                 f"need 0 <= S0 <= S, got S0={self.tc_start_step}, S={self.unroll_steps}")
@@ -338,8 +342,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         name = text(name_len, "tensor name")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = math.prod(shape)
-        data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
+        chunk = take(8 * math.prod(shape))
+        try:
+            data = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        except ValueError:  # an empty shape too large for numpy to represent
+            raise CheckpointError(f"tensor {name!r} has impossible shape {shape}") from None
+        if name in tensors:
+            raise CheckpointError(f"duplicate tensor name {name!r}")
         tensors[name] = data
     (blob_len,) = struct.unpack("<I", take(4))
     config_text = text(blob_len, "config blob")

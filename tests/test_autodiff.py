@@ -200,10 +200,19 @@ def test_reshape_gradient():
 def test_gather_pixels_gradient():
     for seed in range(5):
         rng = np.random.default_rng(700 + seed)
-        field = leaf(rng, (5, 6), name="field")
+        field = leaf(rng, (2, 5, 6), name="field")
         iy = rng.integers(0, 5, size=12)
         ix = rng.integers(0, 6, size=12)
-        check_gradients(lambda: ad.tsum(ad.square(ad.gather_pixels(field, iy, ix))), [field])
+        probe = rng.normal(size=(2, 12))
+        check_gradients(
+            lambda: ad.tsum(ad.mul(ad.square(ad.gather_pixels(field, iy, ix)), probe)), [field])
+
+
+def test_gather_pixels_reads_each_channel_at_the_indices():
+    field = np.arange(24.0).reshape(2, 3, 4)
+    iy, ix = np.array([2, 0, 2]), np.array([1, 3, 1])
+    out = ad.gather_pixels(field, iy, ix)
+    assert np.array_equal(out.data, field[:, iy, ix])
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +336,20 @@ def test_bilinear_sample_gradients():
 
 
 def test_bilinear_splat_integer_position():
-    out = ad.bilinear_splat(np.array([[1.0]]), Tensor([2.0]), Tensor([1.0]), (3, 4))
+    out = ad.bilinear_splat(np.array([[1.0]]), Tensor([[2.0], [1.0]]), (3, 4))
     expected = np.zeros((1, 3, 4))
     expected[0, 1, 2] = 1.0
     assert np.array_equal(out.data, expected)
 
 
 def test_bilinear_splat_quarter_split():
-    out = ad.bilinear_splat(np.array([[1.0]]), Tensor([1.25]), Tensor([0.0]), (2, 4))
+    out = ad.bilinear_splat(np.array([[1.0]]), Tensor([[1.25], [0.0]]), (2, 4))
     assert out.data[0, 0, 1] == pytest.approx(0.75)
     assert out.data[0, 0, 2] == pytest.approx(0.25)
 
 
 def test_bilinear_splat_drops_out_of_frame_corners():
-    out = ad.bilinear_splat(np.array([[1.0]]), Tensor([-0.5]), Tensor([0.0]), (2, 3))
+    out = ad.bilinear_splat(np.array([[1.0]]), Tensor([[-0.5], [0.0]]), (2, 3))
     assert out.data[0, 0, 0] == pytest.approx(0.5)
     assert out.data.sum() == pytest.approx(0.5)
 
@@ -350,27 +359,25 @@ def test_bilinear_splat_gradients():
         rng = np.random.default_rng(1100 + seed)
         n = 8
         vals = rng.uniform(0.3, 1.5, size=(2, n))
-        xs = Parameter("xs", rng.uniform(0.15, 4.8, size=n))
-        ys = Parameter("ys", rng.uniform(0.15, 3.8, size=n))
-        for p in (xs, ys):
-            p.data += np.where(np.abs(p.data - np.round(p.data)) < 0.05, 0.07, 0.0)
+        pos = Parameter("pos", np.stack([rng.uniform(0.15, 4.8, size=n),
+                                         rng.uniform(0.15, 3.8, size=n)]))
+        pos.data += np.where(np.abs(pos.data - np.round(pos.data)) < 0.05, 0.07, 0.0)
         target = Tensor(rng.normal(size=(2, 5, 6)))
 
         def build():
-            img = ad.bilinear_splat(vals, xs, ys, (5, 6))
+            img = ad.bilinear_splat(vals, pos, (5, 6))
             return ad.sum_of_squares(ad.sub(img, target))
 
-        check_gradients(build, [xs, ys])
+        check_gradients(build, [pos])
 
 
 def test_bilinear_splat_rows_match_one_row_splats():
     rng = np.random.default_rng(12)
     vals = rng.uniform(0.3, 1.5, size=(2, 30))
-    xs = rng.uniform(-1.0, 6.5, size=30)
-    ys = rng.uniform(-1.0, 5.5, size=30)
-    both = ad.bilinear_splat(vals, xs, ys, (5, 6)).data
+    pos = np.stack([rng.uniform(-1.0, 6.5, size=30), rng.uniform(-1.0, 5.5, size=30)])
+    both = ad.bilinear_splat(vals, pos, (5, 6)).data
     for row in range(2):
-        one = ad.bilinear_splat(vals[row:row + 1], xs, ys, (5, 6)).data
+        one = ad.bilinear_splat(vals[row:row + 1], pos, (5, 6)).data
         assert np.array_equal(both[row], one[0])
 
 
@@ -379,4 +386,4 @@ def test_sample_and_splat_reject_tensor_constants():
     with pytest.raises(TypeError, match="constant array"):
         ad.bilinear_sample(Tensor(np.zeros((1, 2, 2))), Tensor(_identity_grid(2, 2)))
     with pytest.raises(TypeError, match="constant array"):
-        ad.bilinear_splat(Parameter("v", [[1.0]]), Tensor([0.5]), Tensor([0.5]), (2, 2))
+        ad.bilinear_splat(Parameter("v", [[1.0]]), Tensor([[0.5], [0.5]]), (2, 2))

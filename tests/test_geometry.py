@@ -4,7 +4,7 @@ import pytest
 from evssl import autodiff as ad
 from evssl import geometry as geo
 from evssl import synth
-from evssl.autodiff import Parameter, Tensor
+from evssl.autodiff import Parameter
 from evssl.events import EventStream, SensorGeometry, normalize_timestamps
 
 from conftest import random_partition
@@ -111,19 +111,20 @@ def test_warp_zero_flow_is_identity():
     rng = np.random.default_rng(0)
     part = random_partition(rng)
     for t_ref in (0.0, 1.0):
-        xs, ys = geo.warp_events(part, zero_flow(), t_ref)
-        assert np.array_equal(xs.data, part.x.astype(np.float64))
-        assert np.array_equal(ys.data, part.y.astype(np.float64))
+        pos = geo.warp_events(part, zero_flow(), t_ref)
+        assert pos.shape == (2, len(part))
+        assert np.array_equal(pos.data[0], part.x.astype(np.float64))
+        assert np.array_equal(pos.data[1], part.y.astype(np.float64))
 
 
 def test_warp_forward_and_backward_arithmetic():
     part = partition_from([(0, 0, 0, 1), (40, 5, 7, 1), (100, 9, 9, 1)])
     flow = constant_flow(1.0, 0.0)
-    xs, ys = geo.warp_events(part, flow, 1.0)
-    assert xs.data[1] == pytest.approx(5.6)   # x + (1 - 0.4) * 1
-    assert ys.data[1] == pytest.approx(7.0)
-    xs, _ = geo.warp_events(part, flow, 0.0)
-    assert xs.data[1] == pytest.approx(4.6)   # x + (0 - 0.4) * 1
+    pos = geo.warp_events(part, flow, 1.0)
+    assert pos.data[0, 1] == pytest.approx(5.6)   # x + (1 - 0.4) * 1
+    assert pos.data[1, 1] == pytest.approx(7.0)
+    pos = geo.warp_events(part, flow, 0.0)
+    assert pos.data[0, 1] == pytest.approx(4.6)   # x + (0 - 0.4) * 1
 
 
 def test_warp_rejects_other_t_ref():
@@ -133,36 +134,66 @@ def test_warp_rejects_other_t_ref():
 
 
 # ---------------------------------------------------------------------------
-# accumulation
+# accumulation: rows [H+, H-, W+, W-] of one splat
+
+
+def accumulate(part, flow, t_ref, weights=None):
+    """Warped-event images as a (4,H,W) array, weighted by t* by default."""
+    weights = part.t_star if weights is None else weights
+    return geo.accumulate_warped_images(part, flow, t_ref, weights).data
+
+
+def average_timestamps(img):
+    """Per-polarity average-timestamp images T = W/(H+eps) of t*-weighted rows."""
+    return img[2:] / (img[:2] + geo.EPS)
 
 
 def test_accumulate_single_event():
     part = partition_from([(0, 9, 9, -1), (50, 5, 7, 1), (100, 8, 2, -1)])
-    images = geo.accumulate_warped_images(part, zero_flow(), 1.0)
-    assert images.h_pos.data[7, 5] == pytest.approx(1.0)
-    assert images.t_pos.data[7, 5] == pytest.approx(0.5 / (1.0 + geo.EPS))
-    assert images.p_pos.data[7, 5] == pytest.approx(1.0)
-    assert images.h_neg.data[2, 8] == pytest.approx(1.0)
-    assert images.h_neg.data[9, 9] == pytest.approx(1.0)
+    img = accumulate(part, zero_flow(), 1.0)
+    assert img.shape == (4, 16, 16)
+    assert img[0, 7, 5] == pytest.approx(1.0)
+    assert average_timestamps(img)[0, 7, 5] == pytest.approx(0.5 / (1.0 + geo.EPS))
+    p_img = accumulate(part, zero_flow(), 1.0, 1.0 / geo.source_pixel_counts(part))
+    assert p_img[2, 7, 5] == pytest.approx(1.0)
+    assert img[1, 2, 8] == pytest.approx(1.0)
+    assert img[1, 9, 9] == pytest.approx(1.0)
 
 
 def test_accumulate_half_pixel_split():
     # Warp target (5.5, 7.0): t*=0 event at x=5 with u=0.5 at t_ref=1.
     part = partition_from([(0, 5, 7, 1)])
-    images = geo.accumulate_warped_images(part, constant_flow(0.5, 0.0), 1.0)
-    assert images.h_pos.data[7, 5] == pytest.approx(0.5)
-    assert images.h_pos.data[7, 6] == pytest.approx(0.5)
+    img = accumulate(part, constant_flow(0.5, 0.0), 1.0)
+    assert img[0, 7, 5] == pytest.approx(0.5)
+    assert img[0, 7, 6] == pytest.approx(0.5)
 
 
 def test_accumulate_same_pixel_bundle():
     # Three +1 events at one pixel, identical warp target: hand accumulation
-    # gives H=3, P=3*(1/3)=1, G=3/(1+eps).
+    # gives H=3, P=3*(1/3)=1, G=H/(P+eps)=3/(1+eps).
     part = partition_from([(0, 4, 4, 1), (50, 4, 4, 1), (100, 4, 4, 1)])
-    images = geo.accumulate_warped_images(part, zero_flow(), 0.0)
-    g_pos, _ = geo.average_iwe(images)
-    assert images.h_pos.data[4, 4] == pytest.approx(3.0)
-    assert images.p_pos.data[4, 4] == pytest.approx(1.0)
-    assert g_pos.data[4, 4] == pytest.approx(3.0, rel=1e-6)
+    img = accumulate(part, zero_flow(), 0.0, 1.0 / geo.source_pixel_counts(part))
+    assert img[0, 4, 4] == pytest.approx(3.0)
+    assert img[2, 4, 4] == pytest.approx(1.0)
+    assert img[0, 4, 4] / (img[2, 4, 4] + geo.EPS) == pytest.approx(3.0, rel=1e-6)
+
+
+def test_accumulate_rows_match_per_polarity_splats():
+    # One splat of all events equals, row for row, the splats of each
+    # polarity's events alone: an event adds exact zeros to the other rows.
+    for seed in range(10):
+        rng = np.random.default_rng(300 + seed)
+        part = random_partition(rng, n_events=60)
+        flow = rng.uniform(-3, 3, size=(2, 16, 16))
+        weights = rng.uniform(0.1, 1.0, size=len(part))
+        for t_ref in (0.0, 1.0):
+            img = accumulate(part, flow, t_ref, weights)
+            pos = geo.warp_events(part, flow, t_ref).data
+            for k, sel in enumerate((part.p > 0, part.p < 0)):
+                rows = np.stack([np.ones(sel.sum()), weights[sel]])
+                alone = ad.bilinear_splat(rows, pos[:, sel], (16, 16)).data
+                assert np.array_equal(img[k], alone[0])
+                assert np.array_equal(img[2 + k], alone[1])
 
 
 def test_accumulate_t_in_unit_interval_and_zero_where_empty():
@@ -171,11 +202,10 @@ def test_accumulate_t_in_unit_interval_and_zero_where_empty():
         part = random_partition(rng, n_events=60)
         flow = rng.uniform(-3, 3, size=(2, 16, 16))
         for t_ref in (0.0, 1.0):
-            images = geo.accumulate_warped_images(part, flow, t_ref)
-            for t_img, h_img in ((images.t_pos, images.h_pos),
-                                 (images.t_neg, images.h_neg)):
-                assert np.all(t_img.data >= 0.0) and np.all(t_img.data <= 1.0)
-                assert np.all(t_img.data[h_img.data == 0.0] == 0.0)
+            img = accumulate(part, flow, t_ref)
+            t_img = average_timestamps(img)
+            assert np.all(t_img >= 0.0) and np.all(t_img <= 1.0)
+            assert np.all(t_img[img[:2] == 0.0] == 0.0)
 
 
 def test_splat_mass_conservation_interior():
@@ -189,34 +219,20 @@ def test_splat_mass_conservation_interior():
         if len(part) == 0:
             continue
         flow = rng.uniform(-2, 2, size=(2, 16, 16))
-        images = geo.accumulate_warped_images(part, flow, 1.0)
-        assert images.h_pos.data.sum() == pytest.approx(float((part.p > 0).sum()))
-        assert images.h_neg.data.sum() == pytest.approx(float((part.p < 0).sum()))
+        img = accumulate(part, flow, 1.0)
+        assert img[0].sum() == pytest.approx(float((part.p > 0).sum()))
+        assert img[1].sum() == pytest.approx(float((part.p < 0).sum()))
 
 
 def test_zero_flow_accumulation_matches_unwarped_counts():
     rng = np.random.default_rng(7)
     part = random_partition(rng, n_events=80)
-    images = geo.accumulate_warped_images(part, zero_flow(), 1.0)
+    img = accumulate(part, zero_flow(), 1.0)
     counts = np.zeros((16, 16))
     for x, y, p in zip(part.x, part.y, part.p):
         if p > 0:
             counts[y, x] += 1.0
-    assert np.array_equal(images.h_pos.data, counts)
-
-
-def test_average_iwe_values():
-    shape = (4, 4)
-    mk = lambda v: Tensor(np.full(shape, float(v)))
-    images = geo.WarpedImages(h_pos=mk(3), h_neg=mk(4), t_pos=mk(0), t_neg=mk(0),
-                              p_pos=mk(1), p_neg=mk(2))
-    g_pos, g_neg = geo.average_iwe(images)
-    assert g_pos.data[0, 0] == pytest.approx(3.0, rel=1e-6)
-    assert g_neg.data[0, 0] == pytest.approx(2.0, rel=1e-6)
-    zero = geo.WarpedImages(h_pos=mk(0), h_neg=mk(0), t_pos=mk(0), t_neg=mk(0),
-                            p_pos=mk(0), p_neg=mk(0))
-    g0, _ = geo.average_iwe(zero)
-    assert np.all(g0.data == 0.0)
+    assert np.array_equal(img[0], counts)
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +247,14 @@ def test_warped_image_gradients_match_finite_differences():
         # Random non-integer flow keeps warp targets off the pixel lattice.
         flow = Parameter("flow", rng.uniform(-1.6, 1.6, size=(2, 9, 9))
                          + rng.choice([-0.37, 0.23], size=(2, 9, 9)))
-        probe_h = rng.normal(size=(9, 9))
-        probe_t = rng.normal(size=(9, 9))
+        probe_h = rng.normal(size=(2, 9, 9))
+        probe_t = rng.normal(size=(2, 9, 9))
         t_ref = float(rng.integers(0, 2))
 
         def build():
-            images = geo.accumulate_warped_images(part, flow, t_ref)
-            return ad.add(
-                ad.add(ad.tsum(ad.mul(images.h_pos, probe_h)),
-                       ad.tsum(ad.mul(images.t_pos, probe_t))),
-                ad.add(ad.tsum(ad.mul(images.h_neg, probe_h)),
-                       ad.tsum(ad.mul(images.t_neg, probe_t))))
+            img = geo.accumulate_warped_images(part, flow, t_ref, part.t_star)
+            t_img = ad.div(img[2:], ad.add(img[:2], geo.EPS))
+            return ad.add(ad.tsum(ad.mul(img[:2], probe_h)), ad.tsum(ad.mul(t_img, probe_t)))
 
         check_gradients(build, [flow])
 

@@ -55,6 +55,18 @@ def test_contrast_ground_truth_below_zero_flow(checker_scene, checker_partitions
     assert at_gt < at_zero
 
 
+def test_contrast_out_of_frame_flow_scores_between_ground_truth_and_zero(
+        checker_scene, checker_partitions):
+    # Pinned behaviour of the paper's loss: events pushed out of the frame
+    # stop contributing, so a flow far beyond the motion (200 px against
+    # ~5 px) beats zero flow, though ground truth still wins.
+    part = checker_partitions[len(checker_partitions) // 2]
+    at_gt = losses.contrast_loss(part, synth.ground_truth_flow(checker_scene, part)).item()
+    at_zero = losses.contrast_loss(part, np.zeros((2, 64, 64))).item()
+    at_far = losses.contrast_loss(part, np.full((2, 64, 64), 200.0)).item()
+    assert at_gt < at_far < at_zero
+
+
 def test_contrast_gradient_matches_finite_differences():
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -142,6 +154,18 @@ def test_reference_increment_deblurred_bundle():
     part = partition_from([(0, 4, 4, 1), (50, 4, 4, 1), (100, 4, 4, 1)])
     out = losses.reference_increment(part, np.zeros((2, 16, 16)), W)
     assert out.data[4, 4] == pytest.approx(3.0, rel=1e-6)
+
+
+def test_reference_increment_averages_per_source_pixel():
+    # Two -1 events at (4,4) and one at (6,4) all land on (5,4): H-=3 over
+    # P-=1/2+1/2+1=2 source pixels, G-=1.5. The +1 event at t*=1 stays put.
+    part = partition_from([(0, 4, 4, -1), (0, 4, 4, -1), (0, 6, 4, -1), (100, 10, 10, 1)])
+    flow = np.zeros((2, 16, 16))
+    flow[0, 4, 4], flow[0, 4, 6] = 1.0, -1.0
+    out = losses.reference_increment(part, flow, W)
+    assert out.data[4, 5] == pytest.approx(-1.5, rel=1e-6)
+    assert out.data[10, 10] == pytest.approx(1.0, rel=1e-6)
+    assert np.count_nonzero(out.data) == 2
 
 
 def test_reference_increment_plain_integration():

@@ -152,9 +152,3 @@ def test_gaussian_blob_pattern_shape_and_positivity():
     base = synth.gaussian_blobs(GEOM, count=5, sigma=2.0, amplitude=1.0, rng=rng)
     assert base.shape == (16, 16)
     assert base.max() > 0.5
-
-
-def test_from_grayscale_monotone():
-    img = np.array([[0, 128, 255]], dtype=np.uint8)
-    out = synth.from_grayscale(img)
-    assert out[0, 0] < out[0, 1] < out[0, 2]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from evssl import autodiff as ad
 from evssl import training
 from evssl.events import AugmentConfig, SensorGeometry
-from evssl.losses import LossReport
+from evssl.losses import LossReport, LossWeights
 from evssl.networks import FireFlowNet, ReconNet, init_parameters
 from evssl.training import CheckpointError, TrainConfig
 
@@ -42,6 +42,19 @@ def _assert_same_run(curve_a, curve_b, net_a, net_b):
 
 def _constant_flow(partition, voxel, mask):
     return np.full((2, *mask.shape), 0.5)
+
+
+@pytest.mark.parametrize("config,kw", [
+    (TrainConfig, dict(lr=np.nan)), (TrainConfig, dict(lr=np.inf)),
+    (TrainConfig, dict(flow_scale=0.0)), (TrainConfig, dict(flow_scale=-1.0)),
+    (TrainConfig, dict(flow_scale=np.nan)), (TrainConfig, dict(flow_scale=np.inf)),
+    (LossWeights, dict(lambda1=np.nan)), (LossWeights, dict(lambda2=np.inf)),
+    (LossWeights, dict(lambda3=np.nan)), (LossWeights, dict(c_pos=np.nan)),
+    (LossWeights, dict(c_neg=np.inf))])
+def test_config_rejects_non_finite_or_non_positive_values(config, kw):
+    # NaN passes `x < 0` and `x <= 0` alike, so each check must reject it.
+    with pytest.raises(ValueError):
+        config(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +239,29 @@ def test_checkpoint_rejects_non_utf8_text(tmp_path, offset, what):
     raw[offset] = 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match=f"{what} is not UTF-8"):
+        training.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_duplicate_tensor_names(tmp_path):
+    # Rewrite the tensor count of a one-tensor file to two and repeat the
+    # tensor record: name length, name, rank, dims and data.
+    path = _saved(tmp_path, {"w": np.zeros(2)})
+    raw = path.read_bytes()
+    record = raw[8:-7]
+    path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + record + record + raw[-7:])
+    with pytest.raises(CheckpointError, match="duplicate tensor name 'w'"):
+        training.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_empty_shape_numpy_cannot_represent(tmp_path):
+    # Rank 3 with dims (0, 2**31, 2**31): zero bytes of data, but 2**65
+    # bytes by the non-zero dims.
+    path = tmp_path / "net.ckp1"
+    dims = (0, 2 ** 31, 2 ** 31)
+    path.write_bytes(b"CKP1" + (1).to_bytes(4, "little") + (1).to_bytes(2, "little") + b"w"
+                     + bytes([3]) + b"".join(d.to_bytes(4, "little") for d in dims)
+                     + (0).to_bytes(4, "little"))
+    with pytest.raises(CheckpointError, match="impossible shape"):
         training.load_checkpoint(path)
 
 
