@@ -2,7 +2,10 @@
 
 Define-by-run: every operation returns a new Tensor and, when any input
 requires gradients, records a backward closure. `backward()` on a scalar
-root accumulates gradients into every reachable tensor's `.grad`.
+root accumulates gradients into the `.grad` of every reachable leaf (a
+tensor without a closure, such as a Parameter). Intermediate gradients
+are freed as soon as their closure has run, and each closure keeps only
+the arrays it reads.
 
 Ops are module functions only; Tensor has no arithmetic operators.
 Broadcasting is restricted to scalar-with-tensor; all other operands must
@@ -21,7 +24,7 @@ __all__ = [
     "Tensor",
     "Parameter",
     "add", "sub", "mul", "div", "absolute", "square", "sqrt",
-    "relu", "tanh", "sigmoid", "concat", "reshape", "conv2d",
+    "relu", "concat", "reshape", "conv2d",
     "bilinear_sample", "bilinear_splat", "gather_pixels",
     "tsum", "sum_of_squares",
 ]
@@ -67,10 +70,11 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def backward(self) -> None:
-        """Reverse accumulation from a scalar root.
+        """Reverse accumulation from a scalar root into the leaves' `.grad`.
 
-        A graph can be backpropagated once; rebuild the forward pass to
-        differentiate again.
+        Every non-leaf node drops its gradient, closure and parents once its
+        closure has run, so only leaves keep a gradient. A graph can be
+        backpropagated once; rebuild the forward pass to differentiate again.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar root, got shape {self.shape}")
@@ -85,6 +89,7 @@ class Tensor:
             fn = node._backward
             if fn is not None:
                 fn(node.grad)
+                node.grad = None
                 node._backward = None
                 node._parents = ()
 
@@ -220,20 +225,19 @@ def sqrt(x) -> Tensor:
     return _unary(x, np.sqrt, lambda g, x_, out: g / (2.0 * out))
 
 
+# Activation name (None for none) -> (forward, gradient from the output
+# gradient g and the activated output). relu has subgradient 0 at 0.
+_ACTIVATIONS = {
+    None: (lambda v: v, lambda g, out: g),
+    "relu": (lambda v: np.maximum(v, 0.0), lambda g, out: g * (out > 0.0)),
+    "sigmoid": (lambda v: 1.0 / (1.0 + np.exp(-v)), lambda g, out: g * out * (1.0 - out)),
+    "tanh": (np.tanh, lambda g, out: g * (1.0 - out * out)),
+}
+
+
 def relu(x) -> Tensor:
-    # Subgradient 0 at 0.
-    return _unary(x, lambda v: np.maximum(v, 0.0), lambda g, x_, out: g * (x_ > 0.0))
-
-
-def tanh(x) -> Tensor:
-    return _unary(x, np.tanh, lambda g, x_, out: g * (1.0 - out * out))
-
-
-def sigmoid(x) -> Tensor:
-    def fwd(v):
-        return 1.0 / (1.0 + np.exp(-v))
-
-    return _unary(x, fwd, lambda g, x_, out: g * out * (1.0 - out))
+    fwd, grad = _ACTIVATIONS["relu"]
+    return _unary(x, fwd, lambda g, x_, out: grad(g, out))
 
 
 def reshape(x, shape) -> Tensor:
@@ -278,10 +282,12 @@ def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
     return view.reshape(c * k * k, ho * wo)
 
 
-def conv2d(x, weight, bias=None) -> Tensor:
+def conv2d(x, weight, bias=None, activation: str | None = None) -> Tensor:
     """Stride-1 2-D cross-correlation; input C_in*H*W, weight C_out*C_in*k*k.
 
-    Zero padding of (k-1)//2 keeps the spatial size.
+    Zero padding of (k-1)//2 keeps the spatial size. `activation` ("relu",
+    "sigmoid" or "tanh") is applied in the same node, which then stores only
+    the activated output.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     bias = _as_tensor(bias) if bias is not None else None
@@ -292,6 +298,8 @@ def conv2d(x, weight, bias=None) -> Tensor:
         raise ValueError(f"channel mismatch: input {x.shape} vs weight {weight.shape}")
     if bias is not None and bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"activation must be None, relu, sigmoid or tanh, got {activation!r}")
     p = (k - 1) // 2
     _, h, w = x.shape
 
@@ -300,18 +308,23 @@ def conv2d(x, weight, bias=None) -> Tensor:
     out = (wmat @ _im2col(xp, k)).reshape(c_out, h, w)
     if bias is not None:
         out = out + bias.data[:, None, None]
+    act, act_grad = _ACTIVATIONS[activation]
+    out = act(out)
 
     parents = tuple(t for t in (x, weight, bias) if t is not None)
     if not any(t.requires_grad for t in parents):
         return Tensor(out)
 
     def backward(g):
+        g = act_grad(g, out)
         g2 = g.reshape(c_out, -1)
         if bias is not None and bias.requires_grad:
             _accum(bias, g2.sum(axis=1), own=True)
         if weight.requires_grad:
-            # im2col is recomputed rather than retained: unrolled recurrent
-            # graphs would otherwise hold one col matrix per conv per step.
+            # The padded input and its im2col are recomputed rather than
+            # retained: unrolled recurrent graphs would otherwise hold them
+            # for every conv of every step.
+            xp = np.pad(x.data, ((0, 0), (p, p), (p, p)))
             _accum(weight, (g2 @ _im2col(xp, k).T).reshape(weight.shape), own=True)
         if x.requires_grad:
             # Transposed convolution: the same-padded gradient correlated with

@@ -62,34 +62,3 @@ def frame_metrics(recon: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
         raise ValueError(f"shape mismatch: {recon.shape} vs {gt.shape}")
     mse = float(np.mean((recon - gt) ** 2))
     return mse, ssim(recon, gt)
-
-
-def flow_color_code(flow) -> np.ndarray:
-    """Direction as hue, speed as brightness; H x W x 3 floats in [0,1].
-
-    Zero flow everywhere maps to black.
-    """
-    u, v = as_flow(flow).data
-    mag = np.hypot(u, v)
-    peak = mag.max()
-    value = mag / peak if peak > 0 else np.zeros_like(mag)
-    hue = np.degrees(np.arctan2(v, u)) % 360.0
-
-    # HSV -> RGB with saturation 1.
-    h6 = hue / 60.0
-    sector = np.floor(h6).astype(int) % 6
-    f = h6 - np.floor(h6)
-    p = np.zeros_like(value)
-    q = value * (1.0 - f)
-    t = value * f
-    channels = {
-        0: (value, t, p), 1: (q, value, p), 2: (p, value, t),
-        3: (p, q, value), 4: (t, p, value), 5: (value, p, q),
-    }
-    rgb = np.zeros((*value.shape, 3))
-    for s, (r, g, b) in channels.items():
-        m = sector == s
-        rgb[m, 0] = r[m]
-        rgb[m, 1] = g[m]
-        rgb[m, 2] = b[m]
-    return rgb

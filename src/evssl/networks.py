@@ -19,7 +19,8 @@ DEFAULT_FLOW_SCALE = 40.0
 
 
 class ConvLayer:
-    """3x3 or 1x1 convolution with bias and optional activation."""
+    """3x3 or 1x1 convolution with bias and an optional activation ("relu",
+    "sigmoid" or "tanh"), fused into one conv2d node."""
 
     def __init__(self, name: str, c_in: int, c_out: int, kernel: int = 3,
                  activation: str | None = "relu"):
@@ -31,12 +32,7 @@ class ConvLayer:
         return [self.weight, self.bias]
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ad.conv2d(x, self.weight, self.bias)
-        if self.activation == "relu":
-            return ad.relu(out)
-        if self.activation == "tanh":
-            return ad.tanh(out)
-        return out
+        return ad.conv2d(x, self.weight, self.bias, self.activation)
 
 
 class ResidualBlock:
@@ -58,15 +54,16 @@ class ConvGRUCell:
     [h, x], the candidate sees [r*h, x].
 
     h' = (1-z)*h + z*tanh(Wc*[r*h, x]); sigmoid gates keep the state
-    bounded whenever the candidate is tanh-bounded.
+    bounded whenever the candidate is tanh-bounded. Each gate and the
+    candidate is one ConvLayer with its activation fused in.
     """
 
     def __init__(self, name: str, channels: int):
         c_in = 2 * channels
         self.channels = channels
-        self.update = ConvLayer(f"{name}.update", c_in, channels, activation=None)
-        self.reset = ConvLayer(f"{name}.reset", c_in, channels, activation=None)
-        self.candidate = ConvLayer(f"{name}.candidate", c_in, channels, activation=None)
+        self.update = ConvLayer(f"{name}.update", c_in, channels, activation="sigmoid")
+        self.reset = ConvLayer(f"{name}.reset", c_in, channels, activation="sigmoid")
+        self.candidate = ConvLayer(f"{name}.candidate", c_in, channels, activation="tanh")
 
     def parameters(self) -> list[Parameter]:
         return (self.update.parameters() + self.reset.parameters()
@@ -81,9 +78,9 @@ class ConvGRUCell:
         if h.shape != (self.channels, x.shape[1], x.shape[2]):
             raise ValueError(f"hidden state shape {h.shape} does not match input {x.shape}")
         hx = ad.concat([h, x], axis=0)
-        z = ad.sigmoid(self.update(hx))
-        r = ad.sigmoid(self.reset(hx))
-        cand = ad.tanh(self.candidate(ad.concat([ad.mul(r, h), x], axis=0)))
+        z = self.update(hx)
+        r = self.reset(hx)
+        cand = self.candidate(ad.concat([ad.mul(r, h), x], axis=0))
         return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, cand))
 
 
@@ -150,10 +147,6 @@ class ReconNet:
         h2 = self.g2(h1, s2)
         out = self.pred(self.r2(self.r1(h2)))
         return ad.reshape(out, out.shape[1:]), (h1, h2)
-
-
-def parameter_count(net) -> int:
-    return sum(p.size for p in net.parameters())
 
 
 def init_parameters(net, rng: np.random.Generator) -> None:

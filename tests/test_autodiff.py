@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from evssl import autodiff as ad
+from evssl import networks as nets
 from evssl.autodiff import Parameter, Tensor
 
 from gradcheck import check_gradients
@@ -23,11 +26,11 @@ def test_relu_values():
 
 
 def test_tanh_zero_has_unit_gradient():
-    x = Parameter("x", 0.0)
-    out = ad.tanh(x)
+    x = Parameter("x", np.zeros((1, 1, 1)))
+    out = ad.tsum(ad.conv2d(x, Tensor(np.ones((1, 1, 1, 1))), activation="tanh"))
     assert out.item() == 0.0
     out.backward()
-    assert x.grad == pytest.approx(1.0)
+    assert x.grad[0, 0, 0] == pytest.approx(1.0)
 
 
 def test_add_rejects_mismatched_nonscalar_shapes():
@@ -45,9 +48,8 @@ def test_no_operation_mutates_inputs():
     x = Tensor(rng.normal(size=(4, 4)))
     before = x.data.copy()
     ad.relu(x)
-    ad.sigmoid(x)
     ad.add(x, x)
-    ad.conv2d(ad.reshape(x, (1, 4, 4)), Tensor(np.ones((1, 1, 3, 3))))
+    ad.conv2d(ad.reshape(x, (1, 4, 4)), Tensor(np.ones((1, 1, 3, 3))), activation="sigmoid")
     assert np.array_equal(x.data, before)
 
 
@@ -58,7 +60,7 @@ def test_evaluation_is_deterministic():
 
     def run():
         x = Parameter("x", data)
-        out = ad.tsum(ad.tanh(ad.conv2d(x, Tensor(w))))
+        out = ad.tsum(ad.conv2d(x, Tensor(w), activation="tanh"))
         out.backward()
         return out.data.copy(), x.grad.copy()
 
@@ -111,6 +113,34 @@ def test_deep_graph_backward_no_recursion_limit():
     assert x.grad == pytest.approx(1.0)
 
 
+def test_backward_keeps_only_leaf_gradients_and_bounded_memory():
+    # A 5-step ReconNet unroll: the graph holds little beyond its nodes'
+    # values, backward adds at most a quarter to that, and only leaves keep
+    # a gradient afterwards.
+    rng = np.random.default_rng(3)
+    net = nets.ReconNet(bins=5)
+    nets.init_parameters(net, rng)
+    tracemalloc.start()
+    try:
+        state, loss = None, Tensor(0.0)
+        for _ in range(5):
+            image, state = net(rng.normal(size=(5, 32, 32)), state)
+            loss = ad.add(loss, ad.sum_of_squares(image))
+        nodes = ad._toposort(loss)
+        inner = [node for node in nodes if node._backward is not None]
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    values = sum(node.data.nbytes for node in nodes)
+    assert start <= 1.1 * values, f"graph holds {start / values:.2f}x its values"
+    assert peak <= 1.25 * start, f"backward peak {peak / start:.2f}x the graph"
+    assert all(node.grad is None for node in inner)
+    assert all(p.grad is not None for p in net.parameters())
+
+
 def test_detach_blocks_gradient_and_keeps_values():
     w = Parameter("w", [1.0, 2.0])
     inner = ad.mul(w, 3.0)
@@ -132,8 +162,6 @@ UNARY_CASES = [
     ("sqrt", ad.sqrt, (0.2, 3.0)),
     ("relu_pos", ad.relu, (0.1, 2.0)),
     ("relu_neg", ad.relu, (-2.0, -0.1)),
-    ("tanh", ad.tanh, (-2.0, 2.0)),
-    ("sigmoid", ad.sigmoid, (-3.0, 3.0)),
 ]
 
 
@@ -267,16 +295,61 @@ def test_conv2d_rejects_even_kernels():
         ad.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
 
 
+def test_conv2d_rejects_unknown_activation():
+    with pytest.raises(ValueError, match="activation"):
+        ad.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), activation="elu")
+
+
 # The input gradient is a transposed convolution, which swaps the channel
 # roles, so one case has more input than output channels.
-@pytest.mark.parametrize("kernel,c_in,c_out", [(1, 2, 3), (3, 2, 3), (5, 2, 3), (3, 4, 2)])
-def test_conv2d_gradients(kernel, c_in, c_out):
+CONV_SHAPES = [(1, 2, 3), (3, 2, 3), (5, 2, 3), (3, 4, 2)]
+CONV_CASES = [pytest.param(act, *shape, id="-".join(([act] if act else []) + list(map(str, shape))))
+              for act in (None, "relu", "sigmoid", "tanh") for shape in CONV_SHAPES]
+
+
+@pytest.mark.parametrize("activation,kernel,c_in,c_out", CONV_CASES)
+def test_conv2d_gradients(activation, kernel, c_in, c_out):
     for seed in range(N_INSTANCES):
         rng = np.random.default_rng(900 + seed)
         x = leaf(rng, (c_in, 6, 7), name="x")
         w = leaf(rng, (c_out, c_in, kernel, kernel), -1.0, 1.0, name="w")
         b = leaf(rng, (c_out,), -0.5, 0.5, name="b")
-        check_gradients(lambda: ad.tsum(ad.square(ad.conv2d(x, w, b))), [x, w, b])
+        if activation == "relu":
+            # Central differences need every pre-activation off the kink.
+            assert np.abs(ad.conv2d(x, w, b).data).min() > 1e-4
+        check_gradients(lambda: ad.tsum(ad.square(ad.conv2d(x, w, b, activation))), [x, w, b])
+
+
+UNFUSED = {
+    "relu": (lambda v: np.maximum(v, 0.0), lambda g, out: g * (out > 0.0)),
+    "sigmoid": (lambda v: 1.0 / (1.0 + np.exp(-v)), lambda g, out: g * out * (1.0 - out)),
+    "tanh": (np.tanh, lambda g, out: g * (1.0 - out * out)),
+}
+
+
+@pytest.mark.parametrize("activation", sorted(UNFUSED))
+def test_conv2d_activation_matches_unfused(activation):
+    # The fused node must give the same bits as the activation applied to
+    # the plain conv output and its gradient fed back into the plain conv.
+    fwd, grad = UNFUSED[activation]
+    rng = np.random.default_rng(950)
+    x = leaf(rng, (3, 6, 7), name="x")
+    w = leaf(rng, (4, 3, 3, 3), -1.0, 1.0, name="w")
+    b = leaf(rng, (4,), -0.5, 0.5, name="b")
+    probe = rng.normal(size=(4, 6, 7))
+
+    fused = ad.conv2d(x, w, b, activation)
+    ad.tsum(ad.mul(fused, probe)).backward()
+    fused_grads = [p.grad for p in (x, w, b)]
+    for p in (x, w, b):
+        p.grad = None
+
+    plain = ad.conv2d(x, w, b)
+    out = fwd(plain.data)
+    ad.tsum(ad.mul(plain, grad(probe, out))).backward()
+    assert np.array_equal(fused.data, out)
+    for p, g in zip((x, w, b), fused_grads):
+        assert np.array_equal(p.grad, g), p.name
 
 
 def test_conv2d_same_padding_preserves_size():

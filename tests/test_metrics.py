@@ -92,20 +92,3 @@ def test_frame_metrics_mse():
     b = np.full((12, 12), 0.75)
     mse, _ = metrics.frame_metrics(a, b)
     assert mse == pytest.approx(0.25)
-
-
-# ---------------------------------------------------------------------------
-# flow color code
-
-
-def test_flow_color_code_zero_flow_is_black():
-    rgb = metrics.flow_color_code(np.zeros((2, 5, 7)))
-    assert rgb.shape == (5, 7, 3)
-    assert not rgb.any()
-
-
-def test_flow_color_code_range_and_peak_brightness():
-    flow, _, _ = _flows(3)
-    rgb = metrics.flow_color_code(flow)
-    assert rgb.min() >= 0.0 and rgb.max() <= 1.0
-    assert rgb.max() == pytest.approx(1.0)  # the fastest pixel has full value
