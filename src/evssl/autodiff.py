@@ -73,8 +73,10 @@ class Tensor:
         """Reverse accumulation from a scalar root into the leaves' `.grad`.
 
         Every non-leaf node drops its gradient, closure and parents once its
-        closure has run, so only leaves keep a gradient. A graph can be
-        backpropagated once; rebuild the forward pass to differentiate again.
+        closure has run, so only leaves keep a gradient, and is popped off the
+        walk then, so its value, which no later closure reads, can be freed.
+        A graph can be backpropagated once; rebuild the forward pass to
+        differentiate again.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar root, got shape {self.shape}")
@@ -85,7 +87,8 @@ class Tensor:
             return
         topo = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             fn = node._backward
             if fn is not None:
                 fn(node.grad)

@@ -187,8 +187,9 @@ def read_binary_events(path, geometry: SensorGeometry | None = None) -> EventStr
 
 def events_per_pixel_count(geometry: SensorGeometry, density: float) -> int:
     """Partition size N from an events-per-pixel density."""
-    if density <= 0:
-        raise ConfigurationError(f"density must be positive, got {density}")
+    # A chained comparison so that NaN and infinity fail too.
+    if not 0 < density < np.inf:
+        raise ConfigurationError(f"density must be finite and positive, got {density}")
     n = int(round(density * geometry.pixels))
     if n < 2:
         raise ConfigurationError(
@@ -212,11 +213,12 @@ def normalize_timestamps(partition: EventStream) -> EventStream:
     """Attach t_star = (t - t0)/(tN - t0); all zeros if the span is empty."""
     if len(partition) == 0:
         raise ValueError("cannot normalize an empty partition")
-    t = partition.t.astype(np.float64)
-    if np.any(np.diff(t) < 0):
+    t = partition.t
+    if np.any(t[1:] < t[:-1]):  # not np.diff: uint64 wraps around
         raise ValueError("partition timestamps must be non-decreasing")
-    span = t[-1] - t[0]
-    t_star = np.zeros_like(t) if span == 0 else (t - t[0]) / span
+    # Offsets in integers: float64 loses single microseconds beyond 2**53.
+    dt = (t - t[0]).astype(np.float64)
+    t_star = np.zeros_like(dt) if dt[-1] == 0 else dt / dt[-1]
     return replace(partition, t_star=t_star)
 
 

@@ -1,9 +1,10 @@
-"""Training objectives: contrast maximization for flow, photometric
-constancy plus temporal-consistency and total-variation terms for
-reconstruction, and the percentile intensity normalization.
+"""Training objectives: contrast maximization for flow; photometric
+constancy, temporal consistency and total variation for reconstruction;
+the percentile intensity normalization.
 
-Flow entering any reconstruction-side term must be detached; the two
-networks only share information through values, never gradients.
+Each reconstruction step warps the previous frame and its gradient once
+(`warp_previous`); the photometric and temporal terms read rows of that
+sample. Its flow is detached: the two networks share values, never gradients.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def contrast_loss(partition: EventStream, flow) -> Tensor:
     return total
 
 
-def charbonnier_smoothness(flow, eta: float = CHARBONNIER_ETA) -> Tensor:
+def charbonnier_smoothness(flow) -> Tensor:
     """Charbonnier penalty on forward differences of the flow field.
 
     Each valid difference location contributes sqrt(|du|^2 + |dv|^2 + eta^2)
@@ -73,7 +74,7 @@ def charbonnier_smoothness(flow, eta: float = CHARBONNIER_ETA) -> Tensor:
     n_loc = h * (w - 1) + w * (h - 1)
     if n_loc == 0:
         return Tensor(0.0)
-    eta2 = eta * eta
+    eta, eta2 = CHARBONNIER_ETA, CHARBONNIER_ETA * CHARBONNIER_ETA
     dx = ad.sub(f[:, :, 1:], f[:, :, :-1])
     dy = ad.sub(f[:, 1:, :], f[:, :-1, :])
     sx = ad.sub(ad.sqrt(ad.add(ad.add(ad.square(dx[0]), ad.square(dx[1])), eta2)), eta)
@@ -125,39 +126,38 @@ def spatial_gradient(image) -> tuple[Tensor, Tensor]:
     return gx, gy
 
 
-def warp_previous(image, flow) -> Tensor:
-    """Backward-warp an image by the (detached) flow: out(x) = in(x - u(x))."""
-    img = image if isinstance(image, Tensor) else Tensor(image)
-    h, w = img.shape
-    fd = as_flow(flow).data
-    gy, gx = np.mgrid[0:h, 0:w].astype(np.float64)
-    grid = np.stack([gx - fd[0], gy - fd[1]])
-    sampled = ad.bilinear_sample(ad.reshape(img, (1, h, w)), grid)
-    return ad.reshape(sampled, (h, w))
+def warp_previous(l_prev, flow) -> Tensor:
+    """The previous reconstruction and its spatial gradient, backward-warped
+    by the (detached) flow, out(x) = in(x - u(x)), in one bilinear sample.
 
-
-def predicted_increment(l_prev, flow) -> Tensor:
-    """Photometric-constancy prediction: minus the dot product of the
-    forward-warped spatial gradients of the previous reconstruction with
-    the (detached) flow."""
+    Returns a (3,H,W) Tensor with rows [L, dL/dx, dL/dy]: the photometric
+    term reads rows 1 and 2, the temporal term row 0.
+    """
     gx, gy = spatial_gradient(l_prev)
+    h, w = gx.shape
     fd = as_flow(flow).data
-    wx = warp_previous(gx, fd)
-    wy = warp_previous(gy, fd)
-    return ad.mul(ad.add(ad.mul(wx, fd[0]), ad.mul(wy, fd[1])), -1.0)
+    rows, cols = np.mgrid[0:h, 0:w]
+    grid = np.stack([cols - fd[0], rows - fd[1]])
+    return ad.bilinear_sample(ad.reshape(ad.concat([l_prev, gx, gy]), (3, h, w)), grid)
+
+
+def predicted_increment(warped, flow) -> Tensor:
+    """Photometric-constancy prediction: minus the dot product of the warped
+    spatial gradient (rows 1 and 2 of `warp_previous`) with the
+    (detached) flow."""
+    fd = as_flow(flow).data
+    return ad.mul(ad.add(ad.mul(warped[1], fd[0]), ad.mul(warped[2], fd[1])), -1.0)
 
 
 def photometric_loss(reference, predicted) -> Tensor:
     """Squared L2 norm of the increment difference, summed over pixels."""
-    ref = reference if isinstance(reference, Tensor) else Tensor(reference)
-    pred = predicted if isinstance(predicted, Tensor) else Tensor(predicted)
-    return ad.sum_of_squares(ad.sub(ref, pred))
+    return ad.sum_of_squares(ad.sub(reference, predicted))
 
 
-def temporal_loss(l_k, l_prev, flow) -> Tensor:
-    """L1 photometric error against the flow-warped previous reconstruction."""
-    cur = l_k if isinstance(l_k, Tensor) else Tensor(l_k)
-    return ad.tsum(ad.absolute(ad.sub(cur, warp_previous(l_prev, flow))))
+def temporal_loss(l_k, warped) -> Tensor:
+    """L1 error of the current reconstruction against the warped previous
+    one (row 0 of `warp_previous`)."""
+    return ad.tsum(ad.absolute(ad.sub(l_k, warped[0])))
 
 
 def tv_loss(image) -> Tensor:
@@ -168,31 +168,10 @@ def tv_loss(image) -> Tensor:
     return ad.add(ad.tsum(ad.absolute(dx)), ad.tsum(ad.absolute(dy)))
 
 
-def recon_total_loss(pe_terms: list[Tensor], tc_terms: list[Tensor],
-                     tv_terms: list[Tensor], weights: LossWeights,
-                     tc_start: int) -> tuple[Tensor, LossReport]:
-    """Unrolled reconstruction objective over steps k = 0..S.
-
-    Photometric and TV terms cover every step; temporal consistency only
-    from step `tc_start` (S0) onward.
-    """
-    s = len(pe_terms) - 1
-    if s < 0:
-        raise ValueError("at least one unroll step required")
-    if not (len(tc_terms) == len(tv_terms) == s + 1):
-        raise ValueError("per-step term lists must have equal length")
-    if not 0 <= tc_start <= s:
-        raise ValueError(f"S0={tc_start} must lie in [0, S={s}]")
-
-    def _sum(ts):
-        acc = ts[0]
-        for t in ts[1:]:
-            acc = ad.add(acc, t)
-        return acc
-
-    pe = _sum(pe_terms)
-    tv = _sum(tv_terms)
-    tc = _sum(tc_terms[tc_start:])
+def recon_total_loss(pe: Tensor, tc: Tensor, tv: Tensor,
+                     weights: LossWeights) -> tuple[Tensor, LossReport]:
+    """Unrolled reconstruction objective from its summed terms: photometric
+    and TV over steps k = 0..S, temporal consistency over k = S0..S."""
     total = ad.add(pe, ad.add(ad.mul(tc, weights.lambda2), ad.mul(tv, weights.lambda3)))
     report = LossReport(
         terms={"photometric": pe.item(), "temporal": tc.item(), "tv": tv.item()},

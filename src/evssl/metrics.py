@@ -7,6 +7,7 @@ import numpy as np
 from .geometry import as_flow
 
 OUTLIER_THRESHOLD_PX = 3.0
+SSIM_C1, SSIM_C2 = 0.01 ** 2, 0.03 ** 2  # (k1 L)^2 and (k2 L)^2 for data range L = 1
 
 
 def flow_metrics(flow, gt_flow, valid_mask: np.ndarray) -> tuple[float, float]:
@@ -15,6 +16,9 @@ def flow_metrics(flow, gt_flow, valid_mask: np.ndarray) -> tuple[float, float]:
     gu, gv = as_flow(gt_flow).data
     if u.shape != gu.shape or u.shape != valid_mask.shape:
         raise ValueError("flow, ground truth and mask shapes differ")
+    if valid_mask.dtype != bool:
+        # An integer mask would index pixels by value instead of selecting them.
+        raise ValueError(f"valid_mask must be boolean, got {valid_mask.dtype}")
     if not valid_mask.any():
         raise ValueError("no valid pixels for flow metrics")
     err = np.hypot(u - gu, v - gv)[valid_mask]
@@ -36,23 +40,20 @@ def _window_filter(image: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.tensordot(view, window, axes=((2, 3), (0, 1)))
 
 
-def ssim(a: np.ndarray, b: np.ndarray, k1: float = 0.01, k2: float = 0.03,
-         data_range: float = 1.0) -> float:
-    """Mean local SSIM with an 11x11 Gaussian window, sigma 1.5."""
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean local SSIM of images in [0,1], 11x11 Gaussian window, sigma 1.5."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     window = _gaussian_window()
     if a.shape[0] < window.shape[0] or a.shape[1] < window.shape[1]:
         raise ValueError("image smaller than the 11x11 SSIM window")
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
     mu_a = _window_filter(a, window)
     mu_b = _window_filter(b, window)
     var_a = _window_filter(a * a, window) - mu_a * mu_a
     var_b = _window_filter(b * b, window) - mu_b * mu_b
     cov = _window_filter(a * b, window) - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
     return float(np.mean(num / den))
 
 

@@ -16,6 +16,8 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 
 DEFAULT_FLOW_SCALE = 40.0
+FLOW_CHANNELS = 32   # feature channels of every FireFlowNet layer
+RECON_CHANNELS = 16  # feature channels of every ReconNet layer
 
 
 class ConvLayer:
@@ -69,12 +71,9 @@ class ConvGRUCell:
         return (self.update.parameters() + self.reset.parameters()
                 + self.candidate.parameters())
 
-    def initial_state(self, height: int, width: int) -> Tensor:
-        return Tensor(np.zeros((self.channels, height, width)))
-
     def __call__(self, x: Tensor, h: Tensor | None) -> Tensor:
         if h is None:
-            h = self.initial_state(x.shape[1], x.shape[2])
+            h = Tensor(np.zeros((self.channels, *x.shape[1:])))
         if h.shape != (self.channels, x.shape[1], x.shape[2]):
             raise ValueError(f"hidden state shape {h.shape} does not match input {x.shape}")
         hx = ad.concat([h, x], axis=0)
@@ -87,10 +86,10 @@ class ConvGRUCell:
 class FireFlowNet:
     """Three single-strided encoders, two residual blocks, 1x1 tanh head."""
 
-    def __init__(self, bins: int = 5, flow_scale: float = DEFAULT_FLOW_SCALE,
-                 channels: int = 32):
+    def __init__(self, bins: int = 5, flow_scale: float = DEFAULT_FLOW_SCALE):
         self.bins = bins
         self.flow_scale = flow_scale
+        channels = FLOW_CHANNELS
         self.e1 = ConvLayer("e1", bins, channels)
         self.e2 = ConvLayer("e2", channels, channels)
         self.e3 = ConvLayer("e3", channels, channels)
@@ -117,9 +116,9 @@ class ReconNet:
     """FireFlowNet layout with ConvGRU second/third encoders and a linear
     single-channel prediction head."""
 
-    def __init__(self, bins: int = 5, channels: int = 16):
+    def __init__(self, bins: int = 5):
         self.bins = bins
-        self.channels = channels
+        channels = RECON_CHANNELS
         self.head = ConvLayer("head", bins, channels)
         self.g1 = ConvGRUCell("g1", channels)
         self.g2 = ConvGRUCell("g2", channels)
@@ -130,10 +129,6 @@ class ReconNet:
     def parameters(self) -> list[Parameter]:
         blocks = (self.head, self.g1, self.g2, self.r1, self.r2, self.pred)
         return [p for block in blocks for p in block.parameters()]
-
-    def initial_state(self, height: int, width: int) -> tuple[Tensor, Tensor]:
-        return (self.g1.initial_state(height, width),
-                self.g2.initial_state(height, width))
 
     def __call__(self, voxel: np.ndarray,
                  state: tuple[Tensor, Tensor] | None) -> tuple[Tensor, tuple[Tensor, Tensor]]:
@@ -161,7 +156,5 @@ def init_parameters(net, rng: np.random.Generator) -> None:
         p.grad = None
 
 
-def detach_state(state):
-    if state is None:
-        return None
+def detach_state(state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
     return tuple(s.detach() for s in state)

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter, Tensor, add
 from .events import (AugmentConfig, EventStream, apply_augmentation,
                      draw_augmentation, empty_stream)
 from .geometry import as_flow, build_voxel_grid, event_mask
 from .losses import (LossReport, LossWeights, flow_total_loss,
                      photometric_loss, predicted_increment, recon_total_loss,
-                     reference_increment, temporal_loss, tv_loss)
+                     reference_increment, temporal_loss, tv_loss, warp_previous)
 from .networks import (DEFAULT_FLOW_SCALE, FireFlowNet, ReconNet, detach_state,
                        init_parameters)
 from .synth import ground_truth_flow
@@ -197,6 +197,11 @@ class ReconTrainResult:
     flow_curve: Curve = field(default_factory=list)
 
 
+def _plus(total: Tensor | None, term: Tensor) -> Tensor:
+    """Running sum of a loss term over the steps of one unroll window."""
+    return term if total is None else add(total, term)
+
+
 def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
                 flow_provider=None, flow_net: FireFlowNet | None = None,
                 joint: bool = False,
@@ -234,9 +239,7 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
     for steps in _epoch_steps(sequences, config, rng, window):
         state = None
         l_prev: Tensor | None = None
-        pe_terms: list[Tensor] = []
-        tc_terms: list[Tensor] = []
-        tv_terms: list[Tensor] = []
+        k, pe, tc, tv = 0, None, None, None
         for partition, voxel, mask in steps:
             if l_prev is None:
                 l_prev = Tensor(np.zeros(mask.shape))
@@ -257,17 +260,19 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
                         f"non-finite flow at recon step {len(result.curve)}")
                 reference = reference_increment(partition, flow, weights)
             l_k, state = recon_net(voxel, state)
-            pe_terms.append(photometric_loss(reference, predicted_increment(l_prev, flow)))
-            tc_terms.append(temporal_loss(l_k, l_prev, flow))
-            tv_terms.append(tv_loss(l_k))
+            warped = warp_previous(l_prev, flow)
+            pe = _plus(pe, photometric_loss(reference, predicted_increment(warped, flow)))
+            if k >= config.tc_start_step:
+                tc = _plus(tc, temporal_loss(l_k, warped))
+            tv = _plus(tv, tv_loss(l_k))
             l_prev = l_k
-            if len(pe_terms) == window:
-                _optimize(*recon_total_loss(pe_terms, tc_terms, tv_terms, weights,
-                                            config.tc_start_step),
+            k += 1
+            if k == window:
+                _optimize(*recon_total_loss(pe, tc, tv, weights),
                           recon_net.parameters(), opt_r, config, result.curve, "recon")
                 state = detach_state(state)
                 l_prev = l_prev.detach()
-                pe_terms, tc_terms, tv_terms = [], [], []
+                k, pe, tc, tv = 0, None, None, None
         # Trailing steps that do not fill a window are dropped, like the
         # trailing events that do not fill a partition.
     return result

@@ -234,6 +234,12 @@ def test_events_per_pixel_count_too_small():
         ev.events_per_pixel_count(ev.SensorGeometry(8, 8), 0.01)
 
 
+@pytest.mark.parametrize("density", [0.0, -0.3, np.nan, np.inf, -np.inf])
+def test_events_per_pixel_count_rejects_non_finite_or_non_positive_density(density):
+    with pytest.raises(ev.ConfigurationError, match="finite and positive"):
+        ev.events_per_pixel_count(ev.SensorGeometry(8, 8), density)
+
+
 def test_geometry_minimum_size():
     with pytest.raises(ValueError):
         ev.SensorGeometry(2, 2)
@@ -301,6 +307,17 @@ def test_normalize_rejects_unsorted():
                              np.ones(2, dtype=np.int8), GEOM)
     with pytest.raises(ValueError):
         ev.normalize_timestamps(part)
+
+
+def test_normalize_resolves_microseconds_beyond_float_precision():
+    # EVT1 holds any uint64 timestamp; at t0 = 2**60 us float64 steps are
+    # 256 us apart, so offsets from t0 must be taken before converting.
+    t0 = 2**60
+    part = ev.EventStream(np.array([t0, t0 + 100, t0 + 200, t0 + 300], dtype=np.uint64),
+                          np.zeros(4, dtype=np.uint16), np.zeros(4, dtype=np.uint16),
+                          np.ones(4, dtype=np.int8), GEOM)
+    out = ev.normalize_timestamps(part)
+    assert np.array_equal(out.t_star, np.array([0.0, 100.0, 200.0, 300.0]) / 300.0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,6 +9,7 @@ from evssl import synth
 from evssl.autodiff import Parameter, Tensor
 from evssl.events import EventStream, SensorGeometry, normalize_timestamps
 from evssl.losses import LossWeights
+from evssl.training import TrainConfig
 
 from conftest import random_partition
 from gradcheck import check_gradients
@@ -232,7 +233,9 @@ def test_warp_previous_zero_flow_identity():
     rng = np.random.default_rng(5)
     img = rng.normal(size=(6, 7))
     out = losses.warp_previous(img, np.zeros((2, 6, 7)))
-    assert np.allclose(out.data, img)
+    gx, gy = losses.spatial_gradient(img)
+    assert out.shape == (3, 6, 7)
+    assert np.allclose(out.data, [img, gx.data, gy.data])
 
 
 def test_warp_previous_shifts_ramp():
@@ -240,23 +243,44 @@ def test_warp_previous_shifts_ramp():
     flow = np.zeros((2, 5, 8))
     flow[0] = 1.0
     out = losses.warp_previous(img, flow)
-    assert np.allclose(out.data[:, 1:], img[:, 1:] - 1.0)
+    assert np.allclose(out.data[0, :, 1:], img[:, 1:] - 1.0)
+    assert np.allclose(out.data[1, :, 2:-1], 1.0)  # clear of the border columns
+    assert np.all(out.data[2] == 0.0)
 
 
 def test_warp_previous_constant_image_unchanged():
     flow = np.random.default_rng(6).normal(size=(2, 5, 5)) * 3.0
     out = losses.warp_previous(np.full((5, 5), 4.2), flow)
-    assert np.allclose(out.data, 4.2)
+    assert np.allclose(out.data[0], 4.2)
+    assert np.all(out.data[1:] == 0.0)
+
+
+def test_warp_previous_rows_match_separate_warps():
+    # One sample of the stack [L, dL/dx, dL/dy] is, row by row, the sample
+    # of each image alone on the same grid.
+    rng = np.random.default_rng(13)
+    img = rng.normal(size=(6, 7))
+    flow = rng.normal(size=(2, 6, 7)) * 2.0
+    gx, gy = losses.spatial_gradient(img)
+    rows, cols = np.mgrid[0:6, 0:7]
+    grid = np.stack([cols - flow[0], rows - flow[1]])
+    out = losses.warp_previous(img, flow).data
+    for row, image in zip(out, (img, gx.data, gy.data)):
+        assert np.array_equal(row, ad.bilinear_sample(image[None], grid).data[0])
 
 
 # ---------------------------------------------------------------------------
 # predicted increment
 
 
+def _predicted(l_prev, flow):
+    return losses.predicted_increment(losses.warp_previous(l_prev, flow), flow)
+
+
 def test_predicted_increment_zero_flow():
     rng = np.random.default_rng(7)
     img = rng.normal(size=(6, 6))
-    out = losses.predicted_increment(img, np.zeros((2, 6, 6)))
+    out = _predicted(img, np.zeros((2, 6, 6)))
     assert np.all(out.data == 0.0)
 
 
@@ -265,7 +289,7 @@ def test_predicted_increment_flow_parallel_to_edge():
     img = np.tile(np.arange(6, dtype=np.float64)[:, None], (1, 6))
     flow = np.zeros((2, 6, 6))
     flow[0] = 2.0
-    out = losses.predicted_increment(img, flow)
+    out = _predicted(img, flow)
     assert np.allclose(out.data, 0.0)
 
 
@@ -273,7 +297,7 @@ def test_predicted_increment_ramp_value():
     img = np.tile(np.arange(8, dtype=np.float64), (6, 1))
     flow = np.zeros((2, 6, 8))
     flow[0] = 1.5
-    out = losses.predicted_increment(img, flow)
+    out = _predicted(img, flow)
     # Columns whose warp source stays clear of the replicated border.
     assert np.allclose(out.data[:, 3:-1], -1.5)
 
@@ -283,8 +307,7 @@ def test_predicted_increment_gradient_flows_to_previous_image():
         rng = np.random.default_rng(200 + seed)
         img = Parameter("img", rng.normal(size=(6, 6)))
         flow = rng.uniform(-1.2, 1.2, size=(2, 6, 6)) + 0.31
-        check_gradients(
-            lambda: ad.sum_of_squares(losses.predicted_increment(img, flow)), [img])
+        check_gradients(lambda: ad.sum_of_squares(_predicted(img, flow)), [img])
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +338,22 @@ def test_temporal_warp_match_is_zero():
     flow = np.zeros((2, 5, 8))
     flow[0] = 1.0
     warped = losses.warp_previous(img, flow)
-    assert losses.temporal_loss(warped.data, img, flow).item() == pytest.approx(0.0)
+    assert losses.temporal_loss(warped.data[0], warped).item() == 0.0
+    assert losses.temporal_loss(img[:, 1:] - 1.0, warped[:, :, 1:]).item() \
+        == pytest.approx(0.0)
 
 
 def test_temporal_identical_frames_zero_flow():
     rng = np.random.default_rng(9)
     img = rng.normal(size=(6, 6))
-    assert losses.temporal_loss(img, img.copy(), np.zeros((2, 6, 6))).item() \
-        == pytest.approx(0.0)
+    warped = losses.warp_previous(img.copy(), np.zeros((2, 6, 6)))
+    assert losses.temporal_loss(img, warped).item() == pytest.approx(0.0)
 
 
 def test_temporal_constant_offset():
     img = np.zeros((4, 5))
-    assert losses.temporal_loss(img + 0.3, img, np.zeros((2, 4, 5))).item() \
-        == pytest.approx(0.3 * 20)
+    warped = losses.warp_previous(img, np.zeros((2, 4, 5)))
+    assert losses.temporal_loss(img + 0.3, warped).item() == pytest.approx(0.3 * 20)
 
 
 def test_tv_constant_zero():
@@ -354,13 +379,13 @@ def test_recon_term_gradients():
         prev = Parameter("prev", rng.normal(size=(6, 6)))
         flow = rng.uniform(-1.1, 1.1, size=(2, 6, 6)) + 0.17
         ref = rng.normal(size=(6, 6))
-        check_gradients(
-            lambda: losses.photometric_loss(ref, losses.predicted_increment(prev, flow)),
-            [prev])
+        check_gradients(lambda: losses.photometric_loss(ref, _predicted(prev, flow)), [prev])
         # L1 terms: keep arguments away from the |.| kink.
-        gap = np.abs(cur.data - losses.warp_previous(prev.data, flow).data)
+        gap = np.abs(cur.data - losses.warp_previous(prev.data, flow).data[0])
         if gap.min() > 1e-3:
-            check_gradients(lambda: losses.temporal_loss(cur, prev, flow), [cur, prev])
+            check_gradients(
+                lambda: losses.temporal_loss(cur, losses.warp_previous(prev, flow)),
+                [cur, prev])
         check_gradients(lambda: losses.tv_loss(cur), [cur])
 
 
@@ -368,38 +393,31 @@ def test_recon_term_gradients():
 # unrolled total
 
 
-def _const_terms(values):
-    return [Tensor(v) for v in values]
-
-
 def test_recon_total_single_step_reduces_to_photometric():
     weights = LossWeights(lambda2=0.0, lambda3=0.0)
-    total, report = losses.recon_total_loss(
-        _const_terms([2.5]), _const_terms([9.9]), _const_terms([1.1]), weights, 0)
+    total, report = losses.recon_total_loss(Tensor(2.5), Tensor(9.9), Tensor(1.1), weights)
     assert total.item() == pytest.approx(2.5)
     assert report.terms["photometric"] == 2.5
 
 
 def test_recon_total_tc_window():
-    weights = LossWeights(lambda2=1.0, lambda3=0.0)
-    pe = _const_terms([0.0, 0.0, 0.0])
-    tv = _const_terms([0.0, 0.0, 0.0])
-    tc = _const_terms([100.0, 1.0, 2.0])
-    total, _ = losses.recon_total_loss(pe, tc, tv, weights, tc_start=1)
-    assert total.item() == pytest.approx(3.0)  # steps 0..S0-1 excluded
+    # The temporal sum, over steps S0..S only, enters scaled by lambda2 and
+    # is reported unweighted.
+    weights = LossWeights(lambda2=0.5, lambda3=0.0)
+    total, report = losses.recon_total_loss(Tensor(0.0), Tensor(3.0), Tensor(0.0), weights)
+    assert total.item() == 1.5
+    assert report.terms["temporal"] == 3.0 and report.weights["temporal"] == 0.5
 
 
 def test_recon_total_bookkeeping_and_bounds():
     weights = LossWeights(lambda2=0.25, lambda3=0.5)
-    pe = _const_terms([1.0, 2.0])
-    tc = _const_terms([3.0, 4.0])
-    tv = _const_terms([5.0, 6.0])
-    total, report = losses.recon_total_loss(pe, tc, tv, weights, 0)
+    total, report = losses.recon_total_loss(Tensor(3.0), Tensor(7.0), Tensor(11.0), weights)
     assert total.item() == pytest.approx(3.0 + 0.25 * 7.0 + 0.5 * 11.0)
     assert report.total == pytest.approx(
         sum(report.weights[k] * v for k, v in report.terms.items()))
-    with pytest.raises(ValueError):
-        losses.recon_total_loss(pe, tc, tv, weights, tc_start=5)
+    # S0 beyond S is rejected where the window is configured.
+    with pytest.raises(ValueError, match="S0"):
+        TrainConfig(unroll_steps=1, tc_start_step=5)
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +493,10 @@ def test_photometric_with_ground_truth_beats_zero_flow(blob_scene, blob_partitio
         l_prev = synth.ground_truth_frame(blob_scene, int(part.t[0]))
         loss_gt = losses.photometric_loss(
             losses.reference_increment(part, gt, weights),
-            losses.predicted_increment(l_prev, gt)).item()
+            _predicted(l_prev, gt)).item()
         loss_zero = losses.photometric_loss(
             losses.reference_increment(part, np.zeros((2, 64, 64)), weights),
-            losses.predicted_increment(l_prev, np.zeros((2, 64, 64)))).item()
+            _predicted(l_prev, np.zeros((2, 64, 64)))).item()
         assert loss_gt < loss_zero
 
 

@@ -53,6 +53,16 @@ def test_flow_metrics_rejects_non_flow_shape():
         metrics.flow_metrics(np.zeros((3, *mask.shape)), gt, mask)
 
 
+def test_flow_metrics_rejects_non_boolean_mask():
+    # A uint8 copy of a one-pixel mask would index pixels 0 and 1 by value.
+    flow, gt, _ = _flows()
+    mask = np.zeros(flow.shape[1:], dtype=bool)
+    mask[5, 6] = True
+    metrics.flow_metrics(flow, gt, mask)
+    with pytest.raises(ValueError, match="boolean"):
+        metrics.flow_metrics(flow, gt, mask.astype(np.uint8))
+
+
 def test_flow_metrics_empty_mask():
     flow, gt, mask = _flows()
     with pytest.raises(ValueError, match="no valid pixels"):

@@ -175,6 +175,64 @@ def test_joint_recon_builds_and_trains_its_own_flow_net():
     assert result.curve
 
 
+def test_temporal_term_covers_steps_s0_to_s(monkeypatch):
+    values = []
+
+    def recording(l_k, warped):
+        out = temporal(l_k, warped)
+        values.append(out.item())
+        return out
+
+    temporal = training.temporal_loss
+    monkeypatch.setattr(training, "temporal_loss", recording)
+    config = _config(epochs=1, unroll_steps=4, tc_start_step=2,
+                     augment=AugmentConfig(pause_prob=0.0))
+    result = training.train_recon(_sequences([5, 5]), config, flow_provider=_constant_flow)
+    per_window = config.unroll_steps - config.tc_start_step + 1
+    assert len(result.curve) == 2 and len(values) == 2 * per_window
+    for i, (_, report) in enumerate(result.curve):
+        assert report.terms["temporal"] == sum(values[i * per_window:(i + 1) * per_window])
+
+
+# Curve entries of short runs recorded from an earlier implementation of
+# the training loops, whose reconstruction terms each warped the previous
+# frame on their own; a rewrite of the loops must reproduce them.
+RECORDED = {
+    "flow": [({"contrast": 84.23061335078688, "smoothness": 0.7022911162076213},
+              84.9329044669945),
+             ({"contrast": 119.03554240549907, "smoothness": 0.410771766220607},
+              119.44631417171968)],
+    "recon": [({"photometric": 420.6133365965425, "temporal": 8.426202831658074,
+                "tv": 41.04140633549052}, 423.5080271964829),
+              ({"photometric": 537.8609974834246, "temporal": 7.509075356201723,
+                "tv": 31.1954510760497}, 540.1716775728473)],
+    "joint": [({"photometric": 496.35340371989247, "temporal": 8.854007407729037,
+                "tv": 43.872343494163616}, 499.43242163537354),
+              ({"photometric": 313.63302355063036, "temporal": 6.483543982791847,
+                "tv": 36.19910836042854}, 316.09133336693094)],
+    "joint_flow": [({"contrast": 87.75310215579059, "smoothness": 0.4782628550227139},
+                    88.2313650108133),
+                   ({"contrast": 108.20724279667806, "smoothness": 1.0618849450121741},
+                    109.26912774169023)],
+}
+
+
+def test_first_updates_reproduce_recorded_values():
+    seqs = _sequences([5, 6])
+    config = _config(epochs=1, unroll_steps=4, tc_start_step=2)
+    _, flow_curve = training.train_flow(seqs, config)
+    recon = training.train_recon(seqs, config, flow_provider=_constant_flow)
+    joint = training.train_recon(seqs, config, joint=True)
+    runs = {"flow": flow_curve, "recon": recon.curve, "joint": joint.curve,
+            "joint_flow": joint.flow_curve}
+    for name, expected in RECORDED.items():
+        got = [(report.terms, report.total) for _, report in runs[name][:len(expected)]]
+        assert len(got) == len(expected), name
+        for (terms, total), (want_terms, want_total) in zip(got, expected):
+            assert terms == pytest.approx(want_terms, rel=1e-9), name
+            assert total == pytest.approx(want_total, rel=1e-9), name
+
+
 def test_recon_needs_a_flow_source():
     with pytest.raises(ValueError, match="flow"):
         training.train_recon(_sequences([3]), _config())
