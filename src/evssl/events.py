@@ -187,10 +187,10 @@ def read_binary_events(path, geometry: SensorGeometry | None = None) -> EventStr
 
 def events_per_pixel_count(geometry: SensorGeometry, density: float) -> int:
     """Partition size N from an events-per-pixel density."""
-    # A chained comparison so that NaN and infinity fail too.
-    if not 0 < density < np.inf:
-        raise ConfigurationError(f"density must be finite and positive, got {density}")
-    n = int(round(density * geometry.pixels))
+    n = density * geometry.pixels  # chained comparison: NaN, infinity and overflow fail
+    if not 0 < n < np.inf:
+        raise ConfigurationError(f"density x pixels must be finite and positive, got {density}")
+    n = int(round(n))
     if n < 2:
         raise ConfigurationError(
             f"N={n} events per partition; timestamp normalization needs at least 2")

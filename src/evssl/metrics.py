@@ -14,10 +14,10 @@ def flow_metrics(flow, gt_flow, valid_mask: np.ndarray) -> tuple[float, float]:
     """Average endpoint error (px) and percentage of errors above 3 px."""
     u, v = as_flow(flow).data
     gu, gv = as_flow(gt_flow).data
+    valid_mask = np.asarray(valid_mask)
     if u.shape != gu.shape or u.shape != valid_mask.shape:
         raise ValueError("flow, ground truth and mask shapes differ")
-    if valid_mask.dtype != bool:
-        # An integer mask would index pixels by value instead of selecting them.
+    if valid_mask.dtype != bool:  # an integer mask would index pixels by value
         raise ValueError(f"valid_mask must be boolean, got {valid_mask.dtype}")
     if not valid_mask.any():
         raise ValueError("no valid pixels for flow metrics")

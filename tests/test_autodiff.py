@@ -141,6 +141,7 @@ def test_backward_keeps_only_leaf_gradients_and_bounded_memory():
         tracemalloc.stop()
     assert start <= 1.1 * values, f"graph holds {start / values:.2f}x its values"
     assert peak <= 1.14 * start, f"backward peak {peak / start:.2f}x the graph"
+    assert all(p.grad is not None for p in net.parameters())
     loss = unroll()
     inner = [node for node in ad._toposort(loss) if node._backward is not None]
     loss.backward()

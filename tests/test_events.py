@@ -234,7 +234,8 @@ def test_events_per_pixel_count_too_small():
         ev.events_per_pixel_count(ev.SensorGeometry(8, 8), 0.01)
 
 
-@pytest.mark.parametrize("density", [0.0, -0.3, np.nan, np.inf, -np.inf])
+# 1e307 is finite, but 1e307 * 64 pixels overflows to infinity.
+@pytest.mark.parametrize("density", [0.0, -0.3, np.nan, np.inf, -np.inf, 1e307])
 def test_events_per_pixel_count_rejects_non_finite_or_non_positive_density(density):
     with pytest.raises(ev.ConfigurationError, match="finite and positive"):
         ev.events_per_pixel_count(ev.SensorGeometry(8, 8), density)

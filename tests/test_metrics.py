@@ -61,6 +61,9 @@ def test_flow_metrics_rejects_non_boolean_mask():
     metrics.flow_metrics(flow, gt, mask)
     with pytest.raises(ValueError, match="boolean"):
         metrics.flow_metrics(flow, gt, mask.astype(np.uint8))
+    with pytest.raises(ValueError, match="boolean"):
+        metrics.flow_metrics(flow, gt, mask.astype(np.uint8).tolist())
+    assert metrics.flow_metrics(flow, gt, mask.tolist()) == metrics.flow_metrics(flow, gt, mask)
 
 
 def test_flow_metrics_empty_mask():
