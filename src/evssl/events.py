@@ -54,7 +54,8 @@ class EventStream:
     """Column-oriented events in file/time order: a recording or a partition.
 
     `t_star` holds the normalized timestamps (t - t0)/(tN - t0) once
-    `normalize_timestamps` has been applied to a partition, else None.
+    `normalize_timestamps` has been applied to a partition, else None;
+    `empty_stream`'s is the empty array, the normalized timestamps of no events.
     """
 
     t: np.ndarray  # uint64, microseconds
@@ -74,22 +75,28 @@ class EventStream:
 
 def empty_stream(geometry: SensorGeometry) -> EventStream:
     return EventStream(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint16),
-                       np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=np.int8), geometry)
+                       np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=np.int8), geometry,
+                       t_star=np.zeros(0))
 
 
 def make_stream(t, x, y, p, geometry: SensorGeometry) -> EventStream:
-    """Build a validated stream from array-likes (t in microseconds)."""
-    t = np.asarray(t, dtype=np.uint64)
-    x = np.asarray(x, dtype=np.uint16)
-    y = np.asarray(y, dtype=np.uint16)
-    p = np.asarray(p, dtype=np.int8)
+    """Build a validated stream from integer array-likes (t in microseconds);
+    values are checked before the cast, so none wraps or truncates into range."""
+    cols = t, x, y, p = [np.asarray(c) for c in (t, x, y, p)]
     if not (len(t) == len(x) == len(y) == len(p)):
         raise ValueError("column lengths differ")
-    if len(x) and (int(x.max()) >= geometry.width or int(y.max()) >= geometry.height):
-        raise EventBoundsError("event coordinates outside geometry")
-    if not np.isin(p, (-1, 1)).all():
-        raise ValueError("polarity must be +1 or -1")
-    return EventStream(t, x, y, p, geometry)
+    if len(t):
+        if not all(np.issubdtype(c.dtype, np.integer) for c in cols):
+            raise ValueError(f"columns must hold integers, got {[c.dtype.name for c in cols]}")
+        if t.min() < 0:
+            raise ValueError("timestamps must be non-negative")
+        if (x.min() < 0 or x.max() >= geometry.width
+                or y.min() < 0 or y.max() >= geometry.height):
+            raise EventBoundsError("event coordinates outside geometry")
+        if not np.isin(p, (-1, 1)).all():
+            raise ValueError("polarity must be +1 or -1")
+    return EventStream(np.asarray(t, dtype=np.uint64), np.asarray(x, dtype=np.uint16),
+                       np.asarray(y, dtype=np.uint16), np.asarray(p, dtype=np.int8), geometry)
 
 
 def parse_text_events(data: bytes | str, geometry: SensorGeometry) -> EventStream:
@@ -124,7 +131,8 @@ def parse_text_events(data: bytes | str, geometry: SensorGeometry) -> EventStrea
         xs.append(x)
         ys.append(y)
         ps.append(1 if p == 1 else -1)
-    return make_stream(ts, xs, ys, ps, geometry)
+    # Microseconds reach 2**64 - 1, past what a list infers as int64.
+    return make_stream(np.array(ts, dtype=np.uint64), xs, ys, ps, geometry)
 
 
 # EVT1 binary format (little-endian):
@@ -262,5 +270,5 @@ def apply_augmentation(partition: EventStream, record: AugmentationRecord) -> Ev
     if record.polarity_flip:
         p = (-p.astype(np.int64)).astype(np.int8)
     # The pause flag is carried in the record only; the trainer inserts an
-    # empty step with a zero voxel, the events themselves are untouched.
+    # `empty_stream` as one more partition, the events themselves are untouched.
     return replace(partition, x=x, y=y, p=p)

@@ -51,9 +51,7 @@ class LossReport:
 def contrast_loss(partition: EventStream, flow) -> Tensor:
     """Sum of squared per-polarity average-timestamp images T = W/(H+eps),
     W the t*-weighted counts, accumulated with events warped both forward
-    (t_ref=1) and backward (t_ref=0)."""
-    if len(partition) == 0:
-        return Tensor(0.0)
+    (t_ref=1) and backward (t_ref=0). No events give exactly 0."""
     total = None
     for t_ref in (1.0, 0.0):
         img = accumulate_warped_images(partition, flow, t_ref, partition.t_star)

@@ -40,8 +40,9 @@ def _window_filter(image: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.tensordot(view, window, axes=((2, 3), (0, 1)))
 
 
-def ssim(a: np.ndarray, b: np.ndarray) -> float:
+def ssim(a, b) -> float:
     """Mean local SSIM of images in [0,1], 11x11 Gaussian window, sigma 1.5."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     window = _gaussian_window()
@@ -57,8 +58,9 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(num / den))
 
 
-def frame_metrics(recon: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
+def frame_metrics(recon, gt) -> tuple[float, float]:
     """MSE and SSIM between two images normalized to [0,1]."""
+    recon, gt = np.asarray(recon, dtype=np.float64), np.asarray(gt, dtype=np.float64)
     if recon.shape != gt.shape:
         raise ValueError(f"shape mismatch: {recon.shape} vs {gt.shape}")
     mse = float(np.mean((recon - gt) ** 2))

@@ -1,13 +1,14 @@
 """Adam optimizer, unrolled training loops, and CKP1 checkpoints.
 
 The two networks only share values, never gradients: the reconstruction
-loop always detaches the flow it consumes, whether that flow comes from a
-frozen provider, a frozen network, or a jointly trained one.
+loop asks one flow provider per step and detaches the flow it returns,
+whether a fixed flow, a frozen network or a jointly trained one made it.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -115,12 +116,9 @@ def _optimize(loss: Tensor, report: LossReport, params: list[Parameter], opt: Ad
     if not np.isfinite(value):
         raise FloatingPointError(f"non-finite loss at {name} step {step}: {value}")
     opt.zero_grad()
-    if loss.requires_grad:
-        loss.backward()
+    loss.backward()
     for p in params:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        elif not np.isfinite(p.grad).all():
+        if p.grad is not None and not np.isfinite(p.grad).all():
             raise FloatingPointError(f"non-finite gradient of {p.name!r} at {name} step {step}")
     if config.grad_clip_enabled:
         clip_gradients(params, GRAD_CLIP_NORM)
@@ -129,11 +127,7 @@ def _optimize(loss: Tensor, report: LossReport, params: list[Parameter], opt: Ad
 
 
 def _voxel_step(partition: EventStream, bins: int) -> Step:
-    if len(partition):
-        voxel = build_voxel_grid(partition, bins)
-    else:
-        geom = partition.geometry
-        voxel = np.zeros((bins, geom.height, geom.width))
+    voxel = build_voxel_grid(partition, bins)
     return partition, voxel, event_mask(voxel)
 
 
@@ -142,9 +136,9 @@ def _epoch_steps(sequences, config: TrainConfig, rng: np.random.Generator,
     """For each sequence of each epoch, an iterator over its training steps.
 
     The sequence's partitions share one drawn augmentation; a drawn pause
-    inserts one empty partition, with a zero voxel grid, at a drawn
-    position. Sequences shorter than `min_length` partitions are skipped
-    with a warning before anything is drawn for them.
+    inserts one `empty_stream`, an ordinary partition, at a drawn position.
+    Sequences shorter than `min_length` partitions are skipped with a
+    warning before anything is drawn for them.
     """
     for _ in range(config.epochs):
         for seq in sequences:
@@ -197,74 +191,60 @@ class ReconTrainResult:
     flow_curve: Curve = field(default_factory=list)
 
 
-def _plus(total: Tensor | None, term: Tensor) -> Tensor:
-    """Running sum of a loss term over the steps of one unroll window."""
-    return term if total is None else add(total, term)
-
-
 def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
                 flow_provider=None, flow_net: FireFlowNet | None = None,
-                joint: bool = False,
                 recon_net: ReconNet | None = None) -> ReconTrainResult:
     """Unrolled photometric-constancy training of the reconstruction network.
 
-    Flow comes from `flow_provider(partition, voxel, mask) -> (2,H,W)`, a
-    frozen `flow_net`, or, with `joint=True`, a flow network (`flow_net`
-    or a new one) updated on each partition just before the
-    reconstruction step consumes its (detached) output; a provider
-    excludes the other two. The reconstruction update fires every S+1
-    steps; hidden state and the previous frame are truncated there and
-    reset at sequence starts. Sequences shorter than one unroll window
-    are skipped.
+    Flow comes from `flow_provider(partition, voxel, mask) -> (2,H,W)` and
+    is detached; a pause (no events, no motion) gets zero flow without
+    asking it. Without a provider, `flow_net` (a new FireFlowNet if None)
+    is trained jointly on each partition just before the reconstruction
+    step consumes its flow; pass a frozen network as
+    `flow_provider=lambda p, v, m: net(v, m)`. The reconstruction update
+    fires every S+1 steps; hidden state and the previous frame are
+    truncated there and reset at sequence starts. Sequences shorter than
+    one unroll window are skipped.
     """
     if not sequences:
         raise ValueError("empty dataset")
-    if flow_provider is None and flow_net is None and not joint:
-        raise ValueError("need a flow provider, a flow network or joint=True")
-    if flow_provider is not None and (flow_net is not None or joint):
-        raise ValueError("flow_provider cannot be combined with "
-                         + ("joint=True" if joint else "flow_net"))
+    if flow_provider is not None and flow_net is not None:
+        raise ValueError("flow_provider cannot be combined with flow_net")
     window = config.unroll_steps + 1
     rng = np.random.default_rng(config.seed)
     if recon_net is None:
         recon_net = ReconNet(bins=config.bins)
         init_parameters(recon_net, rng)
-    if joint and flow_net is None:
+    if flow_provider is None and flow_net is None:
         flow_net = FireFlowNet(bins=config.bins, flow_scale=config.flow_scale)
         init_parameters(flow_net, rng)
-    opt_r = Adam(recon_net.parameters(), config.lr)
-    opt_f = Adam(flow_net.parameters(), config.lr) if joint else None
-    weights = config.weights
     result = ReconTrainResult(recon_net, flow_net)
+    if flow_provider is None:
+        opt_f = Adam(flow_net.parameters(), config.lr)
+
+        def flow_provider(partition, voxel, mask):
+            return _flow_update(flow_net, opt_f, (partition, voxel, mask), config,
+                                result.flow_curve)
+    opt_r = Adam(recon_net.parameters(), config.lr)
+    weights = config.weights
     for steps in _epoch_steps(sequences, config, rng, window):
         state = None
         l_prev: Tensor | None = None
-        k, pe, tc, tv = 0, None, None, None
+        k, pe, tc, tv = 0, 0.0, 0.0, 0.0
         for partition, voxel, mask in steps:
             if l_prev is None:
                 l_prev = Tensor(np.zeros(mask.shape))
-            if not len(partition):
-                # A pause: no events, so no motion and no brightness change.
-                flow = np.zeros((2, *mask.shape))
-                reference = Tensor(np.zeros(mask.shape))
-            else:
-                if joint:
-                    flow = _flow_update(flow_net, opt_f, (partition, voxel, mask), config,
-                                        result.flow_curve).data
-                elif flow_net is not None:
-                    flow = flow_net(voxel, mask).data
-                else:
-                    flow = as_flow(flow_provider(partition, voxel, mask)).data
-                if not np.isfinite(flow).all():
-                    raise FloatingPointError(
-                        f"non-finite flow at recon step {len(result.curve)}")
-                reference = reference_increment(partition, flow, weights)
+            flow = (as_flow(flow_provider(partition, voxel, mask)).data if len(partition)
+                    else np.zeros((2, *mask.shape)))
+            if not np.isfinite(flow).all():
+                raise FloatingPointError(f"non-finite flow at recon step {len(result.curve)}")
+            reference = reference_increment(partition, flow, weights)
             l_k, state = recon_net(voxel, state)
             warped = warp_previous(l_prev, flow)
-            pe = _plus(pe, photometric_loss(reference, predicted_increment(warped, flow)))
+            pe = add(pe, photometric_loss(reference, predicted_increment(warped, flow)))
             if k >= config.tc_start_step:
-                tc = _plus(tc, temporal_loss(l_k, warped))
-            tv = _plus(tv, tv_loss(l_k))
+                tc = add(tc, temporal_loss(l_k, warped))
+            tv = add(tv, tv_loss(l_k))
             l_prev = l_k
             k += 1
             if k == window:
@@ -272,7 +252,7 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
                           recon_net.parameters(), opt_r, config, result.curve, "recon")
                 state = detach_state(state)
                 l_prev = l_prev.detach()
-                k, pe, tc, tv = 0, None, None, None
+                k, pe, tc, tv = 0, 0.0, 0.0, 0.0
         # Trailing steps that do not fill a window are dropped, like the
         # trailing events that do not fill a partition.
     return result
@@ -303,20 +283,25 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str = "") -> None:
-    blob = config_text.encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_CKP1_MAGIC)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, data in tensors.items():
+    """Packed in memory first: what the layout cannot hold raises
+    CheckpointError before `path` is opened, so a file there keeps its bytes."""
+    chunks = [_CKP1_MAGIC, struct.pack("<I", len(tensors))]
+    for name, data in tensors.items():
+        arr = np.ascontiguousarray(data, dtype="<f8")
+        try:
             encoded = name.encode("utf-8")
-            arr = np.ascontiguousarray(data, dtype="<f8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
+            chunks.append(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I",
+                                      len(encoded), encoded, arr.ndim, *arr.shape))
+        except (UnicodeEncodeError, struct.error) as e:
+            raise CheckpointError(f"tensor {reprlib.repr(name)} does not fit CKP1: {e}") from None
+        chunks.append(arr.tobytes())
+    try:
+        blob = config_text.encode("utf-8")
+        chunks += [struct.pack("<I", len(blob)), blob]
+    except (UnicodeEncodeError, struct.error) as e:
+        raise CheckpointError(f"config blob does not fit CKP1: {e}") from None
+    with open(path, "wb") as f:
+        f.writelines(chunks)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:

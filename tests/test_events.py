@@ -241,6 +241,24 @@ def test_events_per_pixel_count_rejects_non_finite_or_non_positive_density(densi
         ev.events_per_pixel_count(ev.SensorGeometry(8, 8), density)
 
 
+# Each of these values used to be cast into a storage type it does not fit:
+# stored as another valid value, wrapped, truncated, or a bare OverflowError.
+@pytest.mark.parametrize("column,value,error,match", [
+    ("p", np.array([257]), ValueError, "polarity"),
+    ("p", np.array([-255]), ValueError, "polarity"),
+    ("t", np.array([-5]), ValueError, "non-negative"),
+    ("x", np.array([65537]), ev.EventBoundsError, "outside"),
+    ("x", np.array([2.9]), ValueError, "integers"),
+    ("x", np.array([np.nan]), ValueError, "integers"),
+    ("p", [257], ValueError, "polarity"),
+    ("t", [-5], ValueError, "non-negative")])
+def test_make_stream_rejects_values_its_columns_cannot_hold(column, value, error, match):
+    columns = dict(t=np.array([0]), x=np.array([1]), y=np.array([1]), p=np.array([1]))
+    columns[column] = value
+    with pytest.raises(error, match=match):
+        ev.make_stream(**columns, geometry=ev.SensorGeometry(16, 16))
+
+
 def test_geometry_minimum_size():
     with pytest.raises(ValueError):
         ev.SensorGeometry(2, 2)

@@ -105,3 +105,10 @@ def test_frame_metrics_mse():
     b = np.full((12, 12), 0.75)
     mse, _ = metrics.frame_metrics(a, b)
     assert mse == pytest.approx(0.25)
+
+
+def test_frame_metrics_and_ssim_accept_nested_lists():
+    rng = np.random.default_rng(0)
+    a, b = rng.random((12, 12)), rng.random((12, 12))
+    assert metrics.frame_metrics(a.tolist(), b.tolist()) == metrics.frame_metrics(a, b)
+    assert metrics.ssim(a.tolist(), b.tolist()) == metrics.ssim(a, b)

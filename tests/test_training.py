@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 from evssl import autodiff as ad
 from evssl import training
-from evssl.events import AugmentConfig, SensorGeometry
-from evssl.losses import LossReport, LossWeights
+from evssl.events import AugmentConfig, SensorGeometry, empty_stream
+from evssl.geometry import build_voxel_grid, event_mask
+from evssl.losses import LossReport, LossWeights, contrast_loss, reference_increment
 from evssl.networks import FireFlowNet, ReconNet, init_parameters
 from evssl.training import CheckpointError, TrainConfig
 
@@ -169,10 +172,48 @@ def test_train_flow_clips_every_update(monkeypatch):
 
 def test_joint_recon_builds_and_trains_its_own_flow_net():
     seqs = _sequences([3])
-    result = training.train_recon(seqs, _config(epochs=1), joint=True)
+    result = training.train_recon(seqs, _config(epochs=1))
     assert isinstance(result.flow_net, FireFlowNet)
     assert result.flow_curve
     assert result.curve
+
+
+def test_frozen_net_as_provider_is_not_trained():
+    net = FireFlowNet(bins=5)
+    init_parameters(net, np.random.default_rng(0))
+    before = {k: v.copy() for k, v in _params(net).items()}
+    result = training.train_recon(_sequences([3, 4]), _config(),
+                                  flow_provider=lambda p, v, m: net(v, m))
+    assert result.curve
+    assert result.flow_net is None and result.flow_curve == []
+    after = _params(net)
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
+def test_pause_is_an_ordinary_empty_partition():
+    pause = empty_stream(GEOM)
+    voxel = build_voxel_grid(pause, 5)
+    assert voxel.shape == (5, 16, 16) and not voxel.any() and not event_mask(voxel).any()
+    flow = ad.Parameter("flow", np.full((2, 16, 16), 0.5))
+    assert not reference_increment(pause, flow.data, LossWeights()).data.any()
+    contrast = contrast_loss(pause, flow)
+    assert contrast.item() == 0.0
+    contrast.backward()
+    assert not flow.grad.any()
+
+
+def test_provider_is_never_asked_about_a_pause():
+    calls = []
+
+    def recording(partition, voxel, mask):
+        calls.append(len(partition))
+        return _constant_flow(partition, voxel, mask)
+
+    config = _config(epochs=1, augment=AugmentConfig(0.0, 0.0, 0.0, pause_prob=1.0))
+    result = training.train_recon(_sequences([3, 3]), config, flow_provider=recording)
+    # Each sequence gains a pause: 4 steps, one window of S+1 = 3 updated.
+    assert len(result.curve) == 2
+    assert len(calls) == 6 and all(n > 0 for n in calls)
 
 
 def test_temporal_term_covers_steps_s0_to_s(monkeypatch):
@@ -222,7 +263,7 @@ def test_first_updates_reproduce_recorded_values():
     config = _config(epochs=1, unroll_steps=4, tc_start_step=2)
     _, flow_curve = training.train_flow(seqs, config)
     recon = training.train_recon(seqs, config, flow_provider=_constant_flow)
-    joint = training.train_recon(seqs, config, joint=True)
+    joint = training.train_recon(seqs, config)
     runs = {"flow": flow_curve, "recon": recon.curve, "joint": joint.curve,
             "joint_flow": joint.flow_curve}
     for name, expected in RECORDED.items():
@@ -233,17 +274,12 @@ def test_first_updates_reproduce_recorded_values():
             assert total == pytest.approx(want_total, rel=1e-9), name
 
 
-def test_recon_needs_a_flow_source():
-    with pytest.raises(ValueError, match="flow"):
-        training.train_recon(_sequences([3]), _config())
-
-
 def test_recon_rejects_provider_with_another_flow_source():
     net = FireFlowNet(bins=5)
     init_parameters(net, np.random.default_rng(0))
-    for kw, other in ((dict(flow_net=net), "flow_net"), (dict(joint=True), "joint=True")):
-        with pytest.raises(ValueError, match=f"flow_provider cannot be combined with {other}"):
-            training.train_recon(_sequences([3]), _config(), flow_provider=_constant_flow, **kw)
+    with pytest.raises(ValueError, match="flow_provider cannot be combined with flow_net"):
+        training.train_recon(_sequences([3]), _config(), flow_provider=_constant_flow,
+                             flow_net=net)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +308,21 @@ def _saved(tmp_path, tensors):
     path = tmp_path / "net.ckp1"
     training.save_checkpoint(path, tensors, "cfg")
     return path
+
+
+# A name over 65,535 UTF-8 bytes, a dimension of 2**32 (on an empty array,
+# so that nothing is allocated), and text UTF-8 cannot encode.
+@pytest.mark.parametrize("tensors,text,what", [
+    ({"w" * 65536: np.zeros(1)}, "cfg", "tensor 'www"),
+    ({"w": np.zeros((0, 2 ** 32))}, "cfg", "tensor 'w'"),
+    ({"\ud800": np.zeros(1)}, "cfg", "tensor '\\ud800'"),
+    ({"w": np.zeros(1)}, "\ud800", "config blob")])
+def test_failed_save_leaves_the_existing_file(tmp_path, tensors, text, what):
+    path = _saved(tmp_path, {"kept": np.ones(3)})
+    kept = path.read_bytes()
+    with pytest.raises(CheckpointError, match=f"{re.escape(what)}.* does not fit CKP1"):
+        training.save_checkpoint(path, tensors, text)
+    assert path.read_bytes() == kept
 
 
 def test_checkpoint_truncated(tmp_path):
