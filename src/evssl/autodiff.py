@@ -10,10 +10,22 @@ the arrays it reads.
 Ops are module functions only; Tensor has no arithmetic operators.
 Broadcasting is restricted to scalar-with-tensor; all other operands must
 have identical shapes. No operation mutates its inputs. The ops cover the
-graph the paper builds: conv2d is stride-1 and same-padded, and
-bilinear_sample and bilinear_splat take constant grids and values.
-Sampling and splatting are adjoint and share one corner kernel: the
-gradient of a sample is a splat of the same corners.
+graph the paper builds:
+
+- element-wise: add, sub, mul, div, absolute, square, sqrt;
+- structural: concat, reshape, indexing (`Tensor[...]`), gather_pixels;
+- convolution: conv2d, stride-1 and same-padded, with an optional skip
+  operand and activation fused into its node; conv_gru, one ConvGRU step
+  over the same correlation;
+- resampling: bilinear_sample and bilinear_splat, which take constant
+  grids and values. They are adjoint and share one corner kernel: the
+  gradient of a sample is a splat of the same corners;
+- reductions: tsum, sum_of_squares.
+
+A fused node (conv2d with its bias, skip and activation, or a whole
+conv_gru step) keeps only the arrays its backward reads, and recomputes
+cheap intermediates such as concatenated or padded inputs there instead
+of holding them for the life of the graph.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ __all__ = [
     "Tensor",
     "Parameter",
     "add", "sub", "mul", "div", "absolute", "square", "sqrt",
-    "relu", "concat", "reshape", "conv2d",
+    "concat", "reshape", "conv2d", "conv_gru",
     "bilinear_sample", "bilinear_splat", "gather_pixels",
     "tsum", "sum_of_squares",
 ]
@@ -63,7 +75,10 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a size-1 tensor as a Python float."""
+        if self.data.size != 1:
+            raise ValueError(f"item() needs a size-1 tensor, got shape {self.shape}")
+        return self.data.item()
 
     def detach(self) -> "Tensor":
         """Same values, no graph history."""
@@ -238,11 +253,6 @@ _ACTIVATIONS = {
 }
 
 
-def relu(x) -> Tensor:
-    fwd, grad = _ACTIVATIONS["relu"]
-    return _unary(x, fwd, lambda g, x_, out: grad(g, out))
-
-
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
     data = x.data.reshape(shape)
@@ -277,64 +287,143 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # Convolution
 
 
-def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    c, hp, wp = xp.shape
-    ho, wo = hp - k + 1, wp - k + 1
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Every zero-padded k*k patch of x (C,H,W), one per column: (C*k*k, H*W)."""
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    c, h, w = x.shape
     s0, s1, s2 = xp.strides
-    view = np.lib.stride_tricks.as_strided(xp, (c, k, k, ho, wo), (s0, s1, s2, s1, s2))
-    return view.reshape(c * k * k, ho * wo)
+    view = np.lib.stride_tricks.as_strided(xp, (c, k, k, h, w), (s0, s1, s2, s1, s2))
+    return view.reshape(c * k * k, h * w)
 
 
-def conv2d(x, weight, bias=None, activation: str | None = None) -> Tensor:
-    """Stride-1 2-D cross-correlation; input C_in*H*W, weight C_out*C_in*k*k.
+def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 correlation of x (C_in,H,W) with w (C_out,C_in,k,k)."""
+    c_out, _, k, _ = w.shape
+    return (w.reshape(c_out, -1) @ _im2col(x, k)).reshape(c_out, *x.shape[1:])
 
-    Zero padding of (k-1)//2 keeps the spatial size. `activation` ("relu",
-    "sigmoid" or "tanh") is applied in the same node, which then stores only
-    the activated output.
-    """
-    x, weight = _as_tensor(x), _as_tensor(weight)
-    bias = _as_tensor(bias) if bias is not None else None
+
+def _correlate_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    # The padded input and its im2col are recomputed rather than retained:
+    # unrolled recurrent graphs would otherwise hold them for every conv of
+    # every step.
+    c_out = g.shape[0]
+    return (g.reshape(c_out, -1) @ _im2col(x, k).T).reshape(c_out, x.shape[0], k, k)
+
+
+def _correlate_input_grad(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # Transposed convolution: the same-padded gradient correlated with the
+    # flipped kernel, input and output channels swapped.
+    return _correlate(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+
+
+def _kernel_shape(weight: Tensor) -> tuple[int, int, int]:
+    """(C_out, C_in, k) of a square k*k kernel with k in {1, 3, 5}."""
     c_out, c_in, k, k2 = weight.shape
     if k != k2 or k not in (1, 3, 5):
         raise ValueError(f"kernel must be square with k in {{1,3,5}}, got {k}x{k2}")
+    return c_out, c_in, k
+
+
+def conv2d(x, weight, bias=None, activation: str | None = None, skip=None) -> Tensor:
+    """Stride-1 2-D cross-correlation; input C_in*H*W, weight C_out*C_in*k*k.
+
+    Zero padding of (k-1)//2 keeps the spatial size. `skip`, a tensor of the
+    output's shape, is added before the activation (a residual connection).
+    `activation` ("relu", "sigmoid" or "tanh") is applied in the same node,
+    which then stores only the activated output.
+    """
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    bias = _as_tensor(bias) if bias is not None else None
+    skip = _as_tensor(skip) if skip is not None else None
+    c_out, c_in, k = _kernel_shape(weight)
     if x.ndim != 3 or x.shape[0] != c_in:
         raise ValueError(f"channel mismatch: input {x.shape} vs weight {weight.shape}")
     if bias is not None and bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
+    if skip is not None and skip.shape != (c_out, *x.shape[1:]):
+        raise ValueError(f"skip shape {skip.shape} != output shape {(c_out, *x.shape[1:])}")
     if activation not in _ACTIVATIONS:
         raise ValueError(f"activation must be None, relu, sigmoid or tanh, got {activation!r}")
-    p = (k - 1) // 2
-    _, h, w = x.shape
 
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p)))
-    wmat = weight.data.reshape(c_out, -1)
-    out = (wmat @ _im2col(xp, k)).reshape(c_out, h, w)
+    out = _correlate(x.data, weight.data)
     if bias is not None:
         out = out + bias.data[:, None, None]
+    if skip is not None:
+        out = out + skip.data
     act, act_grad = _ACTIVATIONS[activation]
     out = act(out)
 
-    parents = tuple(t for t in (x, weight, bias) if t is not None)
+    parents = tuple(t for t in (x, weight, bias, skip) if t is not None)
     if not any(t.requires_grad for t in parents):
         return Tensor(out)
 
     def backward(g):
         g = act_grad(g, out)
-        g2 = g.reshape(c_out, -1)
         if bias is not None and bias.requires_grad:
-            _accum(bias, g2.sum(axis=1), own=True)
+            _accum(bias, g.reshape(c_out, -1).sum(axis=1), own=True)
+        if skip is not None and skip.requires_grad:
+            _accum(skip, g)
         if weight.requires_grad:
-            # The padded input and its im2col are recomputed rather than
-            # retained: unrolled recurrent graphs would otherwise hold them
-            # for every conv of every step.
-            xp = np.pad(x.data, ((0, 0), (p, p), (p, p)))
-            _accum(weight, (g2 @ _im2col(xp, k).T).reshape(weight.shape), own=True)
+            _accum(weight, _correlate_weight_grad(x.data, g, k), own=True)
         if x.requires_grad:
-            # Transposed convolution: the same-padded gradient correlated with
-            # the flipped kernel, input and output channels swapped.
-            wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-            gp = np.pad(g, ((0, 0), (p, p), (p, p)))
-            _accum(x, (wt @ _im2col(gp, k)).reshape(c_in, h, w), own=True)
+            _accum(x, _correlate_input_grad(weight.data, g), own=True)
+
+    return Tensor._from_op(out, parents, backward)
+
+
+def conv_gru(x, h, update_weight, update_bias, reset_weight, reset_bias,
+             candidate_weight, candidate_bias) -> Tensor:
+    """One convolutional GRU step: h' = (1-z)*h + z*c, where
+    z = sigmoid(W_z*[h,x] + b_z), r = sigmoid(W_r*[h,x] + b_r) and
+    c = tanh(W_c*[r*h,x] + b_c), each * a same-padded conv2d correlation.
+
+    x is C_x*H*W and h is C*H*W; every weight is C*(C+C_x)*k*k and every
+    bias (C,). Both gates come from one correlation over their stacked
+    weights. The node keeps only [z; r] and c: backward rebuilds [h,x] and
+    [r*h,x] from x and h.
+    """
+    x, h = _as_tensor(x), _as_tensor(h)
+    params = tuple(_as_tensor(t) for t in (update_weight, update_bias, reset_weight,
+                                           reset_bias, candidate_weight, candidate_bias))
+    wz, bz, wr, br, wc, bc = params
+    c, c_in, k = _kernel_shape(wz)
+    if wr.shape != wz.shape or wc.shape != wz.shape:
+        raise ValueError(f"gate weights {wz.shape}, {wr.shape} and {wc.shape} differ")
+    if any(b.shape != (c,) for b in (bz, br, bc)):
+        raise ValueError(f"bias shapes {bz.shape}, {br.shape}, {bc.shape} != ({c},)")
+    if h.ndim != 3 or h.shape[0] != c or x.shape != (c_in - c, *h.shape[1:]):
+        raise ValueError(f"state {h.shape} and input {x.shape} do not fit weights {wz.shape}")
+
+    sigmoid, sigmoid_grad = _ACTIVATIONS["sigmoid"]
+    tanh, tanh_grad = _ACTIVATIONS["tanh"]
+    zr = _correlate(np.concatenate([h.data, x.data]), np.concatenate([wz.data, wr.data]))
+    zr = sigmoid(zr + np.concatenate([bz.data, br.data])[:, None, None])
+    z, r = zr[:c], zr[c:]
+    cand = _correlate(np.concatenate([r * h.data, x.data]), wc.data)
+    cand = tanh(cand + bc.data[:, None, None])
+    out = (1.0 - z) * h.data + z * cand
+
+    parents = (x, h) + params
+    if not any(t.requires_grad for t in parents):
+        return Tensor(out)
+
+    def backward(g):
+        z, r = zr[:c], zr[c:]
+        g_cand = tanh_grad(g * z, cand)
+        g_rhx = _correlate_input_grad(wc.data, g_cand)
+        g_zr = sigmoid_grad(np.concatenate([g * cand - g * h.data, g_rhx[:c] * h.data]), zr)
+        g_hx = _correlate_input_grad(np.concatenate([wz.data, wr.data]), g_zr)
+        g_wzr = _correlate_weight_grad(np.concatenate([h.data, x.data]), g_zr, k)
+        g_bzr = g_zr.reshape(2 * c, -1).sum(axis=1)
+        grads = (g_rhx[c:] + g_hx[c:],
+                 g * (1.0 - z) + g_rhx[:c] * r + g_hx[:c],
+                 g_wzr[:c], g_bzr[:c], g_wzr[c:], g_bzr[c:],
+                 _correlate_weight_grad(np.concatenate([r * h.data, x.data]), g_cand, k),
+                 g_cand.reshape(c, -1).sum(axis=1))
+        for t, grad in zip(parents, grads):
+            if t.requires_grad:
+                _accum(t, grad, own=True)
 
     return Tensor._from_op(out, parents, backward)
 

@@ -33,22 +33,23 @@ class ConvLayer:
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv2d(x, self.weight, self.bias, self.activation)
+    def __call__(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
+        return ad.conv2d(x, self.weight, self.bias, self.activation, skip=skip)
 
 
 class ResidualBlock:
-    """Two same-channel 3x3 convolutions with an additive skip."""
+    """Two same-channel 3x3 convolutions, relu(conv2(relu(conv1(x))) + x); the
+    skip and the outer relu are fused into conv2's node."""
 
     def __init__(self, name: str, channels: int):
         self.conv1 = ConvLayer(f"{name}.conv1", channels, channels, activation="relu")
-        self.conv2 = ConvLayer(f"{name}.conv2", channels, channels, activation=None)
+        self.conv2 = ConvLayer(f"{name}.conv2", channels, channels, activation="relu")
 
     def parameters(self) -> list[Parameter]:
         return self.conv1.parameters() + self.conv2.parameters()
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.relu(ad.add(self.conv2(self.conv1(x)), x))
+        return self.conv2(self.conv1(x), skip=x)
 
 
 class ConvGRUCell:
@@ -56,31 +57,25 @@ class ConvGRUCell:
     [h, x], the candidate sees [r*h, x].
 
     h' = (1-z)*h + z*tanh(Wc*[r*h, x]); sigmoid gates keep the state
-    bounded whenever the candidate is tanh-bounded. Each gate and the
-    candidate is one ConvLayer with its activation fused in.
+    bounded whenever the candidate is tanh-bounded. The update gate, reset
+    gate and candidate each own a 3x3 weight and a bias; the whole step is
+    one `conv_gru` node.
     """
 
     def __init__(self, name: str, channels: int):
-        c_in = 2 * channels
         self.channels = channels
-        self.update = ConvLayer(f"{name}.update", c_in, channels, activation="sigmoid")
-        self.reset = ConvLayer(f"{name}.reset", c_in, channels, activation="sigmoid")
-        self.candidate = ConvLayer(f"{name}.candidate", c_in, channels, activation="tanh")
+        self.params = [Parameter(f"{name}.{part}.{kind}", np.zeros(shape))
+                       for part in ("update", "reset", "candidate")
+                       for kind, shape in (("weight", (channels, 2 * channels, 3, 3)),
+                                           ("bias", (channels,)))]
 
     def parameters(self) -> list[Parameter]:
-        return (self.update.parameters() + self.reset.parameters()
-                + self.candidate.parameters())
+        return list(self.params)
 
     def __call__(self, x: Tensor, h: Tensor | None) -> Tensor:
         if h is None:
             h = Tensor(np.zeros((self.channels, *x.shape[1:])))
-        if h.shape != (self.channels, x.shape[1], x.shape[2]):
-            raise ValueError(f"hidden state shape {h.shape} does not match input {x.shape}")
-        hx = ad.concat([h, x], axis=0)
-        z = self.update(hx)
-        r = self.reset(hx)
-        cand = self.candidate(ad.concat([ad.mul(r, h), x], axis=0))
-        return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, cand))
+        return ad.conv_gru(x, h, *self.params)
 
 
 class FireFlowNet:
