@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Define-by-run: every operation returns a new Tensor and, when any input
-requires gradients, records a backward closure. `backward()` on a scalar
-root accumulates gradients into the `.grad` of every reachable leaf (a
-tensor without a closure, such as a Parameter). Intermediate gradients
+Define-by-run: every operation returns a new Tensor through
+`Tensor._from_op`, which alone decides, for every op, whether it records
+a graph node and which parents that node keeps: only the inputs that
+require gradients. With none left the result is a plain constant Tensor
+and the op's backward closure is dropped. `backward()` on a scalar root
+accumulates gradients into the `.grad` of every reachable leaf (a tensor
+without a closure, such as a Parameter). Intermediate gradients
 are freed as soon as their closure has run, and each closure keeps only
 the arrays it reads.
 
@@ -13,7 +16,7 @@ have identical shapes. No operation mutates its inputs. The ops cover the
 graph the paper builds:
 
 - element-wise: add, sub, mul, div, absolute, square, sqrt;
-- structural: concat, reshape, indexing (`Tensor[...]`), gather_pixels;
+- structural: concat, reshape, basic indexing (`Tensor[...]`), gather_pixels;
 - convolution: conv2d, stride-1 and same-padded, with an optional skip
   operand and activation fused into its node; conv_gru, one ConvGRU step
   over the same correlation;
@@ -57,6 +60,9 @@ class Tensor:
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
+        parents = tuple(p for p in parents if p.requires_grad)
+        if not parents:
+            return cls(data)
         out = cls(data, requires_grad=True)
         out._parents = parents
         out._backward = backward
@@ -112,14 +118,16 @@ class Tensor:
                 node._parents = ()
 
     def __getitem__(self, key):
+        """Basic indexing only (int, slice, None, Ellipsis): an array key could
+        repeat an element, whose gradients the backward's assignment would not sum."""
+        if not all(map(_basic_index, key if isinstance(key, tuple) else (key,))):
+            raise TypeError(f"Tensor index must be int, slice, None or Ellipsis, got {key!r}")
         data = self.data[key]
-        if not self.requires_grad:
-            return Tensor(data)
         src = self
 
         def backward(g):
             full = np.zeros_like(src.data)
-            full[key] += g
+            full[key] = g
             _accum(src, full, own=True)
 
         return Tensor._from_op(data, (src,), backward)
@@ -141,6 +149,11 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+def _basic_index(k) -> bool:
+    return (k is None or k is Ellipsis or isinstance(k, slice)
+            or isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+
+
 def _toposort(root: Tensor) -> list[Tensor]:
     # Iterative post-order DFS; unrolled recurrent graphs exceed the
     # interpreter's recursion limit.
@@ -153,7 +166,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
         if i < len(node._parents):
             stack.append((node, i + 1))
             parent = node._parents[i]
-            if parent.requires_grad and id(parent) not in visited:
+            if id(parent) not in visited:
                 visited.add(id(parent))
                 stack.append((parent, 0))
         else:
@@ -187,8 +200,6 @@ def _binary(a, b, fwd, da, db) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_binary_shapes(a, b)
     data = fwd(a.data, b.data)
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(data)
 
     def backward(g):
         if a.requires_grad:
@@ -203,11 +214,10 @@ def _unary(x, fwd, dx) -> Tensor:
     x = _as_tensor(x)
     data = fwd(x.data)
 
-    if not x.requires_grad:
-        return Tensor(data)
-
     def backward(g):
-        _accum(x, dx(g, x.data, data))
+        # Every dx returns a fresh array or a view of g, the node's own
+        # gradient, which nothing else reads or writes: x may own it.
+        _accum(x, dx(g, x.data, data), own=True)
 
     return Tensor._from_op(data, (x,), backward)
 
@@ -254,22 +264,12 @@ _ACTIVATIONS = {
 
 
 def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    data = x.data.reshape(shape)
-    if not x.requires_grad:
-        return Tensor(data)
-
-    def backward(g):
-        _accum(x, g.reshape(x.shape))
-
-    return Tensor._from_op(data, (x,), backward)
+    return _unary(x, lambda v: v.reshape(shape), lambda g, x_, out: g.reshape(x_.shape))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not any(t.requires_grad for t in tensors):
-        return Tensor(data)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -355,8 +355,6 @@ def conv2d(x, weight, bias=None, activation: str | None = None, skip=None) -> Te
     out = act(out)
 
     parents = tuple(t for t in (x, weight, bias, skip) if t is not None)
-    if not any(t.requires_grad for t in parents):
-        return Tensor(out)
 
     def backward(g):
         g = act_grad(g, out)
@@ -405,8 +403,6 @@ def conv_gru(x, h, update_weight, update_bias, reset_weight, reset_bias,
     out = (1.0 - z) * h.data + z * cand
 
     parents = (x, h) + params
-    if not any(t.requires_grad for t in parents):
-        return Tensor(out)
 
     def backward(g):
         z, r = zr[:c], zr[c:]
@@ -484,9 +480,6 @@ def bilinear_sample(image, grid) -> Tensor:
     flat = image.data.reshape(c, -1)
     out = sum(wt * np.take(flat, idx, axis=1) for _, idx, wt in corners).reshape(c, *out_shape)
 
-    if not image.requires_grad:
-        return Tensor(out)
-
     def backward(g):
         gf = g.reshape(c, -1)
         grad = sum(_scatter(idx, gf * wt, h * w) for _, idx, wt in corners)
@@ -510,9 +503,6 @@ def bilinear_splat(values, pos, shape: tuple[int, int]) -> Tensor:
     corners, fx, fy = _corners(pos.data[0], pos.data[1], h, w)
     out = sum(_scatter(idx, values * wt, h * w) for _, idx, wt in corners).reshape(-1, h, w)
 
-    if not pos.requires_grad:
-        return Tensor(out)
-
     def backward(g):
         gf = g.reshape(values.shape[0], -1)
         g00, g10, g01, g11 = (np.where(ok, np.take(gf, idx, axis=1), 0.0)
@@ -531,8 +521,6 @@ def gather_pixels(field, iy: np.ndarray, ix: np.ndarray) -> Tensor:
     c, h, w = field.shape
     idx = iy * w + ix
     data = np.take(field.data.reshape(c, -1), idx, axis=1)
-    if not field.requires_grad:
-        return Tensor(data)
 
     def backward(g):
         _accum(field, _scatter(idx, g, h * w).reshape(c, h, w), own=True)
@@ -545,24 +533,8 @@ def gather_pixels(field, iy: np.ndarray, ix: np.ndarray) -> Tensor:
 
 
 def tsum(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.asarray(x.data.sum())
-    if not x.requires_grad:
-        return Tensor(data)
-
-    def backward(g):
-        _accum(x, np.full_like(x.data, float(g)), own=True)
-
-    return Tensor._from_op(data, (x,), backward)
+    return _unary(x, lambda v: np.asarray(v.sum()), lambda g, x_, out: np.full_like(x_, float(g)))
 
 
 def sum_of_squares(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.asarray((x.data * x.data).sum())
-    if not x.requires_grad:
-        return Tensor(data)
-
-    def backward(g):
-        _accum(x, 2.0 * x.data * float(g), own=True)
-
-    return Tensor._from_op(data, (x,), backward)
+    return _unary(x, lambda v: np.asarray((v * v).sum()), lambda g, x_, out: 2.0 * x_ * float(g))

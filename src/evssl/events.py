@@ -145,6 +145,11 @@ _EVT1_RECORD = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"),
 
 
 def write_binary_events(path, geometry: SensorGeometry, stream: EventStream) -> None:
+    """The header's `geometry` must be the stream's own; a mismatch raises
+    EventFormatError before `path` is opened, so a file there keeps its bytes."""
+    if geometry != stream.geometry:
+        raise EventFormatError(
+            f"geometry mismatch: header {geometry}, stream has {stream.geometry}")
     records = np.zeros(len(stream), dtype=_EVT1_RECORD)
     records["t"] = stream.t
     records["x"] = stream.x

@@ -79,10 +79,10 @@ class ConvGRUCell:
 
 
 class FireFlowNet:
-    """Three single-strided encoders, two residual blocks, 1x1 tanh head."""
+    """Three single-strided encoders, two residual blocks, 1x1 tanh head;
+    e1's conv2d checks that a voxel has `bins` channels."""
 
     def __init__(self, bins: int = 5, flow_scale: float = DEFAULT_FLOW_SCALE):
-        self.bins = bins
         self.flow_scale = flow_scale
         channels = FLOW_CHANNELS
         self.e1 = ConvLayer("e1", bins, channels)
@@ -98,21 +98,16 @@ class FireFlowNet:
 
     def __call__(self, voxel: np.ndarray, mask: np.ndarray) -> Tensor:
         """Flow (2,H,W) in pixels per partition; exactly zero off-mask."""
-        x = Tensor(voxel)
-        if x.shape[0] != self.bins:
-            raise ValueError(f"voxel has {x.shape[0]} bins, network expects {self.bins}")
-        h = self.r2(self.r1(self.e3(self.e2(self.e1(x)))))
-        flow = ad.mul(self.pred(h), self.flow_scale)
-        gate = np.broadcast_to(mask, flow.shape).astype(np.float64)
-        return ad.mul(flow, gate)
+        h = self.r2(self.r1(self.e3(self.e2(self.e1(Tensor(voxel))))))
+        return ad.mul(self.pred(h), self.flow_scale * np.broadcast_to(mask, (2, *mask.shape)))
 
 
 class ReconNet:
     """FireFlowNet layout with ConvGRU second/third encoders and a linear
-    single-channel prediction head."""
+    single-channel prediction head; the head's conv2d checks that a voxel
+    has `bins` channels."""
 
     def __init__(self, bins: int = 5):
-        self.bins = bins
         channels = RECON_CHANNELS
         self.head = ConvLayer("head", bins, channels)
         self.g1 = ConvGRUCell("g1", channels)
@@ -128,11 +123,8 @@ class ReconNet:
     def __call__(self, voxel: np.ndarray,
                  state: tuple[Tensor, Tensor] | None) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """Unbounded log-brightness image (H,W) plus the new hidden state."""
-        x = Tensor(voxel)
-        if x.shape[0] != self.bins:
-            raise ValueError(f"voxel has {x.shape[0]} bins, network expects {self.bins}")
         s1, s2 = state if state is not None else (None, None)
-        a = self.head(x)
+        a = self.head(Tensor(voxel))
         h1 = self.g1(a, s1)
         h2 = self.g2(h1, s2)
         out = self.pred(self.r2(self.r1(h2)))

@@ -9,6 +9,7 @@ event timestamp linearly interpolated inside the simulation step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,13 @@ class SyntheticScene:
     def __post_init__(self):
         if self.base.shape != (self.geometry.height, self.geometry.width):
             raise ValueError(f"pattern shape {self.base.shape} does not match geometry")
-        if self.contrast <= 0:
-            raise ValueError("contrast threshold must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        # Chained comparisons so that NaN and infinity fail too.
+        if not 0 < self.contrast < math.inf:
+            raise ValueError(f"contrast must be finite and positive, got {self.contrast}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be finite and positive, got {self.duration}")
+        if len(self.velocity) != 2 or not all(-math.inf < v < math.inf for v in self.velocity):
+            raise ValueError(f"velocity must be a finite (vx, vy), got {self.velocity}")
 
 
 def checkerboard(geometry: SensorGeometry, period: int, amplitude: float = 1.0) -> np.ndarray:
@@ -77,8 +81,8 @@ def render_scene(scene: SyntheticScene, t: float) -> np.ndarray:
 
 def generate_events(scene: SyntheticScene, timestep: float) -> EventStream:
     """Per-pixel integrate-and-fire simulation of the translating scene."""
-    if timestep <= 0:
-        raise ValueError("timestep must be positive")
+    if not 0 < timestep < math.inf:
+        raise ValueError(f"timestep must be finite and positive, got {timestep}")
     c = scene.contrast
     n_steps = int(np.ceil(scene.duration / timestep))
     h, w = scene.base.shape

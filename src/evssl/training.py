@@ -168,7 +168,8 @@ def _flow_update(net: FireFlowNet, opt: Adam, step: Step, config: TrainConfig,
 
 def train_flow(sequences: list[list[EventStream]], config: TrainConfig,
                net: FireFlowNet | None = None) -> tuple[FireFlowNet, Curve]:
-    """Contrast-maximization training of the flow network."""
+    """Contrast-maximization training of the flow network. A pause (no
+    events) has zero loss and gradient and gets no update, as in `train_recon`."""
     if not sequences:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(config.seed)
@@ -179,7 +180,8 @@ def train_flow(sequences: list[list[EventStream]], config: TrainConfig,
     curve: Curve = []
     for steps in _epoch_steps(sequences, config, rng, 1):
         for step in steps:
-            _flow_update(net, opt, step, config, curve)
+            if len(step[0]):
+                _flow_update(net, opt, step, config, curve)
     return net, curve
 
 

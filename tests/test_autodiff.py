@@ -176,6 +176,81 @@ def test_detach_blocks_gradient_and_keeps_values():
     assert not cut.detach().requires_grad  # idempotent
 
 
+def _constant(*shape):
+    return Tensor(np.linspace(0.5, 1.5, int(np.prod(shape))).reshape(shape))
+
+
+# Every public op, and Tensor[...], applied to constant inputs only.
+CONSTANT_OPS = {
+    "add": lambda: ad.add(_constant(3, 4), _constant(3, 4)),
+    "sub": lambda: ad.sub(_constant(3, 4), 2.0),
+    "mul": lambda: ad.mul(_constant(3, 4), _constant(3, 4)),
+    "div": lambda: ad.div(_constant(3, 4), _constant(3, 4)),
+    "absolute": lambda: ad.absolute(_constant(3, 4)),
+    "square": lambda: ad.square(_constant(3, 4)),
+    "sqrt": lambda: ad.sqrt(_constant(3, 4)),
+    "concat": lambda: ad.concat([_constant(2, 4), _constant(3, 4)]),
+    "reshape": lambda: ad.reshape(_constant(3, 4), (4, 3)),
+    "getitem": lambda: _constant(3, 4)[1:, 2],
+    "conv2d": lambda: ad.conv2d(_constant(2, 4, 4), _constant(3, 2, 3, 3), _constant(3),
+                                "relu", skip=_constant(3, 4, 4)),
+    "conv_gru": lambda: ad.conv_gru(_constant(1, 4, 4), _constant(2, 4, 4),
+                                    *[_constant(2, 3, 3, 3), _constant(2)] * 3),
+    "bilinear_sample": lambda: ad.bilinear_sample(_constant(2, 4, 4), np.ones((2, 3, 3))),
+    "bilinear_splat": lambda: ad.bilinear_splat(np.ones((2, 5)), _constant(2, 5), (4, 4)),
+    "gather_pixels": lambda: ad.gather_pixels(_constant(2, 4, 4), np.array([0, 3]),
+                                              np.array([1, 1])),
+    "tsum": lambda: ad.tsum(_constant(3, 4)),
+    "sum_of_squares": lambda: ad.sum_of_squares(_constant(3, 4)),
+}
+
+
+def test_constant_op_cases_cover_every_public_op():
+    assert set(CONSTANT_OPS) - {"getitem"} == set(ad.__all__) - {"Tensor", "Parameter"}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_OPS))
+def test_op_on_constants_returns_a_leaf(name):
+    out = CONSTANT_OPS[name]()
+    assert not out.requires_grad
+    assert out._parents == ()
+    assert out._backward is None
+
+
+def test_node_keeps_only_parents_that_require_gradients():
+    p = Parameter("p", [1.0, 2.0])
+    out = ad.mul(p, Tensor([3.0, 4.0]))
+    assert len(out._parents) == 1 and out._parents[0] is p
+
+
+ADVANCED_KEYS = {
+    "int-array": np.array([0, 0, 1]),
+    "list": [0, 0, 1],
+    "bool-array": np.array([True, False, True, False]),
+    "bool": True,
+    "numpy-bool": np.bool_(False),
+    "tuple-with-array": (slice(None), np.array([0])),
+}
+
+
+@pytest.mark.parametrize("key", ADVANCED_KEYS.values(), ids=ADVANCED_KEYS.keys())
+def test_getitem_rejects_advanced_keys(key):
+    # tsum(p[[0, 0, 1]]) would get gradient [1, 1, 0, 0] for p[0], not [2, 1, 0, 0].
+    p = Parameter("p", [[1.0, 2.0, 3.0, 4.0]] * 4)
+    with pytest.raises(TypeError, match="int, slice, None or Ellipsis"):
+        p[key]
+
+
+def test_getitem_accepts_basic_keys():
+    p = Parameter("p", np.arange(24.0).reshape(2, 3, 4))
+    for key in (1, np.int64(-1), slice(None, None, -1), (Ellipsis, 2), (None, 0, slice(1, 3))):
+        assert np.array_equal(p[key].data, p.data[key])
+    ad.tsum(p[0, ::2, None, -1]).backward()
+    expected = np.zeros((2, 3, 4))
+    expected[0, ::2, -1] = 1.0
+    assert np.array_equal(p.grad, expected)
+
+
 # ---------------------------------------------------------------------------
 # gradient suite: elementwise ops
 

@@ -146,6 +146,21 @@ def test_binary_geometry_check(tmp_path):
         ev.read_binary_events(path, ev.SensorGeometry(64, 64))
 
 
+@pytest.mark.parametrize("stream_side,header_side", [(8, 16), (16, 8)])
+def test_binary_write_rejects_header_geometry_of_another_stream(tmp_path, stream_side,
+                                                                header_side):
+    # 8x8 written as 16x16 would read back silently as a 16x16 stream.
+    geometry = ev.SensorGeometry(stream_side, stream_side)
+    stream = ev.make_stream([0, 5], [1, 7], [2, 7], [1, -1], geometry)
+    path = tmp_path / "kept.evt1"
+    path.write_bytes(b"existing bytes")
+    header = ev.SensorGeometry(header_side, header_side)
+    with pytest.raises(ev.EventFormatError, match="geometry mismatch") as info:
+        ev.write_binary_events(path, header, stream)
+    assert str(header) in str(info.value) and str(geometry) in str(info.value)
+    assert path.read_bytes() == b"existing bytes"
+
+
 def _corrupt_evt1(tmp_path, offset, value: bytes):
     """One-event 16x16 EVT1 file with `value` written `offset` bytes into
     its record (t at 0, x at 8, y at 10, polarity at 12, pad at 13)."""

@@ -65,8 +65,9 @@ def test_fireflownet_output_bounded_by_flow_scale():
 
 
 def test_fireflownet_channel_mismatch():
+    # e1's conv2d checks the bin count against its weight.
     net = _init_flow_net()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="channel mismatch"):
         net(np.zeros((3, 8, 8)), np.ones((8, 8), dtype=bool))
 
 
@@ -107,6 +108,12 @@ def test_reconnet_deterministic_forward():
     assert np.array_equal(out1.data, out2.data)
     assert np.array_equal(s1[0].data, s2[0].data)
     assert np.array_equal(s1[1].data, s2[1].data)
+
+
+def test_reconnet_channel_mismatch():
+    # The head's conv2d checks the bin count against its weight.
+    with pytest.raises(ValueError, match="channel mismatch"):
+        _init_recon_net()(np.zeros((4, 8, 8)), None)
 
 
 def test_reconnet_state_shape_mismatch():

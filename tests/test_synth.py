@@ -107,6 +107,25 @@ def test_timestep_precondition_violation_suggests_smaller_step():
         synth.generate_events(scene, 0.25)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("contrast", np.nan), ("contrast", np.inf), ("contrast", 0.0),
+    ("duration", np.nan), ("duration", np.inf), ("duration", -1.0),
+    ("velocity", (np.nan, 0.0)), ("velocity", (0.0, -np.inf)), ("velocity", (1.0,)),
+    ("timestep", np.nan), ("timestep", np.inf), ("timestep", 0.0)])
+def test_synthesis_rejects_non_finite_or_non_positive_inputs(field, value):
+    # Before these checks NaN contrast gave 0 events, NaN or infinite
+    # duration failed in int(), a short or non-finite velocity failed in
+    # render_scene, and an infinite timestep gave no steps.
+    kw = dict(contrast=0.25, duration=1.0, velocity=(1.0, 0.0))
+    timestep = 1e-2
+    if field == "timestep":
+        timestep = value
+    else:
+        kw[field] = value
+    with pytest.raises(ValueError, match=field):
+        synth.generate_events(scene_with(synth.checkerboard(GEOM, 4), **kw), timestep)
+
+
 def test_mirrored_velocity_produces_x_flipped_stream():
     # Symmetric pattern, dyadic velocity and timestep: the two runs are
     # bit-exact mirrors of each other, timestamps included.

@@ -80,14 +80,16 @@ def test_train_recon_same_seed_same_run():
     _assert_same_run(a.curve, b.curve, a.recon_net, b.recon_net)
 
 
-def test_pause_adds_one_flow_update_per_sequence():
+def test_pause_gets_no_flow_update():
+    # A pause has zero loss and gradient; an Adam step on it would still
+    # move every parameter by the momentum of earlier steps.
     seqs = _sequences([3, 2, 4])
     no_pause = AugmentConfig(0.0, 0.0, 0.0, pause_prob=0.0)
     always = AugmentConfig(0.0, 0.0, 0.0, pause_prob=1.0)
-    _, plain = training.train_flow(seqs, _config(augment=no_pause))
-    _, paused = training.train_flow(seqs, _config(augment=always))
+    net_a, plain = training.train_flow(seqs, _config(augment=no_pause))
+    net_b, paused = training.train_flow(seqs, _config(augment=always))
     assert len(plain) == 2 * 9
-    assert len(paused) == len(plain) + 2 * len(seqs)
+    _assert_same_run(plain, paused, net_a, net_b)
 
 
 def test_recon_skips_short_sequence_with_warning():
