@@ -8,7 +8,9 @@ and the op's backward closure is dropped. `backward()` on a scalar root
 accumulates gradients into the `.grad` of every reachable leaf (a tensor
 without a closure, such as a Parameter). Intermediate gradients
 are freed as soon as their closure has run, and each closure keeps only
-the arrays it reads.
+the arrays it reads. Gradients are handed over, never copied, and never
+written in place: code that changes a `.grad` rebinds it. So two leaves
+may share one gradient array, as both inputs of `add` do.
 
 Ops are module functions only; Tensor has no arithmetic operators.
 Broadcasting is restricted to scalar-with-tensor; all other operands must
@@ -128,7 +130,7 @@ class Tensor:
         def backward(g):
             full = np.zeros_like(src.data)
             full[key] = g
-            _accum(src, full, own=True)
+            _accum(src, full)
 
         return Tensor._from_op(data, (src,), backward)
 
@@ -174,11 +176,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return topo
 
 
-def _accum(t: Tensor, g: np.ndarray, own: bool = False) -> None:
-    if t.grad is None:
-        t.grad = g if own else np.array(g)
-    else:
-        t.grad = t.grad + g
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _as_tensor(x) -> Tensor:
@@ -215,9 +214,7 @@ def _unary(x, fwd, dx) -> Tensor:
     data = fwd(x.data)
 
     def backward(g):
-        # Every dx returns a fresh array or a view of g, the node's own
-        # gradient, which nothing else reads or writes: x may own it.
-        _accum(x, dx(g, x.data, data), own=True)
+        _accum(x, dx(g, x.data, data))
 
     return Tensor._from_op(data, (x,), backward)
 
@@ -359,13 +356,13 @@ def conv2d(x, weight, bias=None, activation: str | None = None, skip=None) -> Te
     def backward(g):
         g = act_grad(g, out)
         if bias is not None and bias.requires_grad:
-            _accum(bias, g.reshape(c_out, -1).sum(axis=1), own=True)
+            _accum(bias, g.reshape(c_out, -1).sum(axis=1))
         if skip is not None and skip.requires_grad:
             _accum(skip, g)
         if weight.requires_grad:
-            _accum(weight, _correlate_weight_grad(x.data, g, k), own=True)
+            _accum(weight, _correlate_weight_grad(x.data, g, k))
         if x.requires_grad:
-            _accum(x, _correlate_input_grad(weight.data, g), own=True)
+            _accum(x, _correlate_input_grad(weight.data, g))
 
     return Tensor._from_op(out, parents, backward)
 
@@ -419,7 +416,7 @@ def conv_gru(x, h, update_weight, update_bias, reset_weight, reset_bias,
                  g_cand.reshape(c, -1).sum(axis=1))
         for t, grad in zip(parents, grads):
             if t.requires_grad:
-                _accum(t, grad, own=True)
+                _accum(t, grad)
 
     return Tensor._from_op(out, parents, backward)
 
@@ -483,7 +480,7 @@ def bilinear_sample(image, grid) -> Tensor:
     def backward(g):
         gf = g.reshape(c, -1)
         grad = sum(_scatter(idx, gf * wt, h * w) for _, idx, wt in corners)
-        _accum(image, grad.reshape(c, h, w), own=True)
+        _accum(image, grad.reshape(c, h, w))
 
     return Tensor._from_op(out, (image,), backward)
 
@@ -509,7 +506,7 @@ def bilinear_splat(values, pos, shape: tuple[int, int]) -> Tensor:
                               for ok, idx, _ in corners)
         gx = values * ((1.0 - fy) * (g10 - g00) + fy * (g11 - g01))
         gy = values * ((1.0 - fx) * (g01 - g00) + fx * (g11 - g10))
-        _accum(pos, np.stack([gx.sum(axis=0), gy.sum(axis=0)]), own=True)
+        _accum(pos, np.stack([gx.sum(axis=0), gy.sum(axis=0)]))
 
     return Tensor._from_op(out, (pos,), backward)
 
@@ -523,7 +520,7 @@ def gather_pixels(field, iy: np.ndarray, ix: np.ndarray) -> Tensor:
     data = np.take(field.data.reshape(c, -1), idx, axis=1)
 
     def backward(g):
-        _accum(field, _scatter(idx, g, h * w).reshape(c, h, w), own=True)
+        _accum(field, _scatter(idx, g, h * w).reshape(c, h, w))
 
     return Tensor._from_op(data, (field,), backward)
 

@@ -35,14 +35,23 @@ class ConfigurationError(ValueError):
     """Invalid derived configuration value."""
 
 
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SensorGeometry:
     width: int
     height: int
 
     def __post_init__(self):
-        if self.width < 8 or self.height < 8:
-            raise ValueError(f"geometry must be at least 8x8, got {self.width}x{self.height}")
+        if not all(is_int(side) and side >= 8 for side in (self.width, self.height)):
+            raise ValueError(
+                f"geometry must be at least 8x8 integer pixels, got {self.width!r}x{self.height!r}")
+        # As Python ints: numpy sides such as uint16 overflow in `pixels`.
+        object.__setattr__(self, "width", int(self.width))
+        object.__setattr__(self, "height", int(self.height))
 
     @property
     def pixels(self) -> int:
@@ -212,8 +221,8 @@ def events_per_pixel_count(geometry: SensorGeometry, density: float) -> int:
 
 def partition_by_count(stream: EventStream, n: int) -> list[EventStream]:
     """Consecutive disjoint partitions of exactly n events; remainder dropped."""
-    if n < 2:
-        raise ConfigurationError(f"partition size must be >= 2, got {n}")
+    if not is_int(n) or n < 2:
+        raise ConfigurationError(f"partition size must be an integer >= 2, got {n!r}")
     back = np.flatnonzero(stream.t[1:] < stream.t[:-1])
     if back.size:
         raise ValueError(f"event {back[0] + 1}: timestamp decreases")

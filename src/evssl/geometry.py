@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .events import EventStream
+from .events import EventStream, is_int
 
 # Divisions the formulation writes with an "epsilon close to zero";
 # 1e-9 sits far below any event count.
@@ -64,8 +64,8 @@ def build_voxel_grid(partition: EventStream, bins: int) -> np.ndarray:
     the grid over bins recovers the per-pixel signed polarity sum.
     """
     _require_normalized(partition)
-    if bins < 2:
-        raise ValueError(f"bin count must be >= 2, got {bins}")
+    if not is_int(bins) or bins < 2:
+        raise ValueError(f"bin count must be an integer >= 2, got {bins!r}")
     h, w = partition.geometry.height, partition.geometry.width
     tb = partition.t_star * (bins - 1)
     b0 = np.minimum(np.floor(tb).astype(np.int64), bins - 1)

@@ -80,9 +80,12 @@ class ConvGRUCell:
 
 class FireFlowNet:
     """Three single-strided encoders, two residual blocks, 1x1 tanh head;
-    e1's conv2d checks that a voxel has `bins` channels."""
+    e1's conv2d checks that a voxel has `bins` channels. It alone holds
+    and checks `flow_scale`, its largest flow in pixels per partition."""
 
     def __init__(self, bins: int = 5, flow_scale: float = DEFAULT_FLOW_SCALE):
+        if not 0 < flow_scale < np.inf:  # chained, so that NaN fails too
+            raise ValueError(f"flow scale must be finite and positive, got {flow_scale}")
         self.flow_scale = flow_scale
         channels = FLOW_CHANNELS
         self.e1 = ConvLayer("e1", bins, channels)

@@ -29,6 +29,8 @@ class SyntheticScene:
     def __post_init__(self):
         if self.base.shape != (self.geometry.height, self.geometry.width):
             raise ValueError(f"pattern shape {self.base.shape} does not match geometry")
+        if not np.isfinite(self.base).all():
+            raise ValueError("pattern must be finite")
         # Chained comparisons so that NaN and infinity fail too.
         if not 0 < self.contrast < math.inf:
             raise ValueError(f"contrast must be finite and positive, got {self.contrast}")

@@ -3,6 +3,7 @@
 The two networks only share values, never gradients: the reconstruction
 loop asks one flow provider per step and detaches the flow it returns,
 whether a fixed flow, a frozen network or a jointly trained one made it.
+One flow-update provider serves `train_flow` and joint `train_recon` alike.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor, add
 from .events import (AugmentConfig, EventStream, apply_augmentation,
-                     draw_augmentation, empty_stream)
+                     draw_augmentation, empty_stream, is_int)
 from .geometry import as_flow, build_voxel_grid, event_mask
 from .losses import (LossReport, LossWeights, flow_total_loss,
                      photometric_loss, predicted_increment, recon_total_loss,
                      reference_increment, temporal_loss, tv_loss, warp_previous)
-from .networks import (DEFAULT_FLOW_SCALE, FireFlowNet, ReconNet, detach_state,
-                       init_parameters)
+from .networks import FireFlowNet, ReconNet, detach_state, init_parameters
 from .synth import ground_truth_flow
 
 GRAD_CLIP_NORM = 100.0
@@ -39,18 +39,18 @@ class TrainConfig:
     unroll_steps: int = 20     # S: recurrent steps per reconstruction update
     tc_start_step: int = 10    # S0: first step the temporal term covers
     bins: int = 5
-    flow_scale: float = DEFAULT_FLOW_SCALE
     seed: int = 0
     grad_clip_enabled: bool = False
     weights: LossWeights = field(default_factory=LossWeights)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
+        for name in ("epochs", "unroll_steps", "tc_start_step", "bins"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # Chained comparisons so that NaN and infinity fail too.
         if not 0 < self.lr < math.inf:
             raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
-        if not 0 < self.flow_scale < math.inf:
-            raise ValueError(f"flow scale must be finite and positive, got {self.flow_scale}")
         if not 0 <= self.tc_start_step <= self.unroll_steps:
             raise ValueError(
                 f"need 0 <= S0 <= S, got S0={self.tc_start_step}, S={self.unroll_steps}")
@@ -108,8 +108,8 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
     return norm
 
 
-def _optimize(loss: Tensor, report: LossReport, params: list[Parameter], opt: Adam,
-              config: TrainConfig, curve: Curve, name: str) -> None:
+def _optimize(loss: Tensor, report: LossReport, opt: Adam, config: TrainConfig,
+              curve: Curve, name: str) -> None:
     """One update from `loss`; its report joins `curve` as the next step."""
     step = len(curve)
     value = loss.item()
@@ -117,11 +117,11 @@ def _optimize(loss: Tensor, report: LossReport, params: list[Parameter], opt: Ad
         raise FloatingPointError(f"non-finite loss at {name} step {step}: {value}")
     opt.zero_grad()
     loss.backward()
-    for p in params:
+    for p in opt.params:
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise FloatingPointError(f"non-finite gradient of {p.name!r} at {name} step {step}")
     if config.grad_clip_enabled:
-        clip_gradients(params, GRAD_CLIP_NORM)
+        clip_gradients(opt.params, GRAD_CLIP_NORM)
     opt.step()
     curve.append((step, report))
 
@@ -154,16 +154,20 @@ def _epoch_steps(sequences, config: TrainConfig, rng: np.random.Generator,
             yield (_voxel_step(p, config.bins) for p in parts)
 
 
-def _flow_update(net: FireFlowNet, opt: Adam, step: Step, config: TrainConfig,
-                 curve: Curve) -> Tensor:
-    """One contrast-maximization update; returns the flow it was computed from."""
-    partition, voxel, mask = step
-    flow = net(voxel, mask)
-    if not np.isfinite(flow.data).all():
-        raise FloatingPointError(f"non-finite flow at flow step {len(curve)}")
-    _optimize(*flow_total_loss(partition, flow, config.weights), net.parameters(), opt,
-              config, curve, "flow")
-    return flow
+def _flow_updates(net: FireFlowNet, config: TrainConfig, curve: Curve):
+    """The flow provider that trains `net`: each call makes one
+    contrast-maximization update on the partition, appends its report to
+    `curve` and returns the flow the update was computed from."""
+    opt = Adam(net.parameters(), config.lr)
+
+    def update(partition, voxel, mask) -> Tensor:
+        flow = net(voxel, mask)
+        if not np.isfinite(flow.data).all():
+            raise FloatingPointError(f"non-finite flow at flow step {len(curve)}")
+        _optimize(*flow_total_loss(partition, flow, config.weights), opt, config, curve, "flow")
+        return flow
+
+    return update
 
 
 def train_flow(sequences: list[list[EventStream]], config: TrainConfig,
@@ -174,14 +178,14 @@ def train_flow(sequences: list[list[EventStream]], config: TrainConfig,
         raise ValueError("empty dataset")
     rng = np.random.default_rng(config.seed)
     if net is None:
-        net = FireFlowNet(bins=config.bins, flow_scale=config.flow_scale)
+        net = FireFlowNet(bins=config.bins)
         init_parameters(net, rng)
-    opt = Adam(net.parameters(), config.lr)
     curve: Curve = []
+    update = _flow_updates(net, config, curve)
     for steps in _epoch_steps(sequences, config, rng, 1):
-        for step in steps:
-            if len(step[0]):
-                _flow_update(net, opt, step, config, curve)
+        for partition, voxel, mask in steps:
+            if len(partition):
+                update(partition, voxel, mask)
     return net, curve
 
 
@@ -218,15 +222,11 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
         recon_net = ReconNet(bins=config.bins)
         init_parameters(recon_net, rng)
     if flow_provider is None and flow_net is None:
-        flow_net = FireFlowNet(bins=config.bins, flow_scale=config.flow_scale)
+        flow_net = FireFlowNet(bins=config.bins)
         init_parameters(flow_net, rng)
     result = ReconTrainResult(recon_net, flow_net)
     if flow_provider is None:
-        opt_f = Adam(flow_net.parameters(), config.lr)
-
-        def flow_provider(partition, voxel, mask):
-            return _flow_update(flow_net, opt_f, (partition, voxel, mask), config,
-                                result.flow_curve)
+        flow_provider = _flow_updates(flow_net, config, result.flow_curve)
     opt_r = Adam(recon_net.parameters(), config.lr)
     weights = config.weights
     for steps in _epoch_steps(sequences, config, rng, window):
@@ -250,8 +250,8 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
             l_prev = l_k
             k += 1
             if k == window:
-                _optimize(*recon_total_loss(pe, tc, tv, weights),
-                          recon_net.parameters(), opt_r, config, result.curve, "recon")
+                _optimize(*recon_total_loss(pe, tc, tv, weights), opt_r, config, result.curve,
+                          "recon")
                 state = detach_state(state)
                 l_prev = l_prev.detach()
                 k, pe, tc, tv = 0, 0.0, 0.0, 0.0

@@ -95,6 +95,17 @@ def test_backward_accumulates_over_reuse():
     assert np.array_equal(w.grad, [2.0, 2.0])
 
 
+def test_backward_hands_gradients_over_without_copying():
+    # Both inputs of add receive the node's gradient itself; a later
+    # contribution makes a new array instead of writing into the shared one.
+    a, b = Parameter("a", [1.0, 2.0]), Parameter("b", [3.0, 4.0])
+    ad.tsum(ad.add(a, b)).backward()
+    assert a.grad is b.grad
+    ad.add(ad.tsum(a), ad.tsum(ad.mul(a, 2.0))).backward()
+    assert np.array_equal(a.grad, [4.0, 4.0])
+    assert np.array_equal(b.grad, [1.0, 1.0])
+
+
 def test_backward_requires_scalar_root():
     w = Parameter("w", [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -503,6 +514,13 @@ def test_conv2d_rejects_skip_of_another_shape():
             ad.conv2d(x, w, skip=Tensor(np.zeros(shape)))
 
 
+@pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), ()])
+def test_conv2d_rejects_bias_of_another_shape(shape):
+    x, w = Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((2, 1, 3, 3)))
+    with pytest.raises(ValueError, match="bias shape"):
+        ad.conv2d(x, w, Tensor(np.zeros(shape)))
+
+
 # ---------------------------------------------------------------------------
 # conv_gru
 
@@ -581,6 +599,19 @@ def test_conv_gru_rejects_state_or_input_that_does_not_fit():
                              ((3, 4, 5), (2, 20))):
         with pytest.raises(ValueError, match="do not fit"):
             ad.conv_gru(Tensor(np.zeros(x_shape)), Tensor(np.zeros(h_shape)), *params)
+
+
+# Replaced operand, by its index among (update, reset, candidate) x
+# (weight, bias) of a cell with 2 state and 3 input channels.
+@pytest.mark.parametrize("index,shape,match", [
+    (2, (2, 6, 3, 3), "gate weights"), (4, (3, 5, 3, 3), "gate weights"),
+    (4, (2, 5, 1, 1), "gate weights"), (1, (3,), "bias shapes"),
+    (3, (2, 1), "bias shapes"), (5, (), "bias shapes")])
+def test_conv_gru_rejects_gate_weights_or_biases_that_differ(index, shape, match):
+    params = gru_parameters(np.random.default_rng(0), 2, 3)
+    params[index] = Tensor(np.zeros(shape))
+    with pytest.raises(ValueError, match=match):
+        ad.conv_gru(Tensor(np.zeros((3, 4, 5))), Tensor(np.zeros((2, 4, 5))), *params)
 
 
 # ---------------------------------------------------------------------------
@@ -684,3 +715,16 @@ def test_sample_and_splat_reject_tensor_constants():
         ad.bilinear_sample(Tensor(np.zeros((1, 2, 2))), Tensor(_identity_grid(2, 2)))
     with pytest.raises(TypeError, match="constant array"):
         ad.bilinear_splat(Parameter("v", [[1.0]]), Tensor([[0.5], [0.5]]), (2, 2))
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3, 2, 2), (1, 2, 2), (2, 2, 2, 1)])
+def test_bilinear_sample_rejects_grid_of_another_shape(shape):
+    with pytest.raises(ValueError, match=r"grid must be \(2,H,W\)"):
+        ad.bilinear_sample(Tensor(np.zeros((1, 2, 2))), np.zeros(shape))
+
+
+@pytest.mark.parametrize("values_shape,pos_shape", [
+    ((3,), (2, 3)), ((1, 1, 3), (2, 3)), ((1, 3), (2, 4)), ((1, 3), (3, 3)), ((1, 3), (6,))])
+def test_bilinear_splat_rejects_values_or_positions_of_another_shape(values_shape, pos_shape):
+    with pytest.raises(ValueError, match=r"values must be \(C,N\) and pos \(2,N\)"):
+        ad.bilinear_splat(np.zeros(values_shape), Tensor(np.zeros(pos_shape)), (4, 4))

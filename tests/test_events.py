@@ -266,7 +266,9 @@ def test_events_per_pixel_count_rejects_non_finite_or_non_positive_density(densi
     ("x", np.array([2.9]), ValueError, "integers"),
     ("x", np.array([np.nan]), ValueError, "integers"),
     ("p", [257], ValueError, "polarity"),
-    ("t", [-5], ValueError, "non-negative")])
+    ("t", [-5], ValueError, "non-negative"),
+    ("x", np.array([1, 2]), ValueError, "column lengths differ"),
+    ("t", np.zeros(0, dtype=np.int64), ValueError, "column lengths differ")])
 def test_make_stream_rejects_values_its_columns_cannot_hold(column, value, error, match):
     columns = dict(t=np.array([0]), x=np.array([1]), y=np.array([1]), p=np.array([1]))
     columns[column] = value
@@ -277,6 +279,23 @@ def test_make_stream_rejects_values_its_columns_cannot_hold(column, value, error
 def test_geometry_minimum_size():
     with pytest.raises(ValueError):
         ev.SensorGeometry(2, 2)
+
+
+# A float or NaN side would give a float or NaN `pixels`.
+@pytest.mark.parametrize("width,height", [
+    (16.5, 16), (np.nan, 16), (16, 16.0), (np.float64(16), 16), ("16", 16), (16, None),
+    (7, 16), (16, np.int64(7))])
+def test_geometry_rejects_sides_that_are_not_integers_of_at_least_eight(width, height):
+    with pytest.raises(ValueError, match="geometry must be at least 8x8 integer pixels"):
+        ev.SensorGeometry(width, height)
+
+
+def test_geometry_accepts_numpy_integers_as_python_ints():
+    # A uint16 product would overflow at 300x300.
+    geometry = ev.SensorGeometry(np.uint16(300), np.int64(300))
+    assert geometry.pixels == 90_000
+    assert type(geometry.width) is int and type(geometry.height) is int
+    assert geometry == ev.SensorGeometry(300, 300)
 
 
 def _stream_of(n, geometry=GEOM):
@@ -299,6 +318,13 @@ def test_partition_rejects_decreasing_timestamps():
     stream = ev.make_stream([50, 60, 10, 20], [1, 2, 3, 4], [1, 2, 3, 4], [1, -1, 1, -1], GEOM)
     with pytest.raises(ValueError, match="event 2: timestamp decreases"):
         ev.partition_by_count(stream, 2)
+
+
+# A float size would fail late, in `range`, with a bare TypeError.
+@pytest.mark.parametrize("n", [1, 0, -4, 2.5, 4.0, np.float64(3.0), np.nan, True, "4"])
+def test_partition_by_count_rejects_size_that_is_not_an_integer_of_at_least_two(n):
+    with pytest.raises(ev.ConfigurationError, match="partition size must be an integer >= 2"):
+        ev.partition_by_count(_stream_of(10), n)
 
 
 def test_partitions_are_disjoint_and_ordered():
@@ -333,6 +359,11 @@ def test_normalize_two_events():
                              np.ones(2, dtype=np.int8), GEOM)
     out = ev.normalize_timestamps(part)
     assert np.array_equal(out.t_star, [0.0, 1.0])
+
+
+def test_normalize_rejects_empty_partition():
+    with pytest.raises(ValueError, match="cannot normalize an empty partition"):
+        ev.normalize_timestamps(_stream_of(0))
 
 
 def test_normalize_rejects_unsorted():

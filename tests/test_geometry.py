@@ -70,6 +70,14 @@ def test_voxel_empty_partition_needs_normalization():
         geo.build_voxel_grid(part, 5)
 
 
+# A float count would fail late, in numpy's casting, with a bare TypeError.
+@pytest.mark.parametrize("bins", [1, 0, -3, 2.5, 5.0, np.nan, True])
+def test_voxel_rejects_bin_count_that_is_not_an_integer_of_at_least_two(bins):
+    part = partition_from([(0, 1, 1, 1), (10, 2, 2, 1)])
+    with pytest.raises(ValueError, match="bin count must be an integer >= 2"):
+        geo.build_voxel_grid(part, bins)
+
+
 # ---------------------------------------------------------------------------
 # event mask
 
@@ -131,6 +139,13 @@ def test_warp_rejects_other_t_ref():
     part = partition_from([(0, 1, 1, 1), (10, 2, 2, 1)])
     with pytest.raises(ValueError):
         geo.warp_events(part, zero_flow(), 0.5)
+
+
+@pytest.mark.parametrize("shape", [(2, 16, 15), (2, 15, 16), (2, 8, 8)])
+def test_warp_rejects_flow_of_another_shape(shape):
+    part = partition_from([(0, 1, 1, 1), (10, 2, 2, 1)])
+    with pytest.raises(ValueError, match=r"flow shape .* != \(2, 16, 16\)"):
+        geo.warp_events(part, np.zeros(shape), 1.0)
 
 
 # ---------------------------------------------------------------------------

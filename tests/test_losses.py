@@ -86,6 +86,14 @@ def test_charbonnier_constant_flow_is_zero():
     assert losses.charbonnier_smoothness(flow).item() == 0.0
 
 
+@pytest.mark.parametrize("value", [0.0, 3.25, -40.0])
+def test_charbonnier_of_a_one_pixel_flow_is_zero(value):
+    # No forward difference fits in a 1x1 field.
+    flow = Parameter("flow", np.full((2, 1, 1), value))
+    loss = losses.charbonnier_smoothness(flow)
+    assert loss.item() == 0.0 and not loss.requires_grad
+
+
 def test_charbonnier_unit_step_reference_value():
     # One horizontal difference location on a 1x2 field carrying a unit
     # step in u: sqrt(1 + eta^2) - eta.

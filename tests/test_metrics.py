@@ -107,6 +107,12 @@ def test_frame_metrics_mse():
     assert mse == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("shape", [(12, 13), (13, 12), (1, 12, 12)])
+def test_frame_metrics_shape_mismatch(shape):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        metrics.frame_metrics(np.zeros((12, 12)), np.zeros(shape))
+
+
 def test_frame_metrics_and_ssim_accept_nested_lists():
     rng = np.random.default_rng(0)
     a, b = rng.random((12, 12)), rng.random((12, 12))

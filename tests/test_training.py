@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evssl import autodiff as ad
-from evssl import training
-from evssl.events import AugmentConfig, SensorGeometry, empty_stream
+from evssl import losses, metrics, synth, training
+from evssl.events import (AugmentConfig, SensorGeometry, empty_stream, events_per_pixel_count,
+                          normalize_timestamps, partition_by_count)
 from evssl.geometry import build_voxel_grid, event_mask
-from evssl.losses import LossReport, LossWeights, contrast_loss, reference_increment
-from evssl.networks import FireFlowNet, ReconNet, init_parameters
+from evssl.losses import (LossReport, LossWeights, contrast_loss, flow_total_loss,
+                          reference_increment)
+from evssl.networks import DEFAULT_FLOW_SCALE, FireFlowNet, ReconNet, init_parameters
 from evssl.training import CheckpointError, TrainConfig
 
 from conftest import corrupted, random_partition
@@ -47,17 +49,45 @@ def _constant_flow(partition, voxel, mask):
     return np.full((2, *mask.shape), 0.5)
 
 
+def _zero_flow(partition, voxel, mask):
+    return np.zeros((2, *mask.shape))
+
+
+def _flow_net(seed=0, flow_scale=DEFAULT_FLOW_SCALE):
+    net = FireFlowNet(bins=5, flow_scale=flow_scale)
+    init_parameters(net, np.random.default_rng(seed))
+    return net
+
+
+def _frozen(net):
+    return lambda partition, voxel, mask: net(voxel, mask)
+
+
 @pytest.mark.parametrize("config,kw", [
     (TrainConfig, dict(lr=np.nan)), (TrainConfig, dict(lr=np.inf)),
-    (TrainConfig, dict(flow_scale=0.0)), (TrainConfig, dict(flow_scale=-1.0)),
-    (TrainConfig, dict(flow_scale=np.nan)), (TrainConfig, dict(flow_scale=np.inf)),
+    (FireFlowNet, dict(flow_scale=0.0)), (FireFlowNet, dict(flow_scale=-1.0)),
+    (FireFlowNet, dict(flow_scale=np.nan)), (FireFlowNet, dict(flow_scale=np.inf)),
     (LossWeights, dict(lambda1=np.nan)), (LossWeights, dict(lambda2=np.inf)),
     (LossWeights, dict(lambda3=np.nan)), (LossWeights, dict(c_pos=np.nan)),
-    (LossWeights, dict(c_neg=np.inf))])
+    (LossWeights, dict(c_neg=np.inf)), (TrainConfig, dict(epochs=-1))])
 def test_config_rejects_non_finite_or_non_positive_values(config, kw):
     # NaN passes `x < 0` and `x <= 0` alike, so each check must reject it.
     with pytest.raises(ValueError):
         config(**kw)
+
+
+# A float unroll_steps would train nothing, because `k == window` never
+# holds; a float epochs or bins would fail late, inside `range`.
+@pytest.mark.parametrize("value", [2.5, 2.0, np.nan, True, "2"])
+@pytest.mark.parametrize("name", ["epochs", "unroll_steps", "tc_start_step", "bins"])
+def test_config_rejects_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        TrainConfig(**{name: value})
+
+
+def test_flow_scale_is_a_setting_of_the_network_only():
+    with pytest.raises(TypeError):
+        TrainConfig(flow_scale=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +108,49 @@ def test_train_recon_same_seed_same_run():
     b = training.train_recon(seqs, _config(), flow_provider=_constant_flow)
     assert a.curve
     _assert_same_run(a.curve, b.curve, a.recon_net, b.recon_net)
+
+
+def test_joint_recon_same_seed_same_run():
+    seqs = _sequences([4, 3])
+    a = training.train_recon(seqs, _config())
+    b = training.train_recon(seqs, _config())
+    assert a.curve and a.flow_curve
+    _assert_same_run(a.curve, b.curve, a.recon_net, b.recon_net)
+    _assert_same_run(a.flow_curve, b.flow_curve, a.flow_net, b.flow_net)
+
+
+def test_recon_with_frozen_network_same_seed_same_run():
+    seqs = _sequences([4, 3])
+    a = training.train_recon(seqs, _config(), flow_provider=_frozen(_flow_net()))
+    b = training.train_recon(seqs, _config(), flow_provider=_frozen(_flow_net()))
+    assert a.curve
+    _assert_same_run(a.curve, b.curve, a.recon_net, b.recon_net)
+
+
+@pytest.mark.parametrize("pause_prob", [0.0, 0.5])
+def test_train_flow_and_joint_recon_make_the_same_flow_updates(pause_prob):
+    # Given both networks, the joint loop draws no initialization, so both
+    # loops draw the same augmentations; it asks for flow on every partition
+    # with events, as train_flow updates on each.
+    seqs = _sequences([4, 5, 5])
+    config = _config(augment=AugmentConfig(pause_prob=pause_prob))
+    net, curve = training.train_flow(seqs, config, _flow_net(seed=1))
+    joint = training.train_recon(seqs, config, flow_net=_flow_net(seed=1),
+                                 recon_net=_recon_net())
+    assert len(curve) == 2 * 14
+    _assert_same_run(curve, joint.flow_curve, net, joint.flow_net)
+
+
+def test_a_network_passed_in_keeps_its_flow_scale():
+    seqs = _sequences([3, 4])
+    config = _config(augment=AugmentConfig(pause_prob=0.0))
+    net, _ = training.train_flow(seqs, config, _flow_net(flow_scale=2.0))
+    joint = training.train_recon(seqs, config, flow_net=_flow_net(flow_scale=2.0))
+    for trained in (net, joint.flow_net):
+        assert trained.flow_scale == 2.0
+        voxels = [build_voxel_grid(p, 5) for seq in seqs for p in seq]
+        largest = max(np.abs(trained(v, event_mask(v)).data).max() for v in voxels)
+        assert 0.0 < largest <= 2.0
 
 
 def test_pause_gets_no_flow_update():
@@ -116,6 +189,22 @@ def test_non_finite_provider_flow_raises():
         training.train_recon(_sequences([3]), _config(), flow_provider=nan_flow)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_loss_value_raises_before_backward(value):
+    p = ad.Parameter("p", np.full(3, value))
+    curve = []
+    with pytest.raises(FloatingPointError, match="non-finite loss at recon step 0"):
+        training._optimize(ad.tsum(p), LossReport(), training.Adam([p], 1e-3), _config(),
+                           curve, "recon")
+    assert curve == [] and p.grad is None
+
+
+@pytest.mark.parametrize("train", [training.train_flow, training.train_recon])
+def test_training_loops_reject_an_empty_dataset(train):
+    with pytest.raises(ValueError, match="empty dataset"):
+        train([], _config())
+
+
 def test_non_finite_gradient_raises():
     # sqrt(sum(p^2)) at p = 0: the loss is 0, its gradient is not finite.
     p = ad.Parameter("p", np.zeros(3))
@@ -123,12 +212,42 @@ def test_non_finite_gradient_raises():
         loss = ad.sqrt(ad.tsum(ad.square(p)))
         with pytest.raises(FloatingPointError,
                            match="non-finite gradient of 'p' at flow step 0"):
-            training._optimize(loss, LossReport(), [p], training.Adam([p], 1e-3),
-                               _config(), [], "flow")
+            training._optimize(loss, LossReport(), training.Adam([p], 1e-3), _config(), [],
+                               "flow")
 
 
 # ---------------------------------------------------------------------------
 # gradient clipping
+
+
+def test_adam_rejects_missing_gradient():
+    p, q = ad.Parameter("p", np.zeros(2)), ad.Parameter("q", np.zeros(1))
+    p.grad = np.ones(2)
+    with pytest.raises(ValueError, match="missing gradient for parameter 'q'"):
+        training.Adam([p, q], 1e-3).step()
+
+
+def test_clipping_and_adam_rebind_gradients_and_never_write_into_them():
+    # Backward hands gradients over uncopied, so leaves may share an array;
+    # every consumer must rebind a gradient rather than write into it.
+    net = _flow_net()
+    part = _sequences([1])[0][0]
+    voxel = build_voxel_grid(part, 5)
+    loss, _ = flow_total_loss(part, net(voxel, event_mask(voxel)), LossWeights())
+    loss.backward()
+    params = net.parameters()
+
+    def freeze():
+        for p in params:
+            p.grad.flags.writeable = False
+
+    freeze()
+    assert training.clip_gradients(params, 1e-3) > 1e-3
+    assert training.global_gradient_norm(params) == pytest.approx(1e-3, rel=1e-12)
+    freeze()
+    before = [p.data for p in params]
+    training.Adam(params, 1e-3).step()
+    assert any(not np.array_equal(b, p.data) for b, p in zip(before, params))
 
 
 def _with_grads(*grads):
@@ -274,6 +393,64 @@ def test_first_updates_reproduce_recorded_values():
         for (terms, total), (want_terms, want_total) in zip(got, expected):
             assert terms == pytest.approx(want_terms, rel=1e-9), name
             assert total == pytest.approx(want_total, rel=1e-9), name
+
+
+def _learning_scene_and_windows(seed, unroll_steps):
+    """A 32x32 blob scene; its first 3 windows of S+1 partitions and its last
+    12 partitions."""
+    rng = np.random.default_rng([seed, 0])
+    geom = SensorGeometry(32, 32)
+    base = synth.gaussian_blobs(geom, count=20, sigma=4.0, amplitude=2.0, rng=rng)
+    angle = rng.uniform(np.pi / 6, np.pi / 3) + np.pi / 2 * int(rng.integers(4))
+    scene = synth.SyntheticScene(geom, base, (25.6 * np.cos(angle), 25.6 * np.sin(angle)),
+                                 contrast=0.35, duration=3.0)
+    stream = synth.generate_events(scene, 1e-3)
+    parts = [normalize_timestamps(p)
+             for p in partition_by_count(stream, events_per_pixel_count(geom, 0.3))]
+    window = unroll_steps + 1
+    return scene, [parts[i * window:(i + 1) * window] for i in range(3)], parts[-12:]
+
+
+def _frame_scores(images, scene, tail, warmup=4):
+    """Mean MSE and SSIM of normalized images against the ground-truth frames
+    at the ends of the tail's partitions after `warmup`."""
+    rows = [metrics.frame_metrics(losses.normalize_intensity(image),
+                                  losses.normalize_intensity(
+                                      synth.ground_truth_frame(scene, int(p.t[-1]))))
+            for image, p in zip(images[warmup:], tail[warmup:])]
+    return np.mean(rows, axis=0)
+
+
+def _recon_scores(net, scene, tail):
+    state, images = None, []
+    for p in tail:
+        image, state = net(build_voxel_grid(p, 5), state)
+        images.append(image.data)
+    return _frame_scores(images, scene, tail)
+
+
+def test_ground_truth_flow_teaches_reconstruction_more_than_zero_flow():
+    # The photometric term is the paper's mechanism. With zero flow it gives
+    # no gradient, and a zero-flow run beats a mid-gray frame on the other
+    # terms alone, so mid-gray would not notice a broken photometric term.
+    # The temporal term is off because it reads the flow too: with it on,
+    # ground truth still beat zero flow with the photometric term zeroed.
+    # Flips are off: the ground-truth provider does not know that a flip
+    # negates a flow component.
+    scene, windows, tail = _learning_scene_and_windows(104, unroll_steps=10)
+    config = TrainConfig(epochs=1, seed=104, lr=1e-3, unroll_steps=10, tc_start_step=5,
+                         weights=LossWeights(lambda2=0.0),
+                         augment=AugmentConfig(0.0, 0.0, 0.0, 0.0))
+    seqs = [windows[i % 3] for i in range(20)]
+    gt_mse, gt_ssim = _recon_scores(training.train_recon(
+        seqs, config, flow_provider=training.GroundTruthFlowProvider(scene)).recon_net,
+        scene, tail)
+    zero_mse, zero_ssim = _recon_scores(training.train_recon(
+        seqs, config, flow_provider=_zero_flow).recon_net, scene, tail)
+    # A constant image normalizes to mid-gray.
+    gray_mse, gray_ssim = _frame_scores([np.zeros(scene.base.shape)] * len(tail), scene, tail)
+    assert gt_mse < min(zero_mse, gray_mse)
+    assert gt_ssim > max(zero_ssim, gray_ssim)
 
 
 def test_recon_rejects_provider_with_another_flow_source():
