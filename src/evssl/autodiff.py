@@ -21,16 +21,19 @@ graph the paper builds:
 - structural: concat, reshape, basic indexing (`Tensor[...]`), gather_pixels;
 - convolution: conv2d, stride-1 and same-padded, with an optional skip
   operand and activation fused into its node; conv_gru, one ConvGRU step
-  over the same correlation;
+  over the same correlation. Each correlation reads its input from one
+  flat zero-padded buffer in which every kernel tap is a contiguous run.
+  Forward and input gradient are one GEMM over a copy of the runs, and
+  the weight gradient builds no such copy of its own;
 - resampling: bilinear_sample and bilinear_splat, which take constant
   grids and values. They are adjoint and share one corner kernel: the
   gradient of a sample is a splat of the same corners;
 - reductions: tsum, sum_of_squares.
 
 A fused node (conv2d with its bias, skip and activation, or a whole
-conv_gru step) keeps only the arrays its backward reads, and recomputes
-cheap intermediates such as concatenated or padded inputs there instead
-of holding them for the life of the graph.
+conv_gru step) keeps only the arrays its backward reads, and rebuilds
+cheap intermediates such as the flat buffers of its (stacked) inputs
+there instead of holding them for the life of the graph.
 """
 
 from __future__ import annotations
@@ -284,34 +287,83 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # Convolution
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """Every zero-padded k*k patch of x (C,H,W), one per column: (C*k*k, H*W)."""
-    p = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-    c, h, w = x.shape
-    s0, s1, s2 = xp.strides
-    view = np.lib.stride_tricks.as_strided(xp, (c, k, k, h, w), (s0, s1, s2, s1, s2))
-    return view.reshape(c * k * k, h * w)
+# Every correlation reads its input from one flat zero-padded buffer: for
+# (C,H,W) and padding p = (k-1)//2, the rows of the padded (H+2p)x(W+2p)
+# image laid end to end, plus 2p trailing zeros so that the last run fits.
+# In it, tap (dy, dx) of every output pixel is one contiguous run
+# flat[:, o:o+H*(W+2p)] with o = dy*(W+2p)+dx: position y*(W+2p)+x of the
+# run holds the tap of output pixel (y, x) for x < W, and the last 2p
+# positions of each row are junk columns, dropped from every output. The
+# center run (dy = dx = p) is the input itself with zeros in the junk
+# columns, which is how a weight gradient masks them.
+#
+# Forward and input gradient are one GEMM over the copied runs (an
+# im2col). The weight gradient never builds an im2col of its own: it
+# reuses the input gradient's im2col of g or, where the input needs no
+# gradient, multiplies the input's runs in place.
 
 
-def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Same-padded stride-1 correlation of x (C_in,H,W) with w (C_out,C_in,k,k)."""
+def _runs(blocks, k: int) -> np.ndarray:
+    """Read-only view (C, k, k, H*(W+2p)) of a new flat buffer holding the
+    channel stack of blocks (each (C_i,H,W)): [:, dy, dx] is the run of
+    tap (dy, dx)."""
+    p, (h, w) = k // 2, blocks[0].shape[1:]
+    hp, wp = h + 2 * p, w + 2 * p
+    flat = np.zeros((sum(len(b) for b in blocks), hp * wp + 2 * p))
+    np.concatenate(blocks, out=flat[:, :hp * wp].reshape(-1, hp, wp)[:, p:p + h, p:p + w])
+    s0, s1 = flat.strides
+    return np.lib.stride_tricks.as_strided(flat, (len(flat), k, k, h * wp),
+                                           (s0, wp * s1, s1, s1), writeable=False)
+
+
+def _im2col(blocks, k: int) -> np.ndarray:
+    """Every tap's run of the flat buffer of blocks, copied: (C*k*k, H*(W+2p))."""
+    runs = _runs(blocks, k)
+    return runs.reshape(-1, runs.shape[-1])
+
+
+def _drop_junk(out: np.ndarray, w: int, k: int) -> np.ndarray:
+    """A GEMM output over the runs, (N, H*(W+2p)), as (N,H,W) without its
+    junk columns."""
+    return np.ascontiguousarray(out.reshape(len(out), -1, w + k - 1)[:, :, :w])
+
+
+def _correlate(blocks, w: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 correlation of the channel stack of blocks
+    (C_in,H,W) with w (C_out,C_in,k,k)."""
     c_out, _, k, _ = w.shape
-    return (w.reshape(c_out, -1) @ _im2col(x, k)).reshape(c_out, *x.shape[1:])
+    # The im2col is freed as soon as the GEMM returns.
+    return _drop_junk(w.reshape(c_out, -1) @ _im2col(blocks, k), blocks[0].shape[2], k)
+
+
+def _correlate_grads(blocks, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and input gradients of `_correlate(blocks, w)` from its output
+    gradient g (C_out,H,W), both from one im2col of g."""
+    c_out, c_in, k, _ = w.shape
+    cols = _im2col([g], k)
+    # Weight tap (dy, dx) sums g at run position i times the input at
+    # i + dy*(W+2p) + dx. Shifted by the offset of the flipped tap
+    # (k-1-dy, k-1-dx), that is g's run of the flipped tap times the
+    # input's center run, whose zeros mask the junk columns.
+    center = _runs(blocks, k)[:, k // 2, k // 2]
+    w_grad = (cols @ center.T).reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    del center
+    # Transposed convolution: g correlated with the flipped kernel, input
+    # and output channels swapped.
+    x_grad = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1) @ cols
+    del cols  # like center: dropped once read, before the next buffer is made
+    return np.ascontiguousarray(w_grad), _drop_junk(x_grad, g.shape[2], k)
 
 
 def _correlate_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
-    # The padded input and its im2col are recomputed rather than retained:
-    # unrolled recurrent graphs would otherwise hold them for every conv of
-    # every step.
-    c_out = g.shape[0]
-    return (g.reshape(c_out, -1) @ _im2col(x, k).T).reshape(c_out, x.shape[0], k, k)
-
-
-def _correlate_input_grad(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Transposed convolution: the same-padded gradient correlated with the
-    # flipped kernel, input and output channels swapped.
-    return _correlate(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    # The weight gradient of an input that needs no gradient, so that no
+    # im2col of g is built: one GEMM per tap of the input's run, in place,
+    # against g with zeros in the junk columns. The input channels are the
+    # GEMM's rows because two BLAS threads split that orientation better.
+    runs = _runs([x], k)
+    g = _runs([g], k)[:, k // 2, k // 2]
+    grad = np.stack([runs[:, dy, dx] @ g.T for dy in range(k) for dx in range(k)], axis=-1)
+    return grad.transpose(1, 0, 2).reshape(len(g), len(x), k, k)
 
 
 def _kernel_shape(weight: Tensor) -> tuple[int, int, int]:
@@ -343,11 +395,11 @@ def conv2d(x, weight, bias=None, activation: str | None = None, skip=None) -> Te
     if activation not in _ACTIVATIONS:
         raise ValueError(f"activation must be None, relu, sigmoid or tanh, got {activation!r}")
 
-    out = _correlate(x.data, weight.data)
+    out = _correlate([x.data], weight.data)  # a fresh array: add in place
     if bias is not None:
-        out = out + bias.data[:, None, None]
+        out += bias.data[:, None, None]
     if skip is not None:
-        out = out + skip.data
+        out += skip.data
     act, act_grad = _ACTIVATIONS[activation]
     out = act(out)
 
@@ -359,10 +411,11 @@ def conv2d(x, weight, bias=None, activation: str | None = None, skip=None) -> Te
             _accum(bias, g.reshape(c_out, -1).sum(axis=1))
         if skip is not None and skip.requires_grad:
             _accum(skip, g)
-        if weight.requires_grad:
-            _accum(weight, _correlate_weight_grad(x.data, g, k))
         if x.requires_grad:
-            _accum(x, _correlate_input_grad(weight.data, g))
+            w_grad, x_grad = _correlate_grads([x.data], weight.data, g)
+            _accum(x, x_grad)
+        if weight.requires_grad:
+            _accum(weight, w_grad if x.requires_grad else _correlate_weight_grad(x.data, g, k))
 
     return Tensor._from_op(out, parents, backward)
 
@@ -376,7 +429,7 @@ def conv_gru(x, h, update_weight, update_bias, reset_weight, reset_bias,
     x is C_x*H*W and h is C*H*W; every weight is C*(C+C_x)*k*k and every
     bias (C,). Both gates come from one correlation over their stacked
     weights. The node keeps only [z; r] and c: backward rebuilds [h,x] and
-    [r*h,x] from x and h.
+    [r*h,x] from x and h, stacked straight into their padded buffers.
     """
     x, h = _as_tensor(x), _as_tensor(h)
     params = tuple(_as_tensor(t) for t in (update_weight, update_bias, reset_weight,
@@ -392,10 +445,10 @@ def conv_gru(x, h, update_weight, update_bias, reset_weight, reset_bias,
 
     sigmoid, sigmoid_grad = _ACTIVATIONS["sigmoid"]
     tanh, tanh_grad = _ACTIVATIONS["tanh"]
-    zr = _correlate(np.concatenate([h.data, x.data]), np.concatenate([wz.data, wr.data]))
+    zr = _correlate([h.data, x.data], np.concatenate([wz.data, wr.data]))
     zr = sigmoid(zr + np.concatenate([bz.data, br.data])[:, None, None])
     z, r = zr[:c], zr[c:]
-    cand = _correlate(np.concatenate([r * h.data, x.data]), wc.data)
+    cand = _correlate([r * h.data, x.data], wc.data)
     cand = tanh(cand + bc.data[:, None, None])
     out = (1.0 - z) * h.data + z * cand
 
@@ -404,15 +457,14 @@ def conv_gru(x, h, update_weight, update_bias, reset_weight, reset_bias,
     def backward(g):
         z, r = zr[:c], zr[c:]
         g_cand = tanh_grad(g * z, cand)
-        g_rhx = _correlate_input_grad(wc.data, g_cand)
+        g_wc, g_rhx = _correlate_grads([r * h.data, x.data], wc.data, g_cand)
         g_zr = sigmoid_grad(np.concatenate([g * cand - g * h.data, g_rhx[:c] * h.data]), zr)
-        g_hx = _correlate_input_grad(np.concatenate([wz.data, wr.data]), g_zr)
-        g_wzr = _correlate_weight_grad(np.concatenate([h.data, x.data]), g_zr, k)
+        g_wzr, g_hx = _correlate_grads([h.data, x.data], np.concatenate([wz.data, wr.data]), g_zr)
         g_bzr = g_zr.reshape(2 * c, -1).sum(axis=1)
         grads = (g_rhx[c:] + g_hx[c:],
                  g * (1.0 - z) + g_rhx[:c] * r + g_hx[:c],
                  g_wzr[:c], g_bzr[:c], g_wzr[c:], g_bzr[c:],
-                 _correlate_weight_grad(np.concatenate([r * h.data, x.data]), g_cand, k),
+                 g_wc,
                  g_cand.reshape(c, -1).sum(axis=1))
         for t, grad in zip(parents, grads):
             if t.requires_grad:

@@ -1,4 +1,4 @@
-"""Evaluation metrics: endpoint error, frame quality, flow color coding."""
+"""Evaluation metrics: flow endpoint error and frame quality."""
 
 from __future__ import annotations
 

@@ -521,6 +521,87 @@ def test_conv2d_rejects_bias_of_another_shape(shape):
         ad.conv2d(x, w, Tensor(np.zeros(shape)))
 
 
+# The correlation helpers against tap-by-tap references that never see the
+# flat layout. Images narrower or shorter than the kernel make every run
+# wrap through the padding, and k=1 has no padding and no junk columns.
+CORRELATION_CASES = [pytest.param(k, shape, id=f"k{k}-{shape[0]}x{shape[1]}")
+                     for k in (1, 3, 5)
+                     for shape in ((1, 1), (1, 2), (2, 3), (6, 7), (3, 11), (64, 64))]
+
+
+def padded_taps(x, k):
+    """Every (dy, dx) of k*k with the (C,H,W) window of x zero-padded by k//2."""
+    p, (h, w) = k // 2, x.shape[1:]
+    xp = np.zeros((len(x), h + 2 * p, w + 2 * p))
+    xp[:, p:p + h, p:p + w] = x
+    return [(dy, dx, xp[:, dy:dy + h, dx:dx + w]) for dy in range(k) for dx in range(k)]
+
+
+@pytest.mark.parametrize("k,shape", CORRELATION_CASES)
+def test_correlation_helpers_match_tap_loop_references(k, shape):
+    rng = np.random.default_rng(990)
+    c_in, c_out, p = 3, 2, k // 2
+    x, g = rng.normal(size=(c_in, *shape)), rng.normal(size=(c_out, *shape))
+    w = rng.normal(size=(c_out, c_in, k, k))
+
+    out = sum(np.einsum("oc,chw->ohw", w[:, :, dy, dx], tap) for dy, dx, tap in padded_taps(x, k))
+    w_grad = np.zeros_like(w)
+    for dy, dx, tap in padded_taps(x, k):
+        w_grad[:, :, dy, dx] = np.einsum("ohw,chw->oc", g, tap)
+    # The input gradient scatters each tap's share back to where it was read.
+    x_grad = np.zeros((c_in, shape[0] + 2 * p, shape[1] + 2 * p))
+    for dy in range(k):
+        for dx in range(k):
+            x_grad[:, dy:dy + shape[0], dx:dx + shape[1]] += np.einsum("oc,ohw->chw", w[:, :, dy, dx], g)
+    x_grad = x_grad[:, p:p + shape[0], p:p + shape[1]]
+
+    # The input split into two channel blocks must read as their stack.
+    blocks = [x[:1], x[1:]]
+    for got, want in ((ad._correlate(blocks, w), out),
+                      *zip(ad._correlate_grads(blocks, w, g), (w_grad, x_grad)),
+                      (ad._correlate_weight_grad(x, g, k), w_grad)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_runs_stack_channel_blocks_with_zero_junk_columns():
+    rng = np.random.default_rng(991)
+    a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(1, 3, 4))
+    runs = ad._runs([a, b], 3)
+    assert runs.shape == (3, 3, 3, 3 * 6)
+    center = runs[:, 1, 1].reshape(3, 3, 6)
+    assert np.array_equal(center[:, :, :4], np.concatenate([a, b]))
+    assert not center[:, :, 4:].any()
+
+
+def test_weight_gradient_builds_no_im2col():
+    # A 32->32 3x3 conv at 64x64 whose input needs no gradient: both flat
+    # buffers and the gradient together must stay below a third of the
+    # im2col (C_in*9*H*W doubles) that the weight gradient does without.
+    rng = np.random.default_rng(992)
+    x, g = rng.normal(size=(32, 64, 64)), rng.normal(size=(32, 64, 64))
+    tracemalloc.start()
+    try:
+        ad._correlate_weight_grad(x, g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    im2col = 32 * 9 * 64 * 64 * 8
+    assert peak < im2col / 3, f"weight gradient peaks at {peak / im2col:.2f} im2cols"
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_conv2d_gradients_of_a_constant_input(kernel):
+    # With no input gradient there is no im2col of g to share, so the
+    # weight gradient takes its own path.
+    for seed in range(5):
+        rng = np.random.default_rng(993 + seed)
+        x = Tensor(rng.normal(size=(3, 6, 7)))
+        w = leaf(rng, (2, 3, kernel, kernel), -1.0, 1.0, name="w")
+        b = leaf(rng, (2,), -0.5, 0.5, name="b")
+        check_gradients(lambda: ad.tsum(ad.square(ad.conv2d(x, w, b, "tanh"))), [w, b])
+
+
 # ---------------------------------------------------------------------------
 # conv_gru
 
