@@ -18,7 +18,8 @@ have identical shapes. No operation mutates its inputs. The ops cover the
 graph the paper builds:
 
 - element-wise: add, sub, mul, div, absolute, square, sqrt;
-- structural: concat, reshape, basic indexing (`Tensor[...]`), gather_pixels;
+- structural: concat, basic indexing (`Tensor[...]`), and gather_pixels,
+  which reads integer pixel indices of any shape;
 - convolution: conv2d, stride-1 and same-padded, with an optional skip
   operand and activation fused into its node; conv_gru, one ConvGRU step
   over the same correlation. Each correlation reads its input from one
@@ -44,7 +45,7 @@ __all__ = [
     "Tensor",
     "Parameter",
     "add", "sub", "mul", "div", "absolute", "square", "sqrt",
-    "concat", "reshape", "conv2d", "conv_gru",
+    "concat", "conv2d", "conv_gru",
     "bilinear_sample", "bilinear_splat", "gather_pixels",
     "tsum", "sum_of_squares",
 ]
@@ -261,10 +262,6 @@ _ACTIVATIONS = {
     "sigmoid": (lambda v: 1.0 / (1.0 + np.exp(-v)), lambda g, out: g * out * (1.0 - out)),
     "tanh": (np.tanh, lambda g, out: g * (1.0 - out * out)),
 }
-
-
-def reshape(x, shape) -> Tensor:
-    return _unary(x, lambda v: v.reshape(shape), lambda g, x_, out: g.reshape(x_.shape))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -564,15 +561,15 @@ def bilinear_splat(values, pos, shape: tuple[int, int]) -> Tensor:
 
 
 def gather_pixels(field, iy: np.ndarray, ix: np.ndarray) -> Tensor:
-    """Read field (C,H,W) at N integer pixel indices into (C,N);
-    differentiable in field."""
+    """Read field (C,H,W) at integer pixel indices iy, ix of one shape S
+    into (C,*S); differentiable in field."""
     field = _as_tensor(field)
     c, h, w = field.shape
     idx = iy * w + ix
     data = np.take(field.data.reshape(c, -1), idx, axis=1)
 
     def backward(g):
-        _accum(field, _scatter(idx, g, h * w).reshape(c, h, w))
+        _accum(field, _scatter(idx.ravel(), g.reshape(c, -1), h * w).reshape(c, h, w))
 
     return Tensor._from_op(data, (field,), backward)
 

@@ -4,7 +4,9 @@ Events are kept in columnar numpy arrays (timestamps in integer
 microseconds) so downstream kernels can stay vectorized. One type,
 `EventStream`, holds both a whole recording and a fixed-count partition
 of it; a normalized partition also carries its `t_star` column. All
-types are immutable values; every operation returns new arrays.
+types are immutable values whose columns are shared and never written: a
+partition's columns are views of its recording's, and an augmentation
+reuses every column it does not flip.
 """
 
 from __future__ import annotations

@@ -57,6 +57,13 @@ def as_flow(flow) -> Tensor:
     return t
 
 
+def check_bin_count(bins) -> None:
+    """The one rule for a voxel grid's bin count, checked wherever one is
+    set: an integer of at least 2."""
+    if not is_int(bins) or bins < 2:
+        raise ValueError(f"bins must be an integer >= 2, got {bins!r}")
+
+
 def build_voxel_grid(partition: EventStream, bins: int) -> np.ndarray:
     """Spread each event's polarity over the two nearest of B temporal bins.
 
@@ -64,8 +71,7 @@ def build_voxel_grid(partition: EventStream, bins: int) -> np.ndarray:
     the grid over bins recovers the per-pixel signed polarity sum.
     """
     _require_normalized(partition)
-    if not is_int(bins) or bins < 2:
-        raise ValueError(f"bin count must be an integer >= 2, got {bins!r}")
+    check_bin_count(bins)
     h, w = partition.geometry.height, partition.geometry.width
     tb = partition.t_star * (bins - 1)
     b0 = np.minimum(np.floor(tb).astype(np.int64), bins - 1)

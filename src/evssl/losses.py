@@ -112,16 +112,10 @@ def reference_increment(partition: EventStream, flow, weights: LossWeights) -> T
     return Tensor(g[0] * weights.c_pos - g[1] * weights.c_neg)
 
 
-def spatial_gradient(image) -> tuple[Tensor, Tensor]:
-    """Central differences with replicated borders; returns (d/dx, d/dy)."""
-    img = image if isinstance(image, Tensor) else Tensor(image)
-    right = ad.concat([img[:, 1:], img[:, -1:]], axis=1)
-    left = ad.concat([img[:, :1], img[:, :-1]], axis=1)
-    down = ad.concat([img[1:, :], img[-1:, :]], axis=0)
-    up = ad.concat([img[:1, :], img[:-1, :]], axis=0)
-    gx = ad.mul(ad.sub(right, left), 0.5)
-    gy = ad.mul(ad.sub(down, up), 0.5)
-    return gx, gy
+# [L, dL/dx, dL/dy] as one 3x3 correlation: the identity and the central differences.
+_GRADIENT_STACK = np.array([[[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+                            [[0, 0, 0], [-0.5, 0, 0.5], [0, 0, 0]],
+                            [[0, -0.5, 0], [0, 0, 0], [0, 0.5, 0]]])[:, None]
 
 
 def warp_previous(l_prev, flow) -> Tensor:
@@ -129,14 +123,18 @@ def warp_previous(l_prev, flow) -> Tensor:
     by the (detached) flow, out(x) = in(x - u(x)), in one bilinear sample.
 
     Returns a (3,H,W) Tensor with rows [L, dL/dx, dL/dy]: the photometric
-    term reads rows 1 and 2, the temporal term row 0.
+    term reads rows 1 and 2, the temporal term row 0. One gather replicates
+    the frame's border one pixel out; the correlation's own zero padding
+    then reaches only the outer ring, which is dropped.
     """
-    gx, gy = spatial_gradient(l_prev)
-    h, w = gx.shape
+    img = l_prev if isinstance(l_prev, Tensor) else Tensor(l_prev)
+    h, w = img.shape
+    rows, cols = np.mgrid[-1:h + 1, -1:w + 1]
+    padded = ad.gather_pixels(img[None], np.clip(rows, 0, h - 1), np.clip(cols, 0, w - 1))
+    stack = ad.conv2d(padded, _GRADIENT_STACK)[:, 1:-1, 1:-1]
     fd = as_flow(flow).data
-    rows, cols = np.mgrid[0:h, 0:w]
-    grid = np.stack([cols - fd[0], rows - fd[1]])
-    return ad.bilinear_sample(ad.reshape(ad.concat([l_prev, gx, gy]), (3, h, w)), grid)
+    grid = np.stack([cols[1:-1, 1:-1] - fd[0], rows[1:-1, 1:-1] - fd[1]])
+    return ad.bilinear_sample(stack, grid)
 
 
 def predicted_increment(warped, flow) -> Tensor:

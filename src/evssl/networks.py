@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
+from .geometry import check_bin_count
 
 DEFAULT_FLOW_SCALE = 40.0
 FLOW_CHANNELS = 32   # feature channels of every FireFlowNet layer
@@ -84,6 +85,7 @@ class FireFlowNet:
     and checks `flow_scale`, its largest flow in pixels per partition."""
 
     def __init__(self, bins: int = 5, flow_scale: float = DEFAULT_FLOW_SCALE):
+        check_bin_count(bins)
         if not 0 < flow_scale < np.inf:  # chained, so that NaN fails too
             raise ValueError(f"flow scale must be finite and positive, got {flow_scale}")
         self.flow_scale = flow_scale
@@ -111,6 +113,7 @@ class ReconNet:
     has `bins` channels."""
 
     def __init__(self, bins: int = 5):
+        check_bin_count(bins)
         channels = RECON_CHANNELS
         self.head = ConvLayer("head", bins, channels)
         self.g1 = ConvGRUCell("g1", channels)
@@ -131,7 +134,7 @@ class ReconNet:
         h1 = self.g1(a, s1)
         h2 = self.g2(h1, s2)
         out = self.pred(self.r2(self.r1(h2)))
-        return ad.reshape(out, out.shape[1:]), (h1, h2)
+        return out[0], (h1, h2)
 
 
 def init_parameters(net, rng: np.random.Generator) -> None:

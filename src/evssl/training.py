@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Parameter, Tensor, add
 from .events import (AugmentConfig, EventStream, apply_augmentation,
                      draw_augmentation, empty_stream, is_int)
-from .geometry import as_flow, build_voxel_grid, event_mask
+from .geometry import as_flow, build_voxel_grid, check_bin_count, event_mask
 from .losses import (LossReport, LossWeights, flow_total_loss,
                      photometric_loss, predicted_increment, recon_total_loss,
                      reference_increment, temporal_loss, tv_loss, warp_previous)
@@ -45,9 +45,10 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        for name in ("epochs", "unroll_steps", "tc_start_step", "bins"):
+        for name in ("epochs", "unroll_steps", "tc_start_step"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_bin_count(self.bins)
         # Chained comparisons so that NaN and infinity fail too.
         if not 0 < self.lr < math.inf:
             raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
@@ -261,7 +262,10 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
 
 
 class GroundTruthFlowProvider:
-    """Frozen provider handing out the scene's analytic flow per partition."""
+    """Frozen provider handing out the scene's analytic flow per partition,
+    in the scene's frame: it is not told of a drawn flip, so under an
+    h-flip the partition's true u is the negation of the u it returns, and
+    likewise v under a v-flip."""
 
     def __init__(self, scene):
         self._scene = scene
@@ -286,9 +290,14 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str = "") -> None:
     """Packed in memory first: what the layout cannot hold raises
-    CheckpointError before `path` is opened, so a file there keeps its bytes."""
+    CheckpointError before `path` is opened, so a file there keeps its bytes.
+    Only real numbers fit: a complex or string tensor is rejected, not cast."""
     chunks = [_CKP1_MAGIC, struct.pack("<I", len(tensors))]
     for name, data in tensors.items():
+        kind = np.asarray(data).dtype.kind
+        if kind not in "biuf":
+            raise CheckpointError(
+                f"tensor {reprlib.repr(name)} does not fit CKP1: dtype kind {kind!r} is not real")
         arr = np.ascontiguousarray(data, dtype="<f8")
         try:
             encoded = name.encode("utf-8")

@@ -42,7 +42,7 @@ def test_no_operation_mutates_inputs():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(4, 4)))
     before = x.data.copy()
-    x3 = ad.reshape(x, (1, 4, 4))
+    x3 = x[None]
     ad.conv2d(x3, Tensor(np.ones((1, 1, 3, 3))), activation="relu", skip=x3)
     ad.add(x, x)
     ad.conv2d(x3, Tensor(np.ones((1, 1, 3, 3))), activation="sigmoid")
@@ -201,7 +201,6 @@ CONSTANT_OPS = {
     "square": lambda: ad.square(_constant(3, 4)),
     "sqrt": lambda: ad.sqrt(_constant(3, 4)),
     "concat": lambda: ad.concat([_constant(2, 4), _constant(3, 4)]),
-    "reshape": lambda: ad.reshape(_constant(3, 4), (4, 3)),
     "getitem": lambda: _constant(3, 4)[1:, 2],
     "conv2d": lambda: ad.conv2d(_constant(2, 4, 4), _constant(3, 2, 3, 3), _constant(3),
                                 "relu", skip=_constant(3, 4, 4)),
@@ -326,12 +325,6 @@ def test_concat_gradient():
         check_gradients(lambda: ad.tsum(ad.square(ad.concat([a, b], axis=0))), [a, b])
 
 
-def test_reshape_gradient():
-    rng = np.random.default_rng(600)
-    x = leaf(rng, (2, 6))
-    check_gradients(lambda: ad.tsum(ad.square(ad.reshape(x, (3, 4)))), [x])
-
-
 def test_gather_pixels_gradient():
     for seed in range(5):
         rng = np.random.default_rng(700 + seed)
@@ -348,6 +341,28 @@ def test_gather_pixels_reads_each_channel_at_the_indices():
     iy, ix = np.array([2, 0, 2]), np.array([1, 3, 1])
     out = ad.gather_pixels(field, iy, ix)
     assert np.array_equal(out.data, field[:, iy, ix])
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_gather_pixels_keeps_the_shape_of_2d_indices(channels):
+    field = np.arange(channels * 12.0).reshape(channels, 3, 4)
+    iy, ix = np.array([[2, 0, 2], [1, 1, 0]]), np.array([[1, 3, 1], [0, 2, 3]])
+    out = ad.gather_pixels(field, iy, ix)
+    assert out.shape == (channels, 2, 3)
+    assert np.array_equal(out.data, field[:, iy, ix])
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_gather_pixels_gradient_of_2d_indices(channels):
+    # Repeated indices, as at a replicated border, sum their gradients.
+    for seed in range(5):
+        rng = np.random.default_rng(750 + seed)
+        field = leaf(rng, (channels, 5, 6), name="field")
+        iy = rng.integers(0, 5, size=(4, 7))
+        ix = rng.integers(0, 6, size=(4, 7))
+        probe = rng.normal(size=(channels, 4, 7))
+        check_gradients(
+            lambda: ad.tsum(ad.mul(ad.square(ad.gather_pixels(field, iy, ix)), probe)), [field])
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_voxel_empty_partition_needs_normalization():
 @pytest.mark.parametrize("bins", [1, 0, -3, 2.5, 5.0, np.nan, True])
 def test_voxel_rejects_bin_count_that_is_not_an_integer_of_at_least_two(bins):
     part = partition_from([(0, 1, 1, 1), (10, 2, 2, 1)])
-    with pytest.raises(ValueError, match="bin count must be an integer >= 2"):
+    with pytest.raises(ValueError, match="bins must be an integer >= 2"):
         geo.build_voxel_grid(part, bins)
 
 

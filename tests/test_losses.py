@@ -211,26 +211,39 @@ def test_reference_increment_respects_thresholds():
 
 
 # ---------------------------------------------------------------------------
-# spatial gradient
+# spatial gradient: rows 1 and 2 of `warp_previous` at zero flow
+
+
+def _gradient_stack(img):
+    """[L, dL/dx, dL/dy] in numpy alone: central differences of the frame
+    with its border replicated."""
+    p = np.pad(img, 1, mode="edge")
+    return np.stack([img, (p[1:-1, 2:] - p[1:-1, :-2]) * 0.5, (p[2:, 1:-1] - p[:-2, 1:-1]) * 0.5])
+
+
+def _zero_flow_gradient(img):
+    out = losses.warp_previous(img, np.zeros((2, *img.shape))).data[1:]
+    assert np.array_equal(out, _gradient_stack(img)[1:])
+    return out
 
 
 def test_spatial_gradient_constant_image():
-    gx, gy = losses.spatial_gradient(np.full((5, 5), 2.0))
-    assert np.all(gx.data == 0.0) and np.all(gy.data == 0.0)
+    gx, gy = _zero_flow_gradient(np.full((5, 5), 2.0))
+    assert np.all(gx == 0.0) and np.all(gy == 0.0)
 
 
 def test_spatial_gradient_ramp():
     img = np.tile(np.arange(6, dtype=np.float64), (4, 1))
-    gx, gy = losses.spatial_gradient(img)
-    assert np.all(gx.data[:, 1:-1] == 1.0)
-    assert np.all(gx.data[:, 0] == 0.5) and np.all(gx.data[:, -1] == 0.5)
-    assert np.all(gy.data == 0.0)
+    gx, gy = _zero_flow_gradient(img)
+    assert np.all(gx[:, 1:-1] == 1.0)
+    assert np.all(gx[:, 0] == 0.5) and np.all(gx[:, -1] == 0.5)
+    assert np.all(gy == 0.0)
 
 
 def test_spatial_gradient_vertical_ramp_has_no_x_component():
     img = np.tile(np.arange(5, dtype=np.float64)[:, None], (1, 6))
-    gx, _ = losses.spatial_gradient(img)
-    assert np.all(gx.data == 0.0)
+    gx, _ = _zero_flow_gradient(img)
+    assert np.all(gx == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +252,19 @@ def test_spatial_gradient_vertical_ramp_has_no_x_component():
 
 def test_warp_previous_zero_flow_identity():
     rng = np.random.default_rng(5)
-    img = rng.normal(size=(6, 7))
-    out = losses.warp_previous(img, np.zeros((2, 6, 7)))
-    gx, gy = losses.spatial_gradient(img)
-    assert out.shape == (3, 6, 7)
-    assert np.allclose(out.data, [img, gx.data, gy.data])
+    for shape in ((6, 7), (1, 5), (4, 1), (64, 64)):
+        img = rng.normal(size=shape)
+        out = losses.warp_previous(img, np.zeros((2, *shape)))
+        assert out.shape == (3, *shape)
+        assert np.array_equal(out.data, _gradient_stack(img))
+
+
+def test_warp_previous_of_a_parameter_frame_adds_five_nodes():
+    # The frame lifted to one channel, the gather that replicates its
+    # border, one correlation, the crop of its outer ring and one sample.
+    frame = Parameter("frame", np.random.default_rng(14).normal(size=(6, 7)))
+    out = losses.warp_previous(frame, np.ones((2, 6, 7)))
+    assert len([node for node in ad._toposort(out) if node is not frame]) == 5
 
 
 def test_warp_previous_shifts_ramp():
@@ -269,11 +290,10 @@ def test_warp_previous_rows_match_separate_warps():
     rng = np.random.default_rng(13)
     img = rng.normal(size=(6, 7))
     flow = rng.normal(size=(2, 6, 7)) * 2.0
-    gx, gy = losses.spatial_gradient(img)
     rows, cols = np.mgrid[0:6, 0:7]
     grid = np.stack([cols - flow[0], rows - flow[1]])
     out = losses.warp_previous(img, flow).data
-    for row, image in zip(out, (img, gx.data, gy.data)):
+    for row, image in zip(out, _gradient_stack(img)):
         assert np.array_equal(row, ad.bilinear_sample(image[None], grid).data[0])
 
 

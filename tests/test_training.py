@@ -85,6 +85,17 @@ def test_config_rejects_non_integer_counts(name, value):
         TrainConfig(**{name: value})
 
 
+# The voxel grid's rule, checked at construction: `TrainConfig(bins=1)`
+# would fail only at the first voxel grid, and a network would take 0 and
+# fail on 2.5 or -1 inside numpy.
+@pytest.mark.parametrize("value", [1, 0, -1, 2.5, 2.0, np.nan, True, "2"])
+@pytest.mark.parametrize("build", [TrainConfig, FireFlowNet, ReconNet],
+                         ids=["TrainConfig", "FireFlowNet", "ReconNet"])
+def test_bin_count_is_an_integer_of_at_least_two_at_construction(build, value):
+    with pytest.raises(ValueError, match="bins must be an integer >= 2"):
+        build(bins=value)
+
+
 def test_flow_scale_is_a_setting_of_the_network_only():
     with pytest.raises(TypeError):
         TrainConfig(flow_scale=2.0)
@@ -356,6 +367,25 @@ def test_temporal_term_covers_steps_s0_to_s(monkeypatch):
         assert report.terms["temporal"] == sum(values[i * per_window:(i + 1) * per_window])
 
 
+def test_reconstruction_window_graph_size(monkeypatch):
+    # Counted as a benchmark trace counts it: the nodes `backward()` walks,
+    # the 24 ReconNet parameters included. Each of the 4 steps after the
+    # first warps a frame that needs a gradient, in 5 nodes.
+    sizes = []
+
+    def counting(root):
+        topo = toposort(root)
+        sizes.append(len(topo))
+        return topo
+
+    toposort = ad._toposort
+    monkeypatch.setattr(ad, "_toposort", counting)
+    config = _config(epochs=1, unroll_steps=4, tc_start_step=2,
+                     augment=AugmentConfig(pause_prob=0.0))
+    training.train_recon(_sequences([5]), config, flow_provider=_constant_flow)
+    assert sizes == [204]
+
+
 # Curve entries of short runs recorded from an earlier implementation of
 # the training loops, whose reconstruction terms each warped the previous
 # frame on their own; a rewrite of the loops must reproduce them.
@@ -495,7 +525,10 @@ def _saved(tmp_path, tensors):
     ({"w" * 65536: np.zeros(1)}, "cfg", "tensor 'www"),
     ({"w": np.zeros((0, 2 ** 32))}, "cfg", "tensor 'w'"),
     ({"\ud800": np.zeros(1)}, "cfg", "tensor '\\ud800'"),
-    ({"w": np.zeros(1)}, "\ud800", "config blob")])
+    ({"w": np.zeros(1)}, "\ud800", "config blob"),
+    # CKP1 holds real numbers: a complex or string tensor must not be cast.
+    ({"w": np.array([1 + 2j, 3])}, "cfg", "tensor 'w'"),
+    ({"w": np.array(["1.5"])}, "cfg", "tensor 'w'")])
 def test_failed_save_leaves_the_existing_file(tmp_path, tensors, text, what):
     path = _saved(tmp_path, {"kept": np.ones(3)})
     kept = path.read_bytes()
