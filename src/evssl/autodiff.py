@@ -19,7 +19,9 @@ graph the paper builds:
 
 - element-wise: add, sub, mul, div, absolute, square, sqrt;
 - structural: concat, basic indexing (`Tensor[...]`), and gather_pixels,
-  which reads integer pixel indices of any shape;
+  which reads integer pixel indices of any shape. Its row and column
+  indices share one shape and lie inside the frame; any other index
+  raises rather than wrapping onto another pixel;
 - convolution: conv2d, stride-1 and same-padded, with an optional skip
   operand and activation fused into its node; conv_gru, one ConvGRU step
   over the same correlation. Each correlation reads its input from one
@@ -562,9 +564,22 @@ def bilinear_splat(values, pos, shape: tuple[int, int]) -> Tensor:
 
 def gather_pixels(field, iy: np.ndarray, ix: np.ndarray) -> Tensor:
     """Read field (C,H,W) at integer pixel indices iy, ix of one shape S
-    into (C,*S); differentiable in field."""
+    into (C,*S); differentiable in field.
+
+    Every index must lie inside the frame: 0 <= iy < H and 0 <= ix < W.
+    A flat index would silently read another pixel for ix = W or -1, and
+    numpy would broadcast indices of different shapes, so non-integer,
+    mismatched and out-of-frame indices raise ValueError.
+    """
     field = _as_tensor(field)
     c, h, w = field.shape
+    iy, ix = np.asarray(iy), np.asarray(ix)
+    if iy.dtype.kind not in "iu" or ix.dtype.kind not in "iu":
+        raise ValueError(f"pixel indices must be integers, got {iy.dtype} and {ix.dtype}")
+    if iy.shape != ix.shape:
+        raise ValueError(f"pixel indices differ in shape: {iy.shape} and {ix.shape}")
+    if iy.size and (iy.min() < 0 or iy.max() >= h or ix.min() < 0 or ix.max() >= w):
+        raise ValueError(f"pixel index outside the {h}x{w} frame")
     idx = iy * w + ix
     data = np.take(field.data.reshape(c, -1), idx, axis=1)
 

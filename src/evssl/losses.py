@@ -44,7 +44,6 @@ class LossReport:
     """Named raw term values and the weighted total."""
 
     terms: dict[str, float] = field(default_factory=dict)
-    weights: dict[str, float] = field(default_factory=dict)
     total: float = 0.0
 
 
@@ -87,7 +86,6 @@ def flow_total_loss(partition: EventStream, flow,
     total = ad.add(contrast, ad.mul(smooth, weights.lambda1))
     report = LossReport(
         terms={"contrast": contrast.item(), "smoothness": smooth.item()},
-        weights={"contrast": 1.0, "smoothness": weights.lambda1},
         total=total.item())
     return total, report
 
@@ -171,7 +169,6 @@ def recon_total_loss(pe: Tensor, tc: Tensor, tv: Tensor,
     total = ad.add(pe, ad.add(ad.mul(tc, weights.lambda2), ad.mul(tv, weights.lambda3)))
     report = LossReport(
         terms={"photometric": pe.item(), "temporal": tc.item(), "tv": tv.item()},
-        weights={"photometric": 1.0, "temporal": weights.lambda2, "tv": weights.lambda3},
         total=total.item())
     return total, report
 

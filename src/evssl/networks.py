@@ -1,7 +1,7 @@
 """Lightweight flow and reconstruction networks.
 
 The flow network is a plain single-strided conv stack with residual
-blocks and a tanh prediction head scaled to a configurable pixel range;
+blocks and a tanh prediction head scaled to `FLOW_SCALE` pixels;
 its output is forced to zero wherever the input partition has no events.
 The reconstruction network shares the layout but swaps the second and
 third encoders for ConvGRU cells and predicts one unbounded
@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .geometry import check_bin_count
 
-DEFAULT_FLOW_SCALE = 40.0
+FLOW_SCALE = 40.0    # FireFlowNet's largest flow, in pixels per partition
 FLOW_CHANNELS = 32   # feature channels of every FireFlowNet layer
 RECON_CHANNELS = 16  # feature channels of every ReconNet layer
 
@@ -80,15 +80,12 @@ class ConvGRUCell:
 
 
 class FireFlowNet:
-    """Three single-strided encoders, two residual blocks, 1x1 tanh head;
-    e1's conv2d checks that a voxel has `bins` channels. It alone holds
-    and checks `flow_scale`, its largest flow in pixels per partition."""
+    """Three single-strided encoders, two residual blocks, 1x1 tanh head
+    scaled to `FLOW_SCALE` pixels per partition; e1's conv2d checks that a
+    voxel has `bins` channels."""
 
-    def __init__(self, bins: int = 5, flow_scale: float = DEFAULT_FLOW_SCALE):
+    def __init__(self, bins: int = 5):
         check_bin_count(bins)
-        if not 0 < flow_scale < np.inf:  # chained, so that NaN fails too
-            raise ValueError(f"flow scale must be finite and positive, got {flow_scale}")
-        self.flow_scale = flow_scale
         channels = FLOW_CHANNELS
         self.e1 = ConvLayer("e1", bins, channels)
         self.e2 = ConvLayer("e2", channels, channels)
@@ -104,7 +101,7 @@ class FireFlowNet:
     def __call__(self, voxel: np.ndarray, mask: np.ndarray) -> Tensor:
         """Flow (2,H,W) in pixels per partition; exactly zero off-mask."""
         h = self.r2(self.r1(self.e3(self.e2(self.e1(Tensor(voxel))))))
-        return ad.mul(self.pred(h), self.flow_scale * np.broadcast_to(mask, (2, *mask.shape)))
+        return ad.mul(self.pred(h), FLOW_SCALE * np.broadcast_to(mask, (2, *mask.shape)))
 
 
 class ReconNet:

@@ -26,8 +26,6 @@ from .losses import (LossReport, LossWeights, flow_total_loss,
 from .networks import FireFlowNet, ReconNet, detach_state, init_parameters
 from .synth import ground_truth_flow
 
-GRAD_CLIP_NORM = 100.0
-
 Curve = list[tuple[int, LossReport]]
 Step = tuple[EventStream, np.ndarray, np.ndarray]  # partition, voxel grid, event mask
 
@@ -40,12 +38,11 @@ class TrainConfig:
     tc_start_step: int = 10    # S0: first step the temporal term covers
     bins: int = 5
     seed: int = 0
-    grad_clip_enabled: bool = False
     weights: LossWeights = field(default_factory=LossWeights)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        for name in ("epochs", "unroll_steps", "tc_start_step"):
+        for name in ("epochs", "unroll_steps", "tc_start_step", "seed"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         check_bin_count(self.bins)
@@ -55,8 +52,9 @@ class TrainConfig:
         if not 0 <= self.tc_start_step <= self.unroll_steps:
             raise ValueError(
                 f"need 0 <= S0 <= S, got S0={self.tc_start_step}, S={self.unroll_steps}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 class Adam:
@@ -91,26 +89,7 @@ class Adam:
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def global_gradient_norm(params: list[Parameter]) -> float:
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    return float(np.sqrt(total))
-
-
-def clip_gradients(params: list[Parameter], max_norm: float) -> float:
-    norm = global_gradient_norm(params)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
-    return norm
-
-
-def _optimize(loss: Tensor, report: LossReport, opt: Adam, config: TrainConfig,
-              curve: Curve, name: str) -> None:
+def _optimize(loss: Tensor, report: LossReport, opt: Adam, curve: Curve, name: str) -> None:
     """One update from `loss`; its report joins `curve` as the next step."""
     step = len(curve)
     value = loss.item()
@@ -121,8 +100,6 @@ def _optimize(loss: Tensor, report: LossReport, opt: Adam, config: TrainConfig,
     for p in opt.params:
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise FloatingPointError(f"non-finite gradient of {p.name!r} at {name} step {step}")
-    if config.grad_clip_enabled:
-        clip_gradients(opt.params, GRAD_CLIP_NORM)
     opt.step()
     curve.append((step, report))
 
@@ -165,7 +142,7 @@ def _flow_updates(net: FireFlowNet, config: TrainConfig, curve: Curve):
         flow = net(voxel, mask)
         if not np.isfinite(flow.data).all():
             raise FloatingPointError(f"non-finite flow at flow step {len(curve)}")
-        _optimize(*flow_total_loss(partition, flow, config.weights), opt, config, curve, "flow")
+        _optimize(*flow_total_loss(partition, flow, config.weights), opt, curve, "flow")
         return flow
 
     return update
@@ -251,8 +228,7 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
             l_prev = l_k
             k += 1
             if k == window:
-                _optimize(*recon_total_loss(pe, tc, tv, weights), opt_r, config, result.curve,
-                          "recon")
+                _optimize(*recon_total_loss(pe, tc, tv, weights), opt_r, result.curve, "recon")
                 state = detach_state(state)
                 l_prev = l_prev.detach()
                 k, pe, tc, tv = 0, 0.0, 0.0, 0.0

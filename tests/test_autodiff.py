@@ -352,6 +352,26 @@ def test_gather_pixels_keeps_the_shape_of_2d_indices(channels):
     assert np.array_equal(out.data, field[:, iy, ix])
 
 
+# A flat index would alias (on a 3x4 frame, ix=4 reads pixel (1,0) and ix=-1
+# the last pixel), numpy would broadcast [0, 1, 2] against [1] to three reads,
+# and a float index would fail inside numpy.
+@pytest.mark.parametrize("iy,ix,message", [
+    ([0], [4], "outside the 3x4 frame"), ([0], [-1], "outside the 3x4 frame"),
+    ([3], [0], "outside the 3x4 frame"), ([-1], [0], "outside the 3x4 frame"),
+    ([0, 2], [3, 4], "outside the 3x4 frame"),
+    ([0, 1, 2], [1], "differ in shape"),
+    ([0.0], [1], "must be integers"), ([0], [1.5], "must be integers"),
+    ([True], [1], "must be integers")])
+def test_gather_pixels_rejects_indices_that_are_not_pixels_of_the_frame(iy, ix, message):
+    with pytest.raises(ValueError, match=message):
+        ad.gather_pixels(np.zeros((1, 3, 4)), np.array(iy), np.array(ix))
+
+
+def test_gather_pixels_of_no_indices_reads_nothing():
+    empty = np.zeros(0, dtype=np.int64)
+    assert ad.gather_pixels(np.zeros((2, 3, 4)), empty, empty).shape == (2, 0)
+
+
 @pytest.mark.parametrize("channels", [1, 2])
 def test_gather_pixels_gradient_of_2d_indices(channels):
     # Repeated indices, as at a replicated border, sum their gradients.

@@ -132,7 +132,7 @@ def test_flow_total_reduces_to_contrast_when_lambda_zero():
     total, report = losses.flow_total_loss(part, flow, weights)
     assert total.item() == pytest.approx(losses.contrast_loss(part, flow).item())
     assert report.total == pytest.approx(
-        sum(report.weights[k] * v for k, v in report.terms.items()))
+        report.terms["contrast"] + weights.lambda1 * report.terms["smoothness"])
 
 
 def test_flow_total_constant_flow_equals_contrast():
@@ -434,15 +434,16 @@ def test_recon_total_tc_window():
     weights = LossWeights(lambda2=0.5, lambda3=0.0)
     total, report = losses.recon_total_loss(Tensor(0.0), Tensor(3.0), Tensor(0.0), weights)
     assert total.item() == 1.5
-    assert report.terms["temporal"] == 3.0 and report.weights["temporal"] == 0.5
+    assert report.terms["temporal"] == 3.0 and report.total == weights.lambda2 * 3.0
 
 
 def test_recon_total_bookkeeping_and_bounds():
     weights = LossWeights(lambda2=0.25, lambda3=0.5)
     total, report = losses.recon_total_loss(Tensor(3.0), Tensor(7.0), Tensor(11.0), weights)
     assert total.item() == pytest.approx(3.0 + 0.25 * 7.0 + 0.5 * 11.0)
-    assert report.total == pytest.approx(
-        sum(report.weights[k] * v for k, v in report.terms.items()))
+    assert report.total == pytest.approx(report.terms["photometric"]
+                                         + weights.lambda2 * report.terms["temporal"]
+                                         + weights.lambda3 * report.terms["tv"])
     # S0 beyond S is rejected where the window is configured.
     with pytest.raises(ValueError, match="S0"):
         TrainConfig(unroll_steps=1, tc_start_step=5)

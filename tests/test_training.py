@@ -12,7 +12,7 @@ from evssl.events import (AugmentConfig, SensorGeometry, empty_stream, events_pe
 from evssl.geometry import build_voxel_grid, event_mask
 from evssl.losses import (LossReport, LossWeights, contrast_loss, flow_total_loss,
                           reference_increment)
-from evssl.networks import DEFAULT_FLOW_SCALE, FireFlowNet, ReconNet, init_parameters
+from evssl.networks import FireFlowNet, ReconNet, init_parameters
 from evssl.training import CheckpointError, TrainConfig
 
 from conftest import corrupted, random_partition
@@ -53,8 +53,8 @@ def _zero_flow(partition, voxel, mask):
     return np.zeros((2, *mask.shape))
 
 
-def _flow_net(seed=0, flow_scale=DEFAULT_FLOW_SCALE):
-    net = FireFlowNet(bins=5, flow_scale=flow_scale)
+def _flow_net(seed=0):
+    net = FireFlowNet(bins=5)
     init_parameters(net, np.random.default_rng(seed))
     return net
 
@@ -65,11 +65,12 @@ def _frozen(net):
 
 @pytest.mark.parametrize("config,kw", [
     (TrainConfig, dict(lr=np.nan)), (TrainConfig, dict(lr=np.inf)),
-    (FireFlowNet, dict(flow_scale=0.0)), (FireFlowNet, dict(flow_scale=-1.0)),
-    (FireFlowNet, dict(flow_scale=np.nan)), (FireFlowNet, dict(flow_scale=np.inf)),
+    (TrainConfig, dict(lr=0.0)), (TrainConfig, dict(lr=-1.0)),
+    (LossWeights, dict(lambda1=-1.0)), (LossWeights, dict(c_pos=0.0)),
     (LossWeights, dict(lambda1=np.nan)), (LossWeights, dict(lambda2=np.inf)),
     (LossWeights, dict(lambda3=np.nan)), (LossWeights, dict(c_pos=np.nan)),
-    (LossWeights, dict(c_neg=np.inf)), (TrainConfig, dict(epochs=-1))])
+    (LossWeights, dict(c_neg=np.inf)), (TrainConfig, dict(epochs=-1)),
+    (TrainConfig, dict(seed=-1))])
 def test_config_rejects_non_finite_or_non_positive_values(config, kw):
     # NaN passes `x < 0` and `x <= 0` alike, so each check must reject it.
     with pytest.raises(ValueError):
@@ -77,9 +78,10 @@ def test_config_rejects_non_finite_or_non_positive_values(config, kw):
 
 
 # A float unroll_steps would train nothing, because `k == window` never
-# holds; a float epochs or bins would fail late, inside `range`.
-@pytest.mark.parametrize("value", [2.5, 2.0, np.nan, True, "2"])
-@pytest.mark.parametrize("name", ["epochs", "unroll_steps", "tc_start_step", "bins"])
+# holds; a float epochs or bins would fail late, inside `range`; a seed of
+# None would train unseeded, so the run would not be reproducible.
+@pytest.mark.parametrize("value", [2.5, 2.0, np.nan, True, "2", None])
+@pytest.mark.parametrize("name", ["epochs", "unroll_steps", "tc_start_step", "bins", "seed"])
 def test_config_rejects_non_integer_counts(name, value):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         TrainConfig(**{name: value})
@@ -96,9 +98,11 @@ def test_bin_count_is_an_integer_of_at_least_two_at_construction(build, value):
         build(bins=value)
 
 
-def test_flow_scale_is_a_setting_of_the_network_only():
+def test_flow_scale_is_not_a_setting():
     with pytest.raises(TypeError):
         TrainConfig(flow_scale=2.0)
+    with pytest.raises(TypeError):
+        FireFlowNet(bins=5, flow_scale=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +156,6 @@ def test_train_flow_and_joint_recon_make_the_same_flow_updates(pause_prob):
     _assert_same_run(curve, joint.flow_curve, net, joint.flow_net)
 
 
-def test_a_network_passed_in_keeps_its_flow_scale():
-    seqs = _sequences([3, 4])
-    config = _config(augment=AugmentConfig(pause_prob=0.0))
-    net, _ = training.train_flow(seqs, config, _flow_net(flow_scale=2.0))
-    joint = training.train_recon(seqs, config, flow_net=_flow_net(flow_scale=2.0))
-    for trained in (net, joint.flow_net):
-        assert trained.flow_scale == 2.0
-        voxels = [build_voxel_grid(p, 5) for seq in seqs for p in seq]
-        largest = max(np.abs(trained(v, event_mask(v)).data).max() for v in voxels)
-        assert 0.0 < largest <= 2.0
-
-
 def test_pause_gets_no_flow_update():
     # A pause has zero loss and gradient; an Adam step on it would still
     # move every parameter by the momentum of earlier steps.
@@ -205,8 +197,7 @@ def test_non_finite_loss_value_raises_before_backward(value):
     p = ad.Parameter("p", np.full(3, value))
     curve = []
     with pytest.raises(FloatingPointError, match="non-finite loss at recon step 0"):
-        training._optimize(ad.tsum(p), LossReport(), training.Adam([p], 1e-3), _config(),
-                           curve, "recon")
+        training._optimize(ad.tsum(p), LossReport(), training.Adam([p], 1e-3), curve, "recon")
     assert curve == [] and p.grad is None
 
 
@@ -223,12 +214,11 @@ def test_non_finite_gradient_raises():
         loss = ad.sqrt(ad.tsum(ad.square(p)))
         with pytest.raises(FloatingPointError,
                            match="non-finite gradient of 'p' at flow step 0"):
-            training._optimize(loss, LossReport(), training.Adam([p], 1e-3), _config(), [],
-                               "flow")
+            training._optimize(loss, LossReport(), training.Adam([p], 1e-3), [], "flow")
 
 
 # ---------------------------------------------------------------------------
-# gradient clipping
+# Adam
 
 
 def test_adam_rejects_missing_gradient():
@@ -238,68 +228,20 @@ def test_adam_rejects_missing_gradient():
         training.Adam([p, q], 1e-3).step()
 
 
-def test_clipping_and_adam_rebind_gradients_and_never_write_into_them():
+def test_adam_rebinds_gradients_and_never_writes_into_them():
     # Backward hands gradients over uncopied, so leaves may share an array;
-    # every consumer must rebind a gradient rather than write into it.
+    # Adam must rebind a gradient rather than write into it.
     net = _flow_net()
     part = _sequences([1])[0][0]
     voxel = build_voxel_grid(part, 5)
     loss, _ = flow_total_loss(part, net(voxel, event_mask(voxel)), LossWeights())
     loss.backward()
     params = net.parameters()
-
-    def freeze():
-        for p in params:
-            p.grad.flags.writeable = False
-
-    freeze()
-    assert training.clip_gradients(params, 1e-3) > 1e-3
-    assert training.global_gradient_norm(params) == pytest.approx(1e-3, rel=1e-12)
-    freeze()
+    for p in params:
+        p.grad.flags.writeable = False
     before = [p.data for p in params]
     training.Adam(params, 1e-3).step()
     assert any(not np.array_equal(b, p.data) for b, p in zip(before, params))
-
-
-def _with_grads(*grads):
-    params = [ad.Parameter(f"p{i}", np.zeros_like(g)) for i, g in enumerate(grads)]
-    for p, g in zip(params, grads):
-        p.grad = np.array(g, dtype=np.float64)
-    return params
-
-
-def test_clip_gradients_scales_the_norm_to_the_maximum():
-    params = _with_grads([3.0, 0.0], [[4.0]])
-    assert training.clip_gradients(params, 1.0) == 5.0
-    assert training.global_gradient_norm(params) == pytest.approx(1.0, rel=1e-15)
-    assert np.allclose(params[0].grad, [0.6, 0.0]) and np.allclose(params[1].grad, [[0.8]])
-
-
-def test_clip_gradients_below_the_maximum_changes_nothing():
-    params = _with_grads([3.0, 0.0], [[4.0]])
-    assert training.clip_gradients(params, 5.5) == 5.0
-    assert np.array_equal(params[0].grad, [3.0, 0.0]) and np.array_equal(params[1].grad, [[4.0]])
-
-
-def test_train_flow_clips_every_update(monkeypatch):
-    clip = training.clip_gradients
-    norms = []
-
-    def recording(params, max_norm):
-        norms.append((clip(params, max_norm), training.global_gradient_norm(params)))
-        return norms[-1][0]
-
-    monkeypatch.setattr(training, "clip_gradients", recording)
-    seqs = _sequences([3])
-    config = _config(epochs=1, grad_clip_enabled=True, augment=AugmentConfig(pause_prob=0.0))
-    net, curve = training.train_flow(seqs, config)
-    assert len(norms) == len(curve) == 3
-    for before, after in norms:
-        assert before > training.GRAD_CLIP_NORM
-        assert after == pytest.approx(training.GRAD_CLIP_NORM, rel=1e-12)
-    unclipped, _ = training.train_flow(seqs, _config(epochs=1, augment=config.augment))
-    pa, pb = _params(net), _params(unclipped)
-    assert any(not np.array_equal(pa[k], pb[k]) for k in pa)
 
 
 def test_joint_recon_builds_and_trains_its_own_flow_net():
