@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float32 or float64 arrays.
 
 Define-by-run: every operation returns a new Tensor through
 `Tensor._from_op`, which alone decides, for every op, whether it records
@@ -37,6 +37,12 @@ A fused node (conv2d with its bias, skip and activation, or a whole
 conv_gru step) keeps only the arrays its backward reads, and rebuilds
 cheap intermediates such as the flat buffers of its (stacked) inputs
 there instead of holding them for the life of the graph.
+
+One dtype rule: a correlation runs in its weights' dtype. conv2d and
+conv_gru cast their inputs to it while copying them into the flat buffer,
+and their incoming gradient at the top of backward, so their outputs and
+all their gradients come out in that dtype. Every other op follows
+numpy's promotion; a float32 operand meeting a float64 one gives float64.
 """
 
 from __future__ import annotations
@@ -54,12 +60,16 @@ __all__ = [
 
 
 class Tensor:
-    """A float64 array plus an optional autodiff graph node."""
+    """A float32 or float64 array plus an optional autodiff graph node.
+
+    float32 data stays float32; any other data is cast to float64.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -302,22 +312,22 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # gradient, multiplies the input's runs in place.
 
 
-def _runs(blocks, k: int) -> np.ndarray:
-    """Read-only view (C, k, k, H*(W+2p)) of a new flat buffer holding the
-    channel stack of blocks (each (C_i,H,W)): [:, dy, dx] is the run of
-    tap (dy, dx)."""
+def _runs(blocks, k: int, dtype) -> np.ndarray:
+    """Read-only view (C, k, k, H*(W+2p)) of a new flat buffer of `dtype`
+    holding the channel stack of blocks (each (C_i,H,W)), cast as it is
+    copied in: [:, dy, dx] is the run of tap (dy, dx)."""
     p, (h, w) = k // 2, blocks[0].shape[1:]
     hp, wp = h + 2 * p, w + 2 * p
-    flat = np.zeros((sum(len(b) for b in blocks), hp * wp + 2 * p))
+    flat = np.zeros((sum(len(b) for b in blocks), hp * wp + 2 * p), dtype)
     np.concatenate(blocks, out=flat[:, :hp * wp].reshape(-1, hp, wp)[:, p:p + h, p:p + w])
     s0, s1 = flat.strides
     return np.lib.stride_tricks.as_strided(flat, (len(flat), k, k, h * wp),
                                            (s0, wp * s1, s1, s1), writeable=False)
 
 
-def _im2col(blocks, k: int) -> np.ndarray:
+def _im2col(blocks, k: int, dtype) -> np.ndarray:
     """Every tap's run of the flat buffer of blocks, copied: (C*k*k, H*(W+2p))."""
-    runs = _runs(blocks, k)
+    runs = _runs(blocks, k, dtype)
     return runs.reshape(-1, runs.shape[-1])
 
 
@@ -329,22 +339,22 @@ def _drop_junk(out: np.ndarray, w: int, k: int) -> np.ndarray:
 
 def _correlate(blocks, w: np.ndarray) -> np.ndarray:
     """Same-padded stride-1 correlation of the channel stack of blocks
-    (C_in,H,W) with w (C_out,C_in,k,k)."""
+    (C_in,H,W) with w (C_out,C_in,k,k), in w's dtype."""
     c_out, _, k, _ = w.shape
     # The im2col is freed as soon as the GEMM returns.
-    return _drop_junk(w.reshape(c_out, -1) @ _im2col(blocks, k), blocks[0].shape[2], k)
+    return _drop_junk(w.reshape(c_out, -1) @ _im2col(blocks, k, w.dtype), blocks[0].shape[2], k)
 
 
 def _correlate_grads(blocks, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weight and input gradients of `_correlate(blocks, w)` from its output
-    gradient g (C_out,H,W), both from one im2col of g."""
+    gradient g (C_out,H,W), both from one im2col of g, in w's dtype."""
     c_out, c_in, k, _ = w.shape
-    cols = _im2col([g], k)
+    cols = _im2col([g], k, w.dtype)
     # Weight tap (dy, dx) sums g at run position i times the input at
     # i + dy*(W+2p) + dx. Shifted by the offset of the flipped tap
     # (k-1-dy, k-1-dx), that is g's run of the flipped tap times the
     # input's center run, whose zeros mask the junk columns.
-    center = _runs(blocks, k)[:, k // 2, k // 2]
+    center = _runs(blocks, k, w.dtype)[:, k // 2, k // 2]
     w_grad = (cols @ center.T).reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     del center
     # Transposed convolution: g correlated with the flipped kernel, input
@@ -359,8 +369,9 @@ def _correlate_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     # im2col of g is built: one GEMM per tap of the input's run, in place,
     # against g with zeros in the junk columns. The input channels are the
     # GEMM's rows because two BLAS threads split that orientation better.
-    runs = _runs([x], k)
-    g = _runs([g], k)[:, k // 2, k // 2]
+    # It comes out in g's dtype.
+    runs = _runs([x], k, g.dtype)
+    g = _runs([g], k, g.dtype)[:, k // 2, k // 2]
     grad = np.stack([runs[:, dy, dx] @ g.T for dy in range(k) for dx in range(k)], axis=-1)
     return grad.transpose(1, 0, 2).reshape(len(g), len(x), k, k)
 
@@ -379,7 +390,8 @@ def conv2d(x, weight, bias=None, activation: str | None = None, skip=None) -> Te
     Zero padding of (k-1)//2 keeps the spatial size. `skip`, a tensor of the
     output's shape, is added before the activation (a residual connection).
     `activation` ("relu", "sigmoid" or "tanh") is applied in the same node,
-    which then stores only the activated output.
+    which then stores only the activated output. The output and every
+    gradient are in the weight's dtype.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     bias = _as_tensor(bias) if bias is not None else None
@@ -405,7 +417,7 @@ def conv2d(x, weight, bias=None, activation: str | None = None, skip=None) -> Te
     parents = tuple(t for t in (x, weight, bias, skip) if t is not None)
 
     def backward(g):
-        g = act_grad(g, out)
+        g = act_grad(g.astype(out.dtype, copy=False), out)
         if bias is not None and bias.requires_grad:
             _accum(bias, g.reshape(c_out, -1).sum(axis=1))
         if skip is not None and skip.requires_grad:
@@ -428,7 +440,8 @@ def conv_gru(x, h, update_weight, update_bias, reset_weight, reset_bias,
     x is C_x*H*W and h is C*H*W; every weight is C*(C+C_x)*k*k and every
     bias (C,). Both gates come from one correlation over their stacked
     weights. The node keeps only [z; r] and c: backward rebuilds [h,x] and
-    [r*h,x] from x and h, stacked straight into their padded buffers.
+    [r*h,x] from x and h, stacked straight into their padded buffers. The
+    new state and every gradient are in the weights' dtype.
     """
     x, h = _as_tensor(x), _as_tensor(h)
     params = tuple(_as_tensor(t) for t in (update_weight, update_bias, reset_weight,
@@ -444,21 +457,23 @@ def conv_gru(x, h, update_weight, update_bias, reset_weight, reset_bias,
 
     sigmoid, sigmoid_grad = _ACTIVATIONS["sigmoid"]
     tanh, tanh_grad = _ACTIVATIONS["tanh"]
-    zr = _correlate([h.data, x.data], np.concatenate([wz.data, wr.data]))
+    hd = h.data.astype(wz.data.dtype, copy=False)  # read outside the buffers too
+    zr = _correlate([hd, x.data], np.concatenate([wz.data, wr.data]))
     zr = sigmoid(zr + np.concatenate([bz.data, br.data])[:, None, None])
     z, r = zr[:c], zr[c:]
-    cand = _correlate([r * h.data, x.data], wc.data)
+    cand = _correlate([r * hd, x.data], wc.data)
     cand = tanh(cand + bc.data[:, None, None])
-    out = (1.0 - z) * h.data + z * cand
+    out = (1.0 - z) * hd + z * cand
 
     parents = (x, h) + params
 
     def backward(g):
+        g = g.astype(out.dtype, copy=False)
         z, r = zr[:c], zr[c:]
         g_cand = tanh_grad(g * z, cand)
-        g_wc, g_rhx = _correlate_grads([r * h.data, x.data], wc.data, g_cand)
-        g_zr = sigmoid_grad(np.concatenate([g * cand - g * h.data, g_rhx[:c] * h.data]), zr)
-        g_wzr, g_hx = _correlate_grads([h.data, x.data], np.concatenate([wz.data, wr.data]), g_zr)
+        g_wc, g_rhx = _correlate_grads([r * hd, x.data], wc.data, g_cand)
+        g_zr = sigmoid_grad(np.concatenate([g * cand - g * hd, g_rhx[:c] * hd]), zr)
+        g_wzr, g_hx = _correlate_grads([hd, x.data], np.concatenate([wz.data, wr.data]), g_zr)
         g_bzr = g_zr.reshape(2 * c, -1).sum(axis=1)
         grads = (g_rhx[c:] + g_hx[c:],
                  g * (1.0 - z) + g_rhx[:c] * r + g_hx[:c],

@@ -12,6 +12,7 @@ reuses every column it does not flip.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +41,11 @@ class ConfigurationError(ValueError):
 def is_int(value) -> bool:
     """True for a Python or numpy integer; a bool is not a count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a Python or numpy real number; a bool is not a number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ blocks and a tanh prediction head scaled to `FLOW_SCALE` pixels;
 its output is forced to zero wherever the input partition has no events.
 The reconstruction network shares the layout but swaps the second and
 third encoders for ConvGRU cells and predicts one unbounded
-log-brightness channel.
+log-brightness channel. ReconNet's parameters are float32, so its
+correlations run in float32 (autodiff's dtype rule); FireFlowNet's are
+float64.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class ConvGRUCell:
 
     def __call__(self, x: Tensor, h: Tensor | None) -> Tensor:
         if h is None:
-            h = Tensor(np.zeros((self.channels, *x.shape[1:])))
+            h = Tensor(np.zeros((self.channels, *x.shape[1:]), self.params[0].data.dtype))
         return ad.conv_gru(x, h, *self.params)
 
 
@@ -107,7 +109,8 @@ class FireFlowNet:
 class ReconNet:
     """FireFlowNet layout with ConvGRU second/third encoders and a linear
     single-channel prediction head; the head's conv2d checks that a voxel
-    has `bins` channels."""
+    has `bins` channels. Its parameters are float32: this is the one place
+    that picks the reconstruction's dtype."""
 
     def __init__(self, bins: int = 5):
         check_bin_count(bins)
@@ -118,6 +121,8 @@ class ReconNet:
         self.r1 = ResidualBlock("r1", channels)
         self.r2 = ResidualBlock("r2", channels)
         self.pred = ConvLayer("pred", channels, 1, kernel=1, activation=None)
+        for p in self.parameters():
+            p.data = p.data.astype(np.float32)
 
     def parameters(self) -> list[Parameter]:
         blocks = (self.head, self.g1, self.g2, self.r1, self.r2, self.pred)
@@ -135,12 +140,13 @@ class ReconNet:
 
 
 def init_parameters(net, rng: np.random.Generator) -> None:
-    """Glorot-uniform conv weights, zero biases; reproducible from the rng."""
+    """Glorot-uniform conv weights, zero biases, in each parameter's own
+    dtype; reproducible from the rng, which draws float64 either way."""
     for p in net.parameters():
         if p.data.ndim == 4:
             c_out, c_in, k, _ = p.data.shape
             bound = np.sqrt(6.0 / (c_in * k * k + c_out * k * k))
-            p.data = rng.uniform(-bound, bound, size=p.data.shape)
+            p.data = rng.uniform(-bound, bound, size=p.data.shape).astype(p.data.dtype)
         else:
             p.data = np.zeros_like(p.data)
         p.grad = None

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor, add
 from .events import (AugmentConfig, EventStream, apply_augmentation,
-                     draw_augmentation, empty_stream, is_int)
+                     draw_augmentation, empty_stream, is_int, is_real)
 from .geometry import as_flow, build_voxel_grid, check_bin_count, event_mask
 from .losses import (LossReport, LossWeights, flow_total_loss,
                      photometric_loss, predicted_increment, recon_total_loss,
@@ -46,6 +46,8 @@ class TrainConfig:
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         check_bin_count(self.bins)
+        if not is_real(self.lr):
+            raise ValueError(f"lr must be a real number, got {self.lr!r}")
         # Chained comparisons so that NaN and infinity fail too.
         if not 0 < self.lr < math.inf:
             raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
@@ -58,7 +60,8 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam with bias correction; moments keyed by parameter name."""
+    """Standard Adam with bias correction; moments keyed by parameter name.
+    Moments and updates keep each parameter's (and its gradient's) dtype."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -66,7 +69,7 @@ class Adam:
 
     def __init__(self, params: list[Parameter], lr: float = 1e-4):
         self.params = list(params)
-        self.lr = lr
+        self.lr = float(lr)  # a numpy float64 would promote a float32 update
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -339,7 +342,8 @@ def network_state(net) -> dict[str, np.ndarray]:
 
 
 def load_network_state(net, tensors: dict[str, np.ndarray]) -> None:
-    """Strict load: names must match the network's parameter set exactly."""
+    """Strict load: names must match the network's parameter set exactly.
+    Each parameter keeps its dtype: CKP1's float64 holds a float32 exactly."""
     params = {p.name: p for p in net.parameters()}
     unknown = sorted(set(tensors) - set(params))
     if unknown:
@@ -353,6 +357,6 @@ def load_network_state(net, tensors: dict[str, np.ndarray]) -> None:
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {data.shape}, "
                 f"network {p.data.shape}")
-        p.data = data
+        p.data = np.asarray(data, p.data.dtype)
         p.grad = None
 

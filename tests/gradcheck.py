@@ -31,8 +31,13 @@ def check_gradients(build, params, h=FD_STEP, rtol=REL_TOL):
     """Assert analytic gradients of build() match central differences.
 
     build() must construct a fresh scalar graph over `params` each call.
+    Every parameter must be float64: a step of h is below float32's
+    resolution, so a check there would compare rounding noise.
     """
     for p in params:
+        if p.data.dtype != np.float64:
+            raise TypeError(f"gradient check of {getattr(p, 'name', 'tensor')} needs float64, "
+                            f"got {p.data.dtype}")
         p.grad = None
     out = build()
     out.backward()

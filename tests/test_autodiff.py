@@ -130,8 +130,8 @@ def test_deep_graph_backward_no_recursion_limit():
     assert x.grad == pytest.approx(1.0)
 
 
-# One ReconNet feature map at 32x32: 16 channels of float64.
-FEATURE_MAP_BYTES = 16 * 32 * 32 * 8
+# One ReconNet feature map at 32x32: 16 channels of float32.
+FEATURE_MAP_BYTES = 16 * 32 * 32 * 4
 
 
 def test_backward_keeps_only_leaf_gradients_and_bounded_memory():
@@ -602,7 +602,7 @@ def test_correlation_helpers_match_tap_loop_references(k, shape):
 def test_runs_stack_channel_blocks_with_zero_junk_columns():
     rng = np.random.default_rng(991)
     a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(1, 3, 4))
-    runs = ad._runs([a, b], 3)
+    runs = ad._runs([a, b], 3, np.float64)
     assert runs.shape == (3, 3, 3, 3 * 6)
     center = runs[:, 1, 1].reshape(3, 3, 6)
     assert np.array_equal(center[:, :, :4], np.concatenate([a, b]))
@@ -728,6 +728,80 @@ def test_conv_gru_rejects_gate_weights_or_biases_that_differ(index, shape, match
     params[index] = Tensor(np.zeros(shape))
     with pytest.raises(ValueError, match=match):
         ad.conv_gru(Tensor(np.zeros((3, 4, 5))), Tensor(np.zeros((2, 4, 5))), *params)
+
+
+# ---------------------------------------------------------------------------
+# the dtype rule: a correlation runs in its weights' dtype
+
+
+def test_tensor_keeps_float32_and_casts_any_other_dtype_to_float64():
+    for data in (np.zeros(3, np.float32), np.float32(0.5)):
+        assert Tensor(data).data.dtype == np.float32
+    for data in (np.zeros(3, np.float16), np.arange(3), [1, 2], 0.5, True, np.zeros(2)):
+        assert Tensor(data).data.dtype == np.float64
+
+
+def test_gradient_check_refuses_float32_parameters():
+    # h = 1e-6 is below float32's resolution near 1.
+    x = Parameter("x", np.ones(3, np.float32))
+    with pytest.raises(TypeError, match="x needs float64, got float32"):
+        check_gradients(lambda: ad.tsum(ad.square(x)), [x])
+
+
+def _assert_dtype_and_close(tensors, twins, dtype):
+    """Each tensor's gradient is in dtype and within float32 rounding of
+    its float64 twin's, relative to the twin's largest entry."""
+    for t, twin in zip(tensors, twins):
+        if t.requires_grad:
+            assert t.grad.dtype == dtype, t.name
+            assert np.abs(t.grad - twin.grad).max() <= 1e-5 * np.abs(twin.grad).max(), t.name
+
+
+def _upcast(t):
+    return Parameter(t.name, t.data.astype(np.float64)) if t.requires_grad \
+        else Tensor(t.data.astype(np.float64))
+
+
+# (weights, inputs): float64 weights with float32 inputs, and float32
+# weights with float64 inputs. The upstream gradient is float64 in both.
+DTYPE_PAIRS = [(np.float64, np.float32), (np.float32, np.float64)]
+
+
+@pytest.mark.parametrize("w_dtype,x_dtype", DTYPE_PAIRS, ids=["f64-weights", "f32-weights"])
+@pytest.mark.parametrize("x_needs_grad", [True, False], ids=["x-grad", "x-constant"])
+def test_conv2d_runs_in_its_weights_dtype(w_dtype, x_dtype, x_needs_grad):
+    rng = np.random.default_rng(995)
+    x = rng.uniform(-2.0, 2.0, size=(3, 5, 6)).astype(x_dtype)
+    x = Parameter("x", x) if x_needs_grad else Tensor(x)
+    w = Parameter("w", rng.uniform(-2.0, 2.0, size=(2, 3, 3, 3)).astype(w_dtype))
+    b = Parameter("b", rng.uniform(-2.0, 2.0, size=2).astype(w_dtype))
+    skip = Parameter("skip", rng.uniform(-2.0, 2.0, size=(2, 5, 6)).astype(x_dtype))
+    probe = rng.normal(size=(2, 5, 6))
+    tensors = (x, w, b, skip)
+    twins = [_upcast(t) for t in tensors]
+
+    out = ad.conv2d(*tensors[:3], "tanh", skip=skip)
+    assert out.data.dtype == w_dtype
+    ad.tsum(ad.mul(out, probe)).backward()
+    ad.tsum(ad.mul(ad.conv2d(*twins[:3], "tanh", skip=twins[3]), probe)).backward()
+    _assert_dtype_and_close(tensors, twins, w_dtype)
+
+
+@pytest.mark.parametrize("w_dtype,x_dtype", DTYPE_PAIRS, ids=["f64-weights", "f32-weights"])
+def test_conv_gru_runs_in_its_weights_dtype(w_dtype, x_dtype):
+    rng = np.random.default_rng(996)
+    params = [Parameter(p.name, p.data.astype(w_dtype)) for p in gru_parameters(rng, 2, 3)]
+    x = Parameter("x", rng.uniform(-2.0, 2.0, size=(3, 4, 5)).astype(x_dtype))
+    h = Parameter("h", rng.uniform(-1.0, 1.0, size=(2, 4, 5)).astype(x_dtype))
+    probe = rng.normal(size=(2, 4, 5))
+    tensors = (x, h, *params)
+    twins = [_upcast(t) for t in tensors]
+
+    out = ad.conv_gru(*tensors)
+    assert out.data.dtype == w_dtype
+    ad.tsum(ad.mul(out, probe)).backward()
+    ad.tsum(ad.mul(ad.conv_gru(*twins), probe)).backward()
+    _assert_dtype_and_close(tensors, twins, w_dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,26 @@ def test_bin_count_is_an_integer_of_at_least_two_at_construction(build, value):
         build(bins=value)
 
 
+# A bool would train at lr 1 or weigh a term by 1, a string would fail in
+# a comparison with a bare TypeError, and any non-empty string is truthy.
+@pytest.mark.parametrize("config,name,value", [
+    *((TrainConfig, "lr", v) for v in (True, "1e-3", None, 1e-3 + 0j)),
+    *((LossWeights, name, v) for name in ("lambda1", "lambda2", "lambda3", "c_pos", "c_neg")
+      for v in (True, np.True_, "1")),
+    *((LossWeights, "deblur_enabled", v) for v in ("no", 1, 0.0, None))])
+def test_config_rejects_bool_or_non_real_settings(config, name, value):
+    kind = "a bool" if name == "deblur_enabled" else "a real number"
+    with pytest.raises(ValueError, match=f"{name} must be {kind}, got"):
+        config(**{name: value})
+
+
+def test_config_accepts_numpy_reals_and_bools():
+    assert TrainConfig(lr=np.float32(1e-3)).lr == np.float32(1e-3)
+    assert TrainConfig(lr=1).lr == 1
+    weights = LossWeights(lambda1=np.float64(0.5), c_pos=np.int64(2), deblur_enabled=np.False_)
+    assert not weights.deblur_enabled
+
+
 def test_flow_scale_is_not_a_setting():
     with pytest.raises(TypeError):
         TrainConfig(flow_scale=2.0)
@@ -330,20 +350,22 @@ def test_reconstruction_window_graph_size(monkeypatch):
 
 # Curve entries of short runs recorded from an earlier implementation of
 # the training loops, whose reconstruction terms each warped the previous
-# frame on their own; a rewrite of the loops must reproduce them.
+# frame on their own; a rewrite of the loops must reproduce them. The
+# "recon" and "joint" entries were recorded again when ReconNet moved to
+# float32 (they had moved by float32 rounding, at most 3.5e-5 relative).
 RECORDED = {
     "flow": [({"contrast": 84.23061335078688, "smoothness": 0.7022911162076213},
               84.9329044669945),
              ({"contrast": 119.03554240549907, "smoothness": 0.410771766220607},
               119.44631417171968)],
-    "recon": [({"photometric": 420.6133365965425, "temporal": 8.426202831658074,
-                "tv": 41.04140633549052}, 423.5080271964829),
-              ({"photometric": 537.8609974834246, "temporal": 7.509075356201723,
-                "tv": 31.1954510760497}, 540.1716775728473)],
-    "joint": [({"photometric": 496.35340371989247, "temporal": 8.854007407729037,
-                "tv": 43.872343494163616}, 499.43242163537354),
-              ({"photometric": 313.63302355063036, "temporal": 6.483543982791847,
-                "tv": 36.19910836042854}, 316.09133336693094)],
+    "recon": [({"photometric": 420.61333650608674, "temporal": 8.426202571642534,
+                "tv": 41.04140520095825}, 423.5080270232989),
+              ({"photometric": 537.8609973486874, "temporal": 7.509074832778424,
+                "tv": 31.195446968078613}, 540.1716771803692)],
+    "joint": [({"photometric": 496.35340383630273, "temporal": 8.854007609208141,
+                "tv": 43.87234163284302}, 499.4324216788657),
+              ({"photometric": 313.63293047261584, "temporal": 6.483769830522803,
+                "tv": 36.19964838027954}, 316.0912898746821)],
     "joint_flow": [({"contrast": 87.75310215579059, "smoothness": 0.4782628550227139},
                     88.2313650108133),
                    ({"contrast": 108.20724279667806, "smoothness": 1.0618849450121741},
@@ -365,6 +387,96 @@ def test_first_updates_reproduce_recorded_values():
         for (terms, total), (want_terms, want_total) in zip(got, expected):
             assert terms == pytest.approx(want_terms, rel=1e-9), name
             assert total == pytest.approx(want_total, rel=1e-9), name
+
+
+# ---------------------------------------------------------------------------
+# dtypes: ReconNet trains in float32, FireFlowNet in float64
+
+
+def _recording_adams(monkeypatch):
+    """Every Adam the loops build from now on, in order."""
+    built = []
+
+    class Recorded(training.Adam):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built.append(self)
+
+    monkeypatch.setattr(training, "Adam", Recorded)
+    return built
+
+
+def _assert_trained_in(net, opt, dtype):
+    # Under numpy's silent promotion, nothing else notices a float64 value
+    # creeping back into a float32 network.
+    for p in net.parameters():
+        assert p.data.dtype == dtype, p.name
+        assert p.grad.dtype == dtype, p.name
+        assert opt.m[p.name].dtype == dtype and opt.v[p.name].dtype == dtype, p.name
+
+
+def test_reconnet_trains_in_float32_and_fireflownet_in_float64(monkeypatch):
+    seqs = _sequences([5, 6])
+    # A numpy float64 learning rate would promote a float32 update.
+    config = _config(epochs=1, unroll_steps=4, tc_start_step=2, lr=np.float64(1e-3))
+    adams = _recording_adams(monkeypatch)
+    recon = training.train_recon(seqs, config, flow_provider=_constant_flow)
+    flow_net, _ = training.train_flow(seqs, config)
+    joint = training.train_recon(seqs, config)
+    assert len(adams) == 4 and recon.curve and joint.curve and joint.flow_curve
+    _assert_trained_in(recon.recon_net, adams[0], np.float32)
+    _assert_trained_in(flow_net, adams[1], np.float64)
+    # The joint loop builds the flow network's Adam first.
+    _assert_trained_in(joint.flow_net, adams[2], np.float64)
+    _assert_trained_in(joint.recon_net, adams[3], np.float32)
+
+    voxel = build_voxel_grid(seqs[0][0], 5)
+    image, state = recon.recon_net(voxel, None)
+    image, state = recon.recon_net(voxel, state)
+    assert image.data.dtype == np.float32
+    assert all(h.data.dtype == np.float32 for h in state)
+    assert joint.flow_net(voxel, event_mask(voxel)).data.dtype == np.float64
+
+
+def test_float64_checkpoint_loads_into_reconnet_as_float32(tmp_path):
+    net = _recon_net()
+    path = tmp_path / "net.ckp1"
+    training.save_checkpoint(path, training.network_state(net))
+    tensors, _ = training.load_checkpoint(path)
+    assert all(t.dtype == np.float64 for t in tensors.values())
+    restored = ReconNet(bins=5)
+    training.load_network_state(restored, tensors)
+    for a, b in zip(net.parameters(), restored.parameters()):
+        assert b.data.dtype == np.float32, b.name
+        assert np.array_equal(a.data, b.data), b.name  # float64 holds float32 exactly
+
+
+# Largest |float32 - float64| gradient gap of a window, relative to the
+# parameter's largest float64 gradient entry: measured at most 6.6e-7 over
+# seeds 0-11 (float32's epsilon is 1.2e-7).
+WINDOW_GRAD_RTOL = 5e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_window_gradients_match_a_float64_copy(seed):
+    # The dtype rule runs the upcast copy in float64 throughout. pred.bias
+    # has an exact gradient of 0 (every loss term reads differences of the
+    # reconstruction), so both sides read rounding noise there.
+    seqs = _sequences([5], seed=seed)
+    config = _config(epochs=1, unroll_steps=4, tc_start_step=2, seed=seed,
+                     augment=AugmentConfig(pause_prob=0.0))
+    net, twin = _recon_net(seed), ReconNet(bins=5)
+    for p, q in zip(twin.parameters(), net.parameters()):
+        p.data = q.data.astype(np.float64)
+    for n in (net, twin):
+        assert len(training.train_recon(seqs, config, flow_provider=_constant_flow,
+                                        recon_net=n).curve) == 1
+    top = max(np.abs(p.grad).max() for p in twin.parameters())
+    for a, b in zip(net.parameters(), twin.parameters()):
+        assert a.grad.dtype == np.float32 and b.grad.dtype == np.float64
+        scale = top if a.name == "pred.bias" else np.abs(b.grad).max()
+        gap = np.abs(a.grad - b.grad).max()
+        assert gap <= WINDOW_GRAD_RTOL * scale, f"{a.name}: {gap / scale:.2e}"
 
 
 def _learning_scene_and_windows(seed, unroll_steps):
