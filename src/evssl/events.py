@@ -73,6 +73,8 @@ class EventStream:
     `t_star` holds the normalized timestamps (t - t0)/(tN - t0) once
     `normalize_timestamps` has been applied to a partition, else None;
     `empty_stream`'s is the empty array, the normalized timestamps of no events.
+    `h_flip` and `v_flip` say whether `apply_augmentation` has mirrored x
+    or y, so that ground truth can be mirrored to match.
     """
 
     t: np.ndarray  # uint64, microseconds
@@ -81,6 +83,8 @@ class EventStream:
     p: np.ndarray  # int8, +1/-1
     geometry: SensorGeometry
     t_star: np.ndarray | None = None
+    h_flip: bool = False
+    v_flip: bool = False
 
     def __len__(self) -> int:
         return len(self.t)
@@ -234,8 +238,8 @@ def partition_by_count(stream: EventStream, n: int) -> list[EventStream]:
     back = np.flatnonzero(stream.t[1:] < stream.t[:-1])
     if back.size:
         raise ValueError(f"event {back[0] + 1}: timestamp decreases")
-    return [EventStream(stream.t[i:i + n], stream.x[i:i + n], stream.y[i:i + n],
-                        stream.p[i:i + n], stream.geometry)
+    return [replace(stream, t=stream.t[i:i + n], x=stream.x[i:i + n], y=stream.y[i:i + n],
+                    p=stream.p[i:i + n], t_star=None)
             for i in range(0, len(stream) - n + 1, n)]
 
 
@@ -293,4 +297,5 @@ def apply_augmentation(partition: EventStream, record: AugmentationRecord) -> Ev
         p = (-p.astype(np.int64)).astype(np.int8)
     # The pause flag is carried in the record only; the trainer inserts an
     # `empty_stream` as one more partition, the events themselves are untouched.
-    return replace(partition, x=x, y=y, p=p)
+    return replace(partition, x=x, y=y, p=p, h_flip=partition.h_flip != record.h_flip,
+                   v_flip=partition.v_flip != record.v_flip)

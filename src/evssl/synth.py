@@ -2,9 +2,11 @@
 
 A scene is a toroidally periodic log-brightness pattern translating at
 constant velocity. Events come from a per-pixel integrate-and-fire model:
-each pixel holds a reference level and emits an event whenever the
-brightness has moved a full contrast threshold away from it, with the
-event timestamp linearly interpolated inside the simulation step.
+each pixel holds a reference level, and a pixel whose brightness is
+|delta| >= C away from it fires |delta| // C events (C the contrast
+threshold), their timestamps linearly interpolated inside the simulation
+step. The reference level then moves by those events' thresholds,
+accumulated in floating point step after step.
 """
 
 from __future__ import annotations
@@ -14,8 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream, SensorGeometry, US_PER_SECOND, empty_stream
+from .events import EventStream, SensorGeometry, US_PER_SECOND, empty_stream, is_int, is_real
 from .geometry import FlowField
+
+
+def _require_positive(name: str, value) -> None:
+    # Chained comparison so that NaN and infinity fail too.
+    if not (is_real(value) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,16 +39,16 @@ class SyntheticScene:
             raise ValueError(f"pattern shape {self.base.shape} does not match geometry")
         if not np.isfinite(self.base).all():
             raise ValueError("pattern must be finite")
-        # Chained comparisons so that NaN and infinity fail too.
-        if not 0 < self.contrast < math.inf:
-            raise ValueError(f"contrast must be finite and positive, got {self.contrast}")
-        if not 0 < self.duration < math.inf:
-            raise ValueError(f"duration must be finite and positive, got {self.duration}")
-        if len(self.velocity) != 2 or not all(-math.inf < v < math.inf for v in self.velocity):
-            raise ValueError(f"velocity must be a finite (vx, vy), got {self.velocity}")
+        _require_positive("contrast", self.contrast)
+        _require_positive("duration", self.duration)
+        if not (isinstance(self.velocity, (tuple, list, np.ndarray)) and len(self.velocity) == 2
+                and all(is_real(v) and -math.inf < v < math.inf for v in self.velocity)):
+            raise ValueError(f"velocity must be a finite (vx, vy), got {self.velocity!r}")
 
 
 def checkerboard(geometry: SensorGeometry, period: int, amplitude: float = 1.0) -> np.ndarray:
+    if not is_int(period) or period < 1:
+        raise ValueError(f"period must be a positive integer, got {period!r}")
     y, x = np.mgrid[0:geometry.height, 0:geometry.width]
     return amplitude * (((x // period) + (y // period)) % 2).astype(np.float64)
 
@@ -48,6 +56,9 @@ def checkerboard(geometry: SensorGeometry, period: int, amplitude: float = 1.0) 
 def gaussian_blobs(geometry: SensorGeometry, count: int, sigma: float,
                    amplitude: float, rng: np.random.Generator) -> np.ndarray:
     """Sum of toroidal Gaussian bumps at random centers."""
+    if not is_int(count) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    _require_positive("sigma", sigma)
     h, w = geometry.height, geometry.width
     y, x = np.mgrid[0:h, 0:w]
     base = np.zeros((h, w))
@@ -63,7 +74,9 @@ def render_scene(scene: SyntheticScene, t: float) -> np.ndarray:
     """Brightness at time t: the base pattern shifted by velocity*t.
 
     Toroidal wrap with bilinear sub-pixel sampling. The shift is uniform,
-    so one fractional offset serves the whole frame.
+    so one fractional offset serves the whole frame, and the four corner
+    images are shifted slices of one (H+1, W+1) window cut from the
+    wrapped pattern.
     """
     if not 0.0 <= t <= scene.duration:
         raise ValueError(f"t={t} outside [0, {scene.duration}]")
@@ -72,25 +85,30 @@ def render_scene(scene: SyntheticScene, t: float) -> np.ndarray:
     sy = -scene.velocity[1] * t
     kx, fx = int(np.floor(sx)), sx - np.floor(sx)
     ky, fy = int(np.floor(sy)), sy - np.floor(sy)
-    ix0 = (np.arange(w) + kx) % w
-    ix1 = (ix0 + 1) % w
-    iy0 = (np.arange(h) + ky) % h
-    iy1 = (iy0 + 1) % h
-    top = scene.base[np.ix_(iy0, ix0)] * (1.0 - fx) + scene.base[np.ix_(iy0, ix1)] * fx
-    bot = scene.base[np.ix_(iy1, ix0)] * (1.0 - fx) + scene.base[np.ix_(iy1, ix1)] * fx
+    win = (scene.base.take(np.arange(ky, ky + h + 1), axis=0, mode="wrap")
+           .take(np.arange(kx, kx + w + 1), axis=1, mode="wrap"))
+    top = win[:-1, :-1] * (1.0 - fx) + win[:-1, 1:] * fx
+    bot = win[1:, :-1] * (1.0 - fx) + win[1:, 1:] * fx
     return top * (1.0 - fy) + bot * fy
 
 
 def generate_events(scene: SyntheticScene, timestep: float) -> EventStream:
-    """Per-pixel integrate-and-fire simulation of the translating scene."""
-    if not 0 < timestep < math.inf:
-        raise ValueError(f"timestep must be finite and positive, got {timestep}")
+    """Per-pixel integrate-and-fire simulation of the translating scene.
+
+    At each step a pixel whose brightness is |delta| >= C from its
+    reference level fires |delta| // C events of delta's sign, and its
+    reference level moves by that many thresholds, accumulated in floating
+    point. Only the firing pixels are floor-divided: for finite a >= 0 and
+    C > 0, a // C >= 1 exactly when a >= C. `//` is kept because
+    `np.floor(a / C)` differs from it: 0.8999999999999999 // 0.3 is 2,
+    while the quotient rounds to 3.0.
+    """
+    _require_positive("timestep", timestep)
     c = scene.contrast
     n_steps = int(np.ceil(scene.duration / timestep))
-    h, w = scene.base.shape
+    w = scene.base.shape[1]
     l_prev = render_scene(scene, 0.0).ravel()
     l_ref = l_prev.copy()
-    flat_pix = np.arange(h * w)
 
     ts_parts, pix_parts, pol_parts = [], [], []
     t_prev = 0.0
@@ -104,12 +122,12 @@ def generate_events(scene: SyntheticScene, timestep: float) -> EventStream:
                 f"per-step brightness change {step_max:.4f} >= 4C={4 * c:.4f}; "
                 f"retry with timestep <= {suggested:.6g}")
         delta = l_new - l_ref
-        n = (np.abs(delta) // c).astype(np.int64)
-        fired = n > 0
-        if fired.any():
-            reps = n[fired]
-            sign = np.sign(delta[fired])
-            pix = np.repeat(flat_pix[fired], reps)
+        fired = np.flatnonzero(np.abs(delta) >= c)
+        if fired.size:
+            delta = delta[fired]
+            reps = (np.abs(delta) // c).astype(np.int64)
+            sign = np.sign(delta)
+            pix = np.repeat(fired, reps)
             pol = np.repeat(sign, reps)
             total = int(reps.sum())
             starts = np.repeat(np.cumsum(reps) - reps, reps)
@@ -136,11 +154,13 @@ def generate_events(scene: SyntheticScene, timestep: float) -> EventStream:
 
 
 def ground_truth_flow(scene: SyntheticScene, partition: EventStream) -> FlowField:
-    """Constant flow: velocity times the partition's wall-clock span."""
+    """Constant flow: velocity times the partition's wall-clock span, in the
+    partition's frame: u is negated if it was h-flipped, v if v-flipped."""
     dur_s = partition.duration_us / US_PER_SECOND
     h, w = scene.geometry.height, scene.geometry.width
-    return FlowField(np.full((h, w), scene.velocity[0] * dur_s),
-                     np.full((h, w), scene.velocity[1] * dur_s))
+    vx, vy = scene.velocity
+    return FlowField(np.full((h, w), (-vx if partition.h_flip else vx) * dur_s),
+                     np.full((h, w), (-vy if partition.v_flip else vy) * dur_s))
 
 
 def ground_truth_frame(scene: SyntheticScene, t_us: int) -> np.ndarray:

@@ -242,9 +242,8 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
 
 class GroundTruthFlowProvider:
     """Frozen provider handing out the scene's analytic flow per partition,
-    in the scene's frame: it is not told of a drawn flip, so under an
-    h-flip the partition's true u is the negation of the u it returns, and
-    likewise v under a v-flip."""
+    in the partition's frame: a partition that `apply_augmentation` h-flipped
+    gets u negated, and one it v-flipped gets v negated."""
 
     def __init__(self, scene):
         self._scene = scene

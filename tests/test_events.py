@@ -416,6 +416,10 @@ def test_h_flip_maps_edges():
     out = ev.apply_augmentation(part, ev.AugmentationRecord(h_flip=True))
     assert out.x[0] == 127 and out.x[1] == 122
     assert np.array_equal(out.y, part.y)
+    # Recorded for ground truth, and kept by normalization and partitioning.
+    assert out.h_flip and not out.v_flip and not part.h_flip
+    assert ev.normalize_timestamps(out).h_flip
+    assert all(p.h_flip for p in ev.partition_by_count(out, 2))
 
 
 def test_polarity_flip():
@@ -438,7 +442,10 @@ def test_double_flip_is_identity():
     for record in (ev.AugmentationRecord(h_flip=True),
                    ev.AugmentationRecord(v_flip=True),
                    ev.AugmentationRecord(polarity_flip=True)):
-        twice = ev.apply_augmentation(ev.apply_augmentation(part, record), record)
+        once = ev.apply_augmentation(part, record)
+        twice = ev.apply_augmentation(once, record)
+        assert (once.h_flip, once.v_flip) == (record.h_flip, record.v_flip)
+        assert not (twice.h_flip or twice.v_flip)
         assert np.array_equal(twice.x, part.x)
         assert np.array_equal(twice.y, part.y)
         assert np.array_equal(twice.p, part.p)

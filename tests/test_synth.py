@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evssl import synth
-from evssl.events import SensorGeometry, partition_by_count, normalize_timestamps
+from evssl.events import US_PER_SECOND, SensorGeometry, partition_by_count, normalize_timestamps
 
 GEOM = SensorGeometry(16, 16)
 
@@ -43,6 +45,30 @@ def test_render_subpixel_shift_interpolates():
     frame = synth.render_scene(scene, 1.0)  # shifted right by half a pixel
     assert frame[0, 8] == pytest.approx(0.5)
     assert frame[0, 9] == pytest.approx(0.5)
+
+
+def _render_ix(base, sx, sy):
+    """Reference renderer: four `np.ix_` gathers of the wrapped pattern."""
+    h, w = base.shape
+    kx, fx = int(np.floor(sx)), sx - np.floor(sx)
+    ky, fy = int(np.floor(sy)), sy - np.floor(sy)
+    ix0 = (np.arange(w) + kx) % w
+    ix1 = (ix0 + 1) % w
+    iy0 = (np.arange(h) + ky) % h
+    iy1 = (iy0 + 1) % h
+    top = base[np.ix_(iy0, ix0)] * (1.0 - fx) + base[np.ix_(iy0, ix1)] * fx
+    bot = base[np.ix_(iy1, ix0)] * (1.0 - fx) + base[np.ix_(iy1, ix1)] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+@pytest.mark.parametrize("vx,vy", [
+    (3 * 16 + 0.375, -2 * 12 - 0.6), (-5 * 16 - 0.1, 4 * 12 + 0.9),
+    (-16.0, 12.0), (7 * 16.0, -3 * 12.0), (0.4, -0.7), (-1e-9, 1e-9)])
+def test_render_matches_ix_gathers_at_whole_periods_plus_a_fraction(vx, vy):
+    base = np.random.default_rng(3).normal(size=(12, 16))
+    scene = scene_with(base, (vx, vy), geometry=SensorGeometry(16, 12))
+    for t in (0.0, 0.3, 1.0):
+        assert np.array_equal(synth.render_scene(scene, t), _render_ix(base, -vx * t, -vy * t))
 
 
 def test_render_rejects_time_outside_duration():
@@ -126,6 +152,47 @@ def test_synthesis_rejects_non_finite_or_non_positive_inputs(field, value):
         synth.generate_events(scene_with(synth.checkerboard(GEOM, 4), **kw), timestep)
 
 
+def _scene(**kw):
+    return scene_with(synth.checkerboard(GEOM, 4), **{"velocity": (1.0, 0.0), **kw})
+
+
+def _blobs(**kw):
+    args = dict(count=3, sigma=2.0, amplitude=1.0, rng=np.random.default_rng(0))
+    return synth.gaussian_blobs(GEOM, **{**args, **kw})
+
+
+# A bool is not a number here; before these checks `contrast=True` and
+# `duration=True` simulated with 1, a string failed with a bare TypeError,
+# period 0 warned and gave an all-zero pattern, sigma 0 divided by zero,
+# count -1 gave an all-zero pattern, `timestep=True` ran 1 s steps and a
+# scalar velocity failed with a bare TypeError.
+@pytest.mark.parametrize("call,field,value", [
+    (lambda v: _scene(contrast=v), "contrast", True),
+    (lambda v: _scene(contrast=v), "contrast", "0.2"),
+    (lambda v: _scene(duration=v), "duration", True),
+    (lambda v: _scene(duration=v), "duration", "1.0"),
+    (lambda v: _scene(velocity=v), "velocity", (True, 1.0)),
+    (lambda v: _scene(velocity=v), "velocity", (1.0, "0")),
+    (lambda v: _scene(velocity=v), "velocity", 5.0),
+    (lambda v: _scene(velocity=v), "velocity", ((1.0, 2.0), 3.0)),
+    (lambda v: synth.checkerboard(GEOM, v), "period", 0),
+    (lambda v: synth.checkerboard(GEOM, v), "period", 2.5),
+    (lambda v: synth.checkerboard(GEOM, v), "period", -2),
+    (lambda v: synth.checkerboard(GEOM, v), "period", True),
+    (lambda v: _blobs(sigma=v), "sigma", 0.0),
+    (lambda v: _blobs(sigma=v), "sigma", -1.0),
+    (lambda v: _blobs(sigma=v), "sigma", np.nan),
+    (lambda v: _blobs(sigma=v), "sigma", True),
+    (lambda v: _blobs(count=v), "count", -1),
+    (lambda v: _blobs(count=v), "count", 2.5),
+    (lambda v: _blobs(count=v), "count", True),
+    (lambda v: synth.generate_events(_scene(), v), "timestep", True),
+    (lambda v: synth.generate_events(_scene(), v), "timestep", "0.01")])
+def test_synthesis_rejects_wrong_kind_or_range(call, field, value):
+    with pytest.raises(ValueError, match=field):
+        call(value)
+
+
 def _with_pixel(value):
     base = synth.checkerboard(GEOM, 4)
     base[3, 5] = value
@@ -165,6 +232,128 @@ def test_mirrored_velocity_produces_x_flipped_stream():
                   s_rev.y, s_rev.p)
     for col_a, col_b in zip(a, b):
         assert np.array_equal(col_a, col_b)
+
+
+def _generate_reference(scene, timestep):
+    """Reference simulator: every pixel floor-divided on every step, each
+    frame rendered by `_render_ix`."""
+    c = scene.contrast
+    n_steps = int(np.ceil(scene.duration / timestep))
+    h, w = scene.base.shape
+    vx, vy = scene.velocity
+    l_prev = _render_ix(scene.base, 0.0, 0.0).ravel()
+    l_ref = l_prev.copy()
+    flat_pix = np.arange(h * w)
+    ts_parts, pix_parts, pol_parts = [], [], []
+    t_prev = 0.0
+    for step in range(1, n_steps + 1):
+        t_next = min(step * timestep, scene.duration)
+        l_new = _render_ix(scene.base, -vx * t_next, -vy * t_next).ravel()
+        assert np.abs(l_new - l_prev).max() < 4.0 * c
+        delta = l_new - l_ref
+        n = (np.abs(delta) // c).astype(np.int64)
+        fired = n > 0
+        if fired.any():
+            reps = n[fired]
+            sign = np.sign(delta[fired])
+            pix = np.repeat(flat_pix[fired], reps)
+            pol = np.repeat(sign, reps)
+            total = int(reps.sum())
+            starts = np.repeat(np.cumsum(reps) - reps, reps)
+            k = np.arange(total) - starts + 1.0
+            targets = l_ref[pix] + pol * k * c
+            lp = l_prev[pix]
+            frac = (targets - lp) / (l_new[pix] - lp)
+            ts_parts.append(t_prev + frac * (t_next - t_prev))
+            pix_parts.append(pix)
+            pol_parts.append(pol)
+            l_ref[fired] += sign * reps * c
+        l_prev = l_new
+        t_prev = t_next
+    if not ts_parts:
+        return (np.zeros(0, np.uint64), np.zeros(0, np.uint16), np.zeros(0, np.uint16),
+                np.zeros(0, np.int8))
+    t_us = np.rint(np.concatenate(ts_parts) * US_PER_SECOND).astype(np.uint64)
+    pix = np.concatenate(pix_parts)
+    pol = np.concatenate(pol_parts).astype(np.int8)
+    x = (pix % w).astype(np.uint16)
+    y = (pix // w).astype(np.uint16)
+    order = np.lexsort((x, y, t_us))
+    return t_us[order], x[order], y[order], pol[order]
+
+
+@st.composite
+def small_scenes(draw):
+    """A small scene and a timestep within the 4C rule.
+
+    Half the draws hold multiples of C moving whole pixels per step: every
+    rendered value is then exact, so brightness changes land on threshold
+    multiples, where `//` and the accumulated reference level decide the
+    event count. The others hold a continuous pattern at any velocity.
+    """
+    h, w = draw(st.integers(8, 12)), draw(st.integers(8, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_steps = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        # At 0.15, 0.3 and 0.6, 3 * C // C is 2, below the quotient's floor.
+        c = draw(st.sampled_from([0.1, 0.15, 0.3, 0.35, 0.6, 0.7]))
+        base = rng.integers(0, 4, size=(h, w)) * c
+        timestep = draw(st.sampled_from([1.0, 0.5, 0.125]))
+        step = draw(st.sampled_from([(1, 0), (0, -1), (1, 1), (-1, 1)]))
+        velocity = (step[0] / timestep, step[1] / timestep)
+        duration = n_steps * timestep
+    else:
+        c = draw(st.floats(0.05, 1.0))
+        base = rng.normal(size=(h, w)) * draw(st.floats(0.1, 3.0))
+        velocity = (draw(st.floats(-30.0, 30.0)), draw(st.floats(-30.0, 30.0)))
+        # A bilinear shift moves a pixel by at most the largest neighbour
+        # step per pixel of shift, so this keeps every step below 3C.
+        g = max(np.abs(base - np.roll(base, 1, axis=1)).max(),
+                np.abs(base - np.roll(base, 1, axis=0)).max())
+        timestep = min(0.1, 3.0 * c / (g * (abs(velocity[0]) + abs(velocity[1])) + 1e-9))
+        duration = timestep * (n_steps - draw(st.floats(0.0, 0.9)))
+    return scene_with(base, velocity, contrast=c, duration=duration,
+                      geometry=SensorGeometry(w, h)), timestep
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_scenes())
+def test_generate_events_matches_the_reference_simulator(drawn):
+    scene, timestep = drawn
+    stream = synth.generate_events(scene, timestep)
+    for col, ref in zip((stream.t, stream.x, stream.y, stream.p),
+                        _generate_reference(scene, timestep)):
+        assert col.dtype == ref.dtype and np.array_equal(col, ref)
+
+
+def _one_step_stream(level, contrast):
+    # The stripe at x=5 moves one whole pixel in one step, so x=6 goes
+    # 0 -> level and x=5 goes level -> 0, with every rendered value exact.
+    base = np.zeros((16, 16))
+    base[:, 5] = level
+    scene = scene_with(base, (1.0, 0.0), contrast=contrast, duration=1.0)
+    assert np.array_equal(synth.render_scene(scene, 1.0), np.roll(base, 1, axis=1))
+    return synth.generate_events(scene, 1.0)
+
+
+def _count_at(stream, x: int, p: int) -> int:
+    return int(((stream.x == x) & (stream.y == 0) & (stream.p == p)).sum())
+
+
+def test_change_just_under_three_thresholds_fires_floor_divided_count():
+    level = 0.8999999999999999
+    # The quotient rounds up to 3, floor division does not.
+    assert np.floor(level / 0.3) == 3.0 and level // 0.3 == 2.0
+    stream = _one_step_stream(level, 0.3)
+    assert _count_at(stream, 6, 1) == 2 and _count_at(stream, 5, -1) == 2
+    assert len(stream) == 2 * 2 * 16
+
+
+def test_change_of_exactly_one_threshold_fires_one_event():
+    stream = _one_step_stream(0.3, 0.3)
+    assert _count_at(stream, 6, 1) == 1 and _count_at(stream, 5, -1) == 1
+    assert len(stream) == 2 * 16
+    assert np.all(stream.t == US_PER_SECOND)
 
 
 # ---------------------------------------------------------------------------
