@@ -18,8 +18,8 @@ have identical shapes. No operation mutates its inputs. The ops cover the
 graph the paper builds:
 
 - element-wise: add, sub, mul, div, absolute, square, sqrt;
-- structural: concat, basic indexing (`Tensor[...]`), and gather_pixels,
-  which reads integer pixel indices of any shape. Its row and column
+- structural: basic indexing (`Tensor[...]`) and gather_pixels, which
+  reads integer pixel indices of any shape. Its row and column
   indices share one shape and lie inside the frame; any other index
   raises rather than wrapping onto another pixel;
 - convolution: conv2d, stride-1 and same-padded, with an optional skip
@@ -53,7 +53,7 @@ __all__ = [
     "Tensor",
     "Parameter",
     "add", "sub", "mul", "div", "absolute", "square", "sqrt",
-    "concat", "conv2d", "conv_gru",
+    "conv2d", "conv_gru",
     "bilinear_sample", "bilinear_splat", "gather_pixels",
     "tsum", "sum_of_squares",
 ]
@@ -274,22 +274,6 @@ _ACTIVATIONS = {
     "sigmoid": (lambda v: 1.0 / (1.0 + np.exp(-v)), lambda g, out: g * out * (1.0 - out)),
     "tanh": (np.tanh, lambda g, out: g * (1.0 - out * out)),
 }
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accum(t, g[tuple(sl)])
-
-    return Tensor._from_op(data, tuple(tensors), backward)
 
 
 # ---------------------------------------------------------------------------

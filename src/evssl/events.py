@@ -6,14 +6,16 @@ microseconds) so downstream kernels can stay vectorized. One type,
 of it; a normalized partition also carries its `t_star` column. All
 types are immutable values whose columns are shared and never written: a
 partition's columns are views of its recording's, and an augmentation
-reuses every column it does not flip.
+reuses every column it does not flip. `check_number` is the one boundary
+rule for every numeric setting and argument of the package.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -35,17 +37,29 @@ class EventFormatError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """Invalid derived configuration value."""
+    """A numeric setting or argument of the wrong kind or out of range."""
 
 
-def is_int(value) -> bool:
-    """True for a Python or numpy integer; a bool is not a count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def check_number(name: str, value, *, integer: bool = False, low=-math.inf, high=math.inf,
+                 open_low: bool = False) -> None:
+    """The one boundary rule for a numeric setting or argument.
 
-
-def is_real(value) -> bool:
-    """True for a Python or numpy real number; a bool is not a number."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    `value` must be a Python or numpy integer, or any real number unless
+    `integer`; a bool, string, None or complex value never is. It must be
+    finite, at least `low` (above it if `open_low`) and at most `high`.
+    Otherwise ConfigurationError names the field and shows the value's repr.
+    """
+    # Chained comparisons, which NaN fails; `and` stops before comparing a string.
+    if (isinstance(value, (int, np.integer) if integer else numbers.Real)
+            and not isinstance(value, bool) and -math.inf < value < math.inf
+            and (low < value if open_low else low <= value) and value <= high):
+        return
+    if high < math.inf:
+        bounds = f" in {'(' if open_low else '['}{low}, {high}]"
+    else:
+        bounds = f" {'>' if open_low else '>='} {low}" if low > -math.inf else ""
+    kind = "an integer" if integer else "a real number"
+    raise ConfigurationError(f"{name} must be {kind}{bounds}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,9 +68,8 @@ class SensorGeometry:
     height: int
 
     def __post_init__(self):
-        if not all(is_int(side) and side >= 8 for side in (self.width, self.height)):
-            raise ValueError(
-                f"geometry must be at least 8x8 integer pixels, got {self.width!r}x{self.height!r}")
+        check_number("geometry width", self.width, integer=True, low=8)
+        check_number("geometry height", self.height, integer=True, low=8)
         # As Python ints: numpy sides such as uint16 overflow in `pixels`.
         object.__setattr__(self, "width", int(self.width))
         object.__setattr__(self, "height", int(self.height))
@@ -221,9 +234,10 @@ def read_binary_events(path, geometry: SensorGeometry | None = None) -> EventStr
 
 def events_per_pixel_count(geometry: SensorGeometry, density: float) -> int:
     """Partition size N from an events-per-pixel density."""
-    n = density * geometry.pixels  # chained comparison: NaN, infinity and overflow fail
-    if not 0 < n < np.inf:
-        raise ConfigurationError(f"density x pixels must be finite and positive, got {density}")
+    check_number("density", density, low=0, open_low=True)
+    n = density * geometry.pixels
+    if not n < np.inf:
+        raise ConfigurationError(f"density x pixels must be finite, got density {density!r}")
     n = int(round(n))
     if n < 2:
         raise ConfigurationError(
@@ -233,8 +247,7 @@ def events_per_pixel_count(geometry: SensorGeometry, density: float) -> int:
 
 def partition_by_count(stream: EventStream, n: int) -> list[EventStream]:
     """Consecutive disjoint partitions of exactly n events; remainder dropped."""
-    if not is_int(n) or n < 2:
-        raise ConfigurationError(f"partition size must be an integer >= 2, got {n!r}")
+    check_number("partition size", n, integer=True, low=2)
     back = np.flatnonzero(stream.t[1:] < stream.t[:-1])
     if back.size:
         raise ValueError(f"event {back[0] + 1}: timestamp decreases")
@@ -264,10 +277,8 @@ class AugmentConfig:
     pause_prob: float = 0.0
 
     def __post_init__(self):
-        for name in ("h_flip_prob", "v_flip_prob", "polarity_flip_prob", "pause_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0,1]")
+        for f in fields(self):
+            check_number(f.name, getattr(self, f.name), low=0, high=1)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .events import EventStream, is_int
+from .events import EventStream, check_number
 
 # Divisions the formulation writes with an "epsilon close to zero";
 # 1e-9 sits far below any event count.
@@ -60,8 +60,7 @@ def as_flow(flow) -> Tensor:
 def check_bin_count(bins) -> None:
     """The one rule for a voxel grid's bin count, checked wherever one is
     set: an integer of at least 2."""
-    if not is_int(bins) or bins < 2:
-        raise ValueError(f"bins must be an integer >= 2, got {bins!r}")
+    check_number("bins", bins, integer=True, low=2)
 
 
 def build_voxel_grid(partition: EventStream, bins: int) -> np.ndarray:

@@ -9,14 +9,13 @@ sample. Its flow is detached: the two networks share values, never gradients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .events import EventStream, is_real
+from .events import EventStream, check_number
 from .geometry import EPS, accumulate_warped_images, as_flow, source_pixel_counts
 
 CHARBONNIER_ETA = 1e-3
@@ -32,16 +31,12 @@ class LossWeights:
     deblur_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda3", "c_pos", "c_neg"):
-            if not is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        for name in ("lambda1", "lambda2", "lambda3"):
+            check_number(name, getattr(self, name), low=0)
+        for name in ("c_pos", "c_neg"):
+            check_number(name, getattr(self, name), low=0, open_low=True)
         if not isinstance(self.deblur_enabled, (bool, np.bool_)):
             raise ValueError(f"deblur_enabled must be a bool, got {self.deblur_enabled!r}")
-        # Chained comparisons so that NaN and infinity fail too.
-        if not all(0 <= w < math.inf for w in (self.lambda1, self.lambda2, self.lambda3)):
-            raise ValueError("loss weights must be finite and non-negative")
-        if not all(0 < c < math.inf for c in (self.c_pos, self.c_neg)):
-            raise ValueError("contrast thresholds must be finite and positive")
 
 
 @dataclass

@@ -11,19 +11,12 @@ accumulated in floating point step after step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream, SensorGeometry, US_PER_SECOND, empty_stream, is_int, is_real
+from .events import EventStream, SensorGeometry, US_PER_SECOND, check_number, empty_stream
 from .geometry import FlowField
-
-
-def _require_positive(name: str, value) -> None:
-    # Chained comparison so that NaN and infinity fail too.
-    if not (is_real(value) and 0 < value < math.inf):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,16 +32,17 @@ class SyntheticScene:
             raise ValueError(f"pattern shape {self.base.shape} does not match geometry")
         if not np.isfinite(self.base).all():
             raise ValueError("pattern must be finite")
-        _require_positive("contrast", self.contrast)
-        _require_positive("duration", self.duration)
-        if not (isinstance(self.velocity, (tuple, list, np.ndarray)) and len(self.velocity) == 2
-                and all(is_real(v) and -math.inf < v < math.inf for v in self.velocity)):
-            raise ValueError(f"velocity must be a finite (vx, vy), got {self.velocity!r}")
+        check_number("contrast", self.contrast, low=0, open_low=True)
+        check_number("duration", self.duration, low=0, open_low=True)
+        if not (isinstance(self.velocity, (tuple, list, np.ndarray)) and len(self.velocity) == 2):
+            raise ValueError(f"velocity must be a pair (vx, vy), got {self.velocity!r}")
+        for i, v in enumerate(self.velocity):
+            check_number(f"velocity[{i}]", v)
 
 
 def checkerboard(geometry: SensorGeometry, period: int, amplitude: float = 1.0) -> np.ndarray:
-    if not is_int(period) or period < 1:
-        raise ValueError(f"period must be a positive integer, got {period!r}")
+    check_number("period", period, integer=True, low=1)
+    check_number("amplitude", amplitude)
     y, x = np.mgrid[0:geometry.height, 0:geometry.width]
     return amplitude * (((x // period) + (y // period)) % 2).astype(np.float64)
 
@@ -56,9 +50,9 @@ def checkerboard(geometry: SensorGeometry, period: int, amplitude: float = 1.0) 
 def gaussian_blobs(geometry: SensorGeometry, count: int, sigma: float,
                    amplitude: float, rng: np.random.Generator) -> np.ndarray:
     """Sum of toroidal Gaussian bumps at random centers."""
-    if not is_int(count) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    _require_positive("sigma", sigma)
+    check_number("count", count, integer=True, low=0)
+    check_number("sigma", sigma, low=0, open_low=True)
+    check_number("amplitude", amplitude)
     h, w = geometry.height, geometry.width
     y, x = np.mgrid[0:h, 0:w]
     base = np.zeros((h, w))
@@ -78,8 +72,7 @@ def render_scene(scene: SyntheticScene, t: float) -> np.ndarray:
     images are shifted slices of one (H+1, W+1) window cut from the
     wrapped pattern.
     """
-    if not 0.0 <= t <= scene.duration:
-        raise ValueError(f"t={t} outside [0, {scene.duration}]")
+    check_number("t", t, low=0, high=scene.duration)
     h, w = scene.base.shape
     sx = -scene.velocity[0] * t
     sy = -scene.velocity[1] * t
@@ -103,7 +96,7 @@ def generate_events(scene: SyntheticScene, timestep: float) -> EventStream:
     `np.floor(a / C)` differs from it: 0.8999999999999999 // 0.3 is 2,
     while the quotient rounds to 3.0.
     """
-    _require_positive("timestep", timestep)
+    check_number("timestep", timestep, low=0, open_low=True)
     c = scene.contrast
     n_steps = int(np.ceil(scene.duration / timestep))
     w = scene.base.shape[1]

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Parameter, Tensor, add
-from .events import (AugmentConfig, EventStream, apply_augmentation,
-                     draw_augmentation, empty_stream, is_int, is_real)
+from .events import (AugmentConfig, EventStream, apply_augmentation, check_number,
+                     draw_augmentation, empty_stream)
 from .geometry import as_flow, build_voxel_grid, check_bin_count, event_mask
 from .losses import (LossReport, LossWeights, flow_total_loss,
                      photometric_loss, predicted_increment, recon_total_loss,
@@ -42,21 +42,12 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        for name in ("epochs", "unroll_steps", "tc_start_step", "seed"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_number("lr", self.lr, low=0, open_low=True)
+        for name in ("epochs", "seed", "unroll_steps"):
+            check_number(name, getattr(self, name), integer=True, low=0)
+        check_number("S0: tc_start_step", self.tc_start_step, integer=True, low=0,
+                     high=self.unroll_steps)
         check_bin_count(self.bins)
-        if not is_real(self.lr):
-            raise ValueError(f"lr must be a real number, got {self.lr!r}")
-        # Chained comparisons so that NaN and infinity fail too.
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
-        if not 0 <= self.tc_start_step <= self.unroll_steps:
-            raise ValueError(
-                f"need 0 <= S0 <= S, got S0={self.tc_start_step}, S={self.unroll_steps}")
-        for name in ("epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 class Adam:

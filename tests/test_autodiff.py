@@ -200,7 +200,6 @@ CONSTANT_OPS = {
     "absolute": lambda: ad.absolute(_constant(3, 4)),
     "square": lambda: ad.square(_constant(3, 4)),
     "sqrt": lambda: ad.sqrt(_constant(3, 4)),
-    "concat": lambda: ad.concat([_constant(2, 4), _constant(3, 4)]),
     "getitem": lambda: _constant(3, 4)[1:, 2],
     "conv2d": lambda: ad.conv2d(_constant(2, 4, 4), _constant(3, 2, 3, 3), _constant(3),
                                 "relu", skip=_constant(3, 4, 4)),
@@ -315,14 +314,6 @@ def test_getitem_slice_gradient():
         rng = np.random.default_rng(400 + seed)
         x = leaf(rng, (4, 5))
         check_gradients(lambda: ad.tsum(ad.square(x[1:, 2:])), [x])
-
-
-def test_concat_gradient():
-    for seed in range(5):
-        rng = np.random.default_rng(500 + seed)
-        a = leaf(rng, (2, 3), name="a")
-        b = leaf(rng, (3, 3), name="b")
-        check_gradients(lambda: ad.tsum(ad.square(ad.concat([a, b], axis=0))), [a, b])
 
 
 def test_gather_pixels_gradient():
@@ -649,11 +640,12 @@ def gru_parameters(rng, c, c_x):
 
 
 def composite_gru(x, h, wz, bz, wr, br, wc, bc):
-    """The cell built from plain ops, one node per operation."""
-    hx = ad.concat([h, x], axis=0)
-    z = ad.conv2d(hx, wz, bz, "sigmoid")
-    r = ad.conv2d(hx, wr, br, "sigmoid")
-    cand = ad.conv2d(ad.concat([ad.mul(r, h), x], axis=0), wc, bc, "tanh")
+    """The cell built from plain ops, one node per operation. A correlation
+    over [h, x] is one over x plus one over h, the kernel split by input channel."""
+    c = h.shape[0]
+    z = ad.conv2d(x, wz[:, c:], bz, "sigmoid", skip=ad.conv2d(h, wz[:, :c]))
+    r = ad.conv2d(x, wr[:, c:], br, "sigmoid", skip=ad.conv2d(h, wr[:, :c]))
+    cand = ad.conv2d(x, wc[:, c:], bc, "tanh", skip=ad.conv2d(ad.mul(r, h), wc[:, :c]))
     return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, cand))
 
 
@@ -680,8 +672,10 @@ def test_conv_gru_gradients(case):
 
 @pytest.mark.parametrize("case", GRU_CASES)
 def test_conv_gru_matches_composite(case):
-    # Same forward bits as the composite cell; the gradients differ only in
-    # summation order (both gates' weight and input gradients are one GEMM).
+    # Only summation order differs: the composite sums each gate's h and x
+    # taps apart, the fused cell in one GEMM (both gates' weight and input
+    # gradients too). That moves the output ~2e-14 and the gradients ~2e-12
+    # relative; a wrong gate or channel order moves them O(1).
     rng = np.random.default_rng(990)
     params = gru_parameters(rng, 4, 3)
     x = leaf(rng, (3, 6, 7), name="x")
@@ -701,9 +695,9 @@ def test_conv_gru_matches_composite(case):
 
     plain = composite_gru(x, h, *params)
     ad.tsum(ad.mul(plain, probe)).backward()
-    assert np.array_equal(fused.data, plain.data)
+    np.testing.assert_allclose(fused.data, plain.data, rtol=1e-12, atol=0.0)
     for p, g in zip(free, fused_grads):
-        np.testing.assert_allclose(g, p.grad, rtol=1e-12, atol=0.0, err_msg=p.name)
+        np.testing.assert_allclose(g, p.grad, rtol=1e-10, atol=0.0, err_msg=p.name)
 
 
 def test_conv_gru_rejects_state_or_input_that_does_not_fit():

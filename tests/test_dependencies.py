@@ -15,7 +15,6 @@ CALLERS = SOURCES + sorted(p for p in (ROOT / "perfbench").glob("*.py")
 
 # Public names kept without a caller in src/ or perfbench/, each for a reason.
 UNCALLED = {
-    "concat": "builds the composite ConvGRU reference that conv_gru is tested against",
     "parse_text_events": "the text-event input boundary, tested for typed errors",
 }
 

@@ -202,7 +202,7 @@ def test_binary_rejects_non_zero_pad_byte(tmp_path):
 
 def test_binary_rejects_header_geometry_below_minimum(tmp_path):
     path = _corrupt_evt1(tmp_path, -16, (4).to_bytes(4, "little") * 2)
-    with pytest.raises(ev.EventFormatError, match="header: geometry must be at least 8x8"):
+    with pytest.raises(ev.EventFormatError, match="header: geometry width must be an integer >= 8"):
         ev.read_binary_events(path)
 
 
@@ -252,7 +252,7 @@ def test_events_per_pixel_count_too_small():
 # 1e307 is finite, but 1e307 * 64 pixels overflows to infinity.
 @pytest.mark.parametrize("density", [0.0, -0.3, np.nan, np.inf, -np.inf, 1e307])
 def test_events_per_pixel_count_rejects_non_finite_or_non_positive_density(density):
-    with pytest.raises(ev.ConfigurationError, match="finite and positive"):
+    with pytest.raises(ev.ConfigurationError, match="density"):
         ev.events_per_pixel_count(ev.SensorGeometry(8, 8), density)
 
 
@@ -286,7 +286,7 @@ def test_geometry_minimum_size():
     (16.5, 16), (np.nan, 16), (16, 16.0), (np.float64(16), 16), ("16", 16), (16, None),
     (7, 16), (16, np.int64(7))])
 def test_geometry_rejects_sides_that_are_not_integers_of_at_least_eight(width, height):
-    with pytest.raises(ValueError, match="geometry must be at least 8x8 integer pixels"):
+    with pytest.raises(ValueError, match=r"geometry (width|height) must be an integer >= 8"):
         ev.SensorGeometry(width, height)
 
 

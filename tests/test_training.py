@@ -108,7 +108,7 @@ def test_bin_count_is_an_integer_of_at_least_two_at_construction(build, value):
     *((LossWeights, "deblur_enabled", v) for v in ("no", 1, 0.0, None))])
 def test_config_rejects_bool_or_non_real_settings(config, name, value):
     kind = "a bool" if name == "deblur_enabled" else "a real number"
-    with pytest.raises(ValueError, match=f"{name} must be {kind}, got"):
+    with pytest.raises(ValueError, match=f"{name} must be {kind}"):
         config(**{name: value})
 
 
