@@ -94,10 +94,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         """The value of a size-1 tensor as a Python float."""
         if self.data.size != 1:

@@ -37,7 +37,7 @@ class EventFormatError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """A numeric setting or argument of the wrong kind or out of range."""
+    """A setting or argument of the wrong kind or out of range."""
 
 
 def check_number(name: str, value, *, integer: bool = False, low=-math.inf, high=math.inf,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .events import EventStream, check_number
+from .events import ConfigurationError, EventStream, check_number
 from .geometry import EPS, accumulate_warped_images, as_flow, source_pixel_counts
 
 CHARBONNIER_ETA = 1e-3
@@ -36,7 +36,7 @@ class LossWeights:
         for name in ("c_pos", "c_neg"):
             check_number(name, getattr(self, name), low=0, open_low=True)
         if not isinstance(self.deblur_enabled, (bool, np.bool_)):
-            raise ValueError(f"deblur_enabled must be a bool, got {self.deblur_enabled!r}")
+            raise ConfigurationError(f"deblur_enabled must be a bool, got {self.deblur_enabled!r}")
 
 
 @dataclass

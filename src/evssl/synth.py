@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream, SensorGeometry, US_PER_SECOND, check_number, empty_stream
+from .events import (ConfigurationError, EventStream, SensorGeometry, US_PER_SECOND, check_number,
+                     empty_stream)
 from .geometry import FlowField
 
 
@@ -28,14 +29,18 @@ class SyntheticScene:
     duration: float = 2.0            # seconds
 
     def __post_init__(self):
+        if not (isinstance(self.base, np.ndarray) and self.base.dtype.kind in "iuf"):
+            raise ConfigurationError(f"base must be a real numpy array, got {self.base!r}")
         if self.base.shape != (self.geometry.height, self.geometry.width):
             raise ValueError(f"pattern shape {self.base.shape} does not match geometry")
         if not np.isfinite(self.base).all():
             raise ValueError("pattern must be finite")
         check_number("contrast", self.contrast, low=0, open_low=True)
         check_number("duration", self.duration, low=0, open_low=True)
-        if not (isinstance(self.velocity, (tuple, list, np.ndarray)) and len(self.velocity) == 2):
-            raise ValueError(f"velocity must be a pair (vx, vy), got {self.velocity!r}")
+        # `ndim` first: a 0-d array has no len().
+        if not (isinstance(self.velocity, (tuple, list, np.ndarray))
+                and getattr(self.velocity, "ndim", 1) == 1 and len(self.velocity) == 2):
+            raise ConfigurationError(f"velocity must be a pair (vx, vy), got {self.velocity!r}")
         for i, v in enumerate(self.velocity):
             check_number(f"velocity[{i}]", v)
 

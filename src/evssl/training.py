@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Parameter, Tensor, add
-from .events import (AugmentConfig, EventStream, apply_augmentation, check_number,
-                     draw_augmentation, empty_stream)
+from .events import (AugmentConfig, ConfigurationError, EventStream, apply_augmentation,
+                     check_number, draw_augmentation, empty_stream)
 from .geometry import as_flow, build_voxel_grid, check_bin_count, event_mask
 from .losses import (LossReport, LossWeights, flow_total_loss,
                      photometric_loss, predicted_increment, recon_total_loss,
@@ -30,7 +30,7 @@ Curve = list[tuple[int, LossReport]]
 Step = tuple[EventStream, np.ndarray, np.ndarray]  # partition, voxel grid, event mask
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-4
     epochs: int = 120
@@ -48,6 +48,10 @@ class TrainConfig:
         check_number("S0: tc_start_step", self.tc_start_step, integer=True, low=0,
                      high=self.unroll_steps)
         check_bin_count(self.bins)
+        if not isinstance(self.weights, LossWeights):
+            raise ConfigurationError(f"weights must be a LossWeights, got {self.weights!r}")
+        if not isinstance(self.augment, AugmentConfig):
+            raise ConfigurationError(f"augment must be an AugmentConfig, got {self.augment!r}")
 
 
 class Adam:
@@ -58,7 +62,7 @@ class Adam:
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, params: list[Parameter], lr: float = 1e-4):
+    def __init__(self, params: list[Parameter], lr: float):
         self.params = list(params)
         self.lr = float(lr)  # a numpy float64 would promote a float32 update
         self.step_count = 0

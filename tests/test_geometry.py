@@ -70,14 +70,6 @@ def test_voxel_empty_partition_needs_normalization():
         geo.build_voxel_grid(part, 5)
 
 
-# A float count would fail late, in numpy's casting, with a bare TypeError.
-@pytest.mark.parametrize("bins", [1, 0, -3, 2.5, 5.0, np.nan, True])
-def test_voxel_rejects_bin_count_that_is_not_an_integer_of_at_least_two(bins):
-    part = partition_from([(0, 1, 1, 1), (10, 2, 2, 1)])
-    with pytest.raises(ValueError, match="bins must be an integer >= 2"):
-        geo.build_voxel_grid(part, bins)
-
-
 # ---------------------------------------------------------------------------
 # event mask
 

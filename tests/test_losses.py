@@ -527,10 +527,3 @@ def test_photometric_with_ground_truth_beats_zero_flow(blob_scene, blob_partitio
             losses.reference_increment(part, np.zeros((2, 64, 64)), weights),
             _predicted(l_prev, np.zeros((2, 64, 64)))).item()
         assert loss_gt < loss_zero
-
-
-def test_loss_weights_validation():
-    with pytest.raises(ValueError):
-        LossWeights(lambda1=-0.1)
-    with pytest.raises(ValueError):
-        LossWeights(c_pos=0.0)

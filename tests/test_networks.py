@@ -14,12 +14,12 @@ from gradcheck import check_gradients
 
 def test_fireflownet_parameter_count():
     net = nets.FireFlowNet(bins=5)
-    assert sum(p.size for p in net.parameters()) == 57_026
+    assert sum(p.data.size for p in net.parameters()) == 57_026
 
 
 def test_reconnet_parameter_count():
     net = nets.ReconNet(bins=5)
-    assert sum(p.size for p in net.parameters()) == 37_777
+    assert sum(p.data.size for p in net.parameters()) == 37_777
 
 
 def test_parameter_names_unique():

@@ -1,29 +1,33 @@
-"""Every numeric setting and synthesis argument passes one boundary rule,
-`events.check_number`: an integer or real number of the right kind (never a
-bool, string, None or complex value), finite and in range. A violation
-raises ConfigurationError naming the field and showing the value's repr."""
+"""Every setting and synthesis argument is checked at its boundary, and this
+table is the one place that tests the rejections. A numeric value passes one
+rule, `events.check_number`: an integer or real number of the right kind
+(never a bool, string, None or complex value), finite and in range. Every
+violation, numeric or not, raises ConfigurationError with the message
+`<field> must be <rule>, got <repr>`."""
 
 import dataclasses
-import re
 
 import numpy as np
 import pytest
 
 from evssl import synth
 from evssl.events import (AugmentConfig, ConfigurationError, SensorGeometry, check_number,
-                          events_per_pixel_count, make_stream, partition_by_count)
-from evssl.geometry import check_bin_count
+                          events_per_pixel_count, make_stream, normalize_timestamps,
+                          partition_by_count)
+from evssl.geometry import build_voxel_grid, check_bin_count
 from evssl.losses import LossWeights
+from evssl.networks import FireFlowNet, ReconNet
 from evssl.training import TrainConfig
 
 GEOM = SensorGeometry(16, 16)
 STREAM = make_stream(np.arange(10) * 10, np.zeros(10, int), np.zeros(10, int), np.ones(10, int),
                      GEOM)
+BASE = synth.checkerboard(GEOM, 4)
 
 
 def _scene(**kw):
-    kw = {"velocity": (1.0, 0.0), "duration": 1.0, **kw}
-    return synth.SyntheticScene(GEOM, synth.checkerboard(GEOM, 4), **kw)
+    kw = {"base": BASE, "velocity": (1.0, 0.0), "duration": 1.0, **kw}
+    return synth.SyntheticScene(GEOM, **kw)
 
 
 def _blobs(**kw):
@@ -35,41 +39,78 @@ def _field(config, name):
     return lambda v: config(**{name: v})
 
 
+# Every numeric field meets each of these.
+NOT_NUMBERS = [True, False, np.True_, "1", None, 1j, np.nan, np.inf, -np.inf]
 # (the callable, a call of it on the bad value, the field its error names,
-# that field's values of the right kind but out of range). Each field also
-# meets every BAD_KINDS value.
+# the rule its error states, the bad values).
 FIELDS = [
-    ("SensorGeometry", lambda v: SensorGeometry(v, 16), "geometry width", [7, 0, -16, 16.0]),
-    ("SensorGeometry", lambda v: SensorGeometry(16, v), "geometry height", [np.int64(7), 16.5]),
-    ("events_per_pixel_count", lambda v: events_per_pixel_count(GEOM, v), "density", [0.0, -0.3]),
+    ("SensorGeometry", lambda v: SensorGeometry(v, 16), "geometry width", "an integer >= 8",
+     [*NOT_NUMBERS, 7, 2, 0, -16, 16.0, 16.5, np.float64(16)]),
+    ("SensorGeometry", lambda v: SensorGeometry(16, v), "geometry height", "an integer >= 8",
+     [*NOT_NUMBERS, np.int64(7), 16.5, 16.0]),
+    ("events_per_pixel_count", lambda v: events_per_pixel_count(GEOM, v), "density",
+     "a real number > 0", [*NOT_NUMBERS, 0.0, -0.3]),
     ("partition_by_count", lambda v: partition_by_count(STREAM, v), "partition size",
-     [1, 0, -4, 2.5, np.float64(3.0)]),
-    *(("AugmentConfig", _field(AugmentConfig, name), name, [-0.1, 1.5, np.float32(1.01)])
+     "an integer >= 2", [*NOT_NUMBERS, 1, 0, -4, 2.5, 4.0, np.float64(3.0)]),
+    *(("AugmentConfig", _field(AugmentConfig, name), name, "a real number in [0, 1]",
+       [*NOT_NUMBERS, -0.1, 1.5, np.float32(1.01)])
       for name in ("h_flip_prob", "v_flip_prob", "polarity_flip_prob", "pause_prob")),
-    ("TrainConfig", _field(TrainConfig, "lr"), "lr", [0.0, -1e-3]),
-    *(("TrainConfig", _field(TrainConfig, name), name, [-1, 2.5, 2.0])
+    ("TrainConfig", _field(TrainConfig, "lr"), "lr", "a real number > 0",
+     [*NOT_NUMBERS, 0.0, -1e-3]),
+    *(("TrainConfig", _field(TrainConfig, name), name, "an integer >= 0",
+       [*NOT_NUMBERS, -1, 2.5, 2.0])
       for name in ("epochs", "seed", "unroll_steps")),
-    ("TrainConfig", _field(TrainConfig, "tc_start_step"), "S0: tc_start_step", [-1, 21, 2.5]),
-    ("TrainConfig", _field(TrainConfig, "bins"), "bins", [1, 0, -3, 2.5, 5.0]),
-    ("check_bin_count", check_bin_count, "bins", [1]),
-    *(("LossWeights", _field(LossWeights, name), name, [-0.1, -1])
+    ("TrainConfig", _field(TrainConfig, "tc_start_step"), "S0: tc_start_step",
+     "an integer in [0, 20]", [*NOT_NUMBERS, -1, 21, 2.5, 2.0]),
+    *((label, call, "bins", "an integer >= 2", [*NOT_NUMBERS, 1, 0, -3, 2.0, 2.5, 5.0])
+      for label, call in [("TrainConfig", _field(TrainConfig, "bins")),
+                          ("check_bin_count", check_bin_count),
+                          ("build_voxel_grid",
+                           lambda v: build_voxel_grid(normalize_timestamps(STREAM), v)),
+                          ("FireFlowNet", _field(FireFlowNet, "bins")),
+                          ("ReconNet", _field(ReconNet, "bins"))]),
+    ("TrainConfig", _field(TrainConfig, "weights"), "weights", "a LossWeights",
+     [None, True, {"lambda1": 1.0}, AugmentConfig()]),
+    ("TrainConfig", _field(TrainConfig, "augment"), "augment", "an AugmentConfig",
+     [None, 0.5, {"h_flip_prob": 0.5}, LossWeights()]),
+    *(("LossWeights", _field(LossWeights, name), name, "a real number >= 0",
+       [*NOT_NUMBERS, -0.1, -1])
       for name in ("lambda1", "lambda2", "lambda3")),
-    *(("LossWeights", _field(LossWeights, name), name, [0.0, -1.0]) for name in ("c_pos", "c_neg")),
-    ("SyntheticScene", lambda v: _scene(contrast=v), "contrast", [0.0, -0.25]),
-    ("SyntheticScene", lambda v: _scene(duration=v), "duration", [0.0, -1.0]),
-    ("SyntheticScene", lambda v: _scene(velocity=(v, 0.0)), "velocity[0]", [(1.0, 2.0)]),
-    ("SyntheticScene", lambda v: _scene(velocity=[1.0, v]), "velocity[1]", []),
-    ("checkerboard", lambda v: synth.checkerboard(GEOM, v), "period", [0, -2, 2.5]),
-    ("checkerboard", lambda v: synth.checkerboard(GEOM, 4, amplitude=v), "amplitude", []),
-    ("gaussian_blobs", lambda v: _blobs(count=v), "count", [-1, 2.5]),
-    ("gaussian_blobs", lambda v: _blobs(sigma=v), "sigma", [0.0, -1.0]),
-    ("gaussian_blobs", lambda v: _blobs(amplitude=v), "amplitude", []),
-    ("render_scene", lambda v: synth.render_scene(_scene(), v), "t", [-0.1, 1.5, 1.0 + 1e-9]),
-    ("generate_events", lambda v: synth.generate_events(_scene(), v), "timestep", [0.0, -1e-2]),
+    *(("LossWeights", _field(LossWeights, name), name, "a real number > 0",
+       [*NOT_NUMBERS, 0.0, -1.0])
+      for name in ("c_pos", "c_neg")),
+    ("LossWeights", _field(LossWeights, "deblur_enabled"), "deblur_enabled", "a bool",
+     ["no", 1, 0.0, None]),
+    ("SyntheticScene", lambda v: _scene(base=v), "base", "a real numpy array",
+     [None, BASE.tolist(), BASE * (1 + 1j), BASE > 0]),
+    ("SyntheticScene", lambda v: _scene(contrast=v), "contrast", "a real number > 0",
+     [*NOT_NUMBERS, 0.0, -0.25]),
+    ("SyntheticScene", lambda v: _scene(duration=v), "duration", "a real number > 0",
+     [*NOT_NUMBERS, 0.0, -1.0]),
+    ("SyntheticScene", lambda v: _scene(velocity=v), "velocity", "a pair (vx, vy)",
+     [None, 5.0, "12", (1.0,), (1.0, 2.0, 3.0), np.array(5.0), np.zeros((2, 1))]),
+    ("SyntheticScene", lambda v: _scene(velocity=(v, 3.0)), "velocity[0]", "a real number",
+     [*NOT_NUMBERS, (1.0, 2.0)]),
+    ("SyntheticScene", lambda v: _scene(velocity=[1.0, v]), "velocity[1]", "a real number",
+     NOT_NUMBERS),
+    ("checkerboard", lambda v: synth.checkerboard(GEOM, v), "period", "an integer >= 1",
+     [*NOT_NUMBERS, 0, -2, 2.5]),
+    ("checkerboard", lambda v: synth.checkerboard(GEOM, 4, amplitude=v), "amplitude",
+     "a real number", NOT_NUMBERS),
+    ("gaussian_blobs", lambda v: _blobs(count=v), "count", "an integer >= 0",
+     [*NOT_NUMBERS, -1, 2.5]),
+    ("gaussian_blobs", lambda v: _blobs(sigma=v), "sigma", "a real number > 0",
+     [*NOT_NUMBERS, 0.0, -1.0]),
+    ("gaussian_blobs", lambda v: _blobs(amplitude=v), "amplitude", "a real number",
+     NOT_NUMBERS),
+    ("render_scene", lambda v: synth.render_scene(_scene(), v), "t", "a real number in [0, 1.0]",
+     [*NOT_NUMBERS, -0.1, 1.5, 1.0 + 1e-9]),
+    ("generate_events", lambda v: synth.generate_events(_scene(), v), "timestep",
+     "a real number > 0", [*NOT_NUMBERS, 0.0, -1e-2]),
 ]
-BAD_KINDS = [True, False, np.True_, "1", None, 1j, np.nan, np.inf, -np.inf]
-ROWS = [pytest.param(call, field, value, id=f"{label}-{field}-{value!r}")
-        for label, call, field, out_of_range in FIELDS for value in (*BAD_KINDS, *out_of_range)]
+ROWS = [pytest.param(call, f"{field} must be {rule}, got {value!r}", value,
+                     id=f"{label}-{field}-{value!r:.30}")
+        for label, call, field, rule, values in FIELDS for value in values]
 
 
 # Among these rows, before the shared rule: `AugmentConfig(h_flip_prob=True)`
@@ -77,32 +118,36 @@ ROWS = [pytest.param(call, field, value, id=f"{label}-{field}-{value!r}")
 # `events_per_pixel_count(geometry, True)` returned 64 on 8x8 and "1" failed
 # with a bare TypeError; `amplitude=True` was accepted by `checkerboard` and
 # `gaussian_blobs`, and `checkerboard(..., amplitude=nan)` returned an all-NaN
-# pattern; `render_scene(scene, True)` rendered at t = 1 s.
-@pytest.mark.parametrize("call,field,value", ROWS)
-def test_numeric_setting_rejects_wrong_kind_non_finite_or_out_of_range(call, field, value):
-    with pytest.raises(ConfigurationError,
-                       match=f"^{re.escape(field)} must be .*, got {re.escape(repr(value))}$"):
+# pattern; `render_scene(scene, True)` rendered at t = 1 s. Unchecked, a float
+# geometry side would give a float `pixels`, a float partition size or bin
+# count would fail late with a bare TypeError, a float `unroll_steps` would
+# train nothing (`k == window` never holds) and a `seed` of None would train
+# unseeded. Before the non-numeric checks: `TrainConfig(weights=None)` and a
+# dict `augment` were accepted and failed at the first training step with a
+# bare AttributeError; a list `base` failed with a bare AttributeError and a
+# complex one simulated events; `velocity=np.array(5.0)` failed with a bare
+# TypeError from `len`.
+@pytest.mark.parametrize("call,message,value", ROWS)
+def test_numeric_setting_rejects_wrong_kind_non_finite_or_out_of_range(call, message, value):
+    with pytest.raises(ConfigurationError) as raised:
         call(value)
+    assert str(raised.value) == message
 
 
-# Every int- or float-annotated field of a config, so that a numeric field
-# added later cannot go unchecked.
+# The configs, with their required arguments. A field added to one later
+# must get a row in FIELDS, and cannot be changed after the checks ran.
 CONFIGS = {TrainConfig: {}, LossWeights: {}, AugmentConfig: {},
            SensorGeometry: dict(width=16, height=16)}
-NUMERIC_FIELDS = [(cls, f.name) for cls in CONFIGS for f in dataclasses.fields(cls)
-                  if f.type in (int, float, "int", "float")]
 
 
-def test_every_config_has_numeric_fields_to_walk():
-    assert {cls for cls, _ in NUMERIC_FIELDS} == set(CONFIGS)
-
-
-@pytest.mark.parametrize("value", [True, "1", np.nan])
-@pytest.mark.parametrize("cls,name", NUMERIC_FIELDS,
-                         ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_FIELDS])
-def test_every_numeric_config_field_rejects_a_bool_a_string_and_nan(cls, name, value):
-    with pytest.raises(ConfigurationError, match=name):
-        cls(**{**CONFIGS[cls], name: value})
+def test_every_config_field_has_a_row_and_no_field_can_be_assigned():
+    rows = {(label, field.split()[-1]) for label, _, field, _, _ in FIELDS}
+    for cls, required in CONFIGS.items():
+        config = cls(**required)
+        for f in dataclasses.fields(cls):
+            assert (cls.__name__, f.name) in rows
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, f.name, getattr(config, f.name))
 
 
 def test_values_on_a_closed_bound_and_numpy_numbers_are_accepted():
@@ -111,10 +156,15 @@ def test_values_on_a_closed_bound_and_numpy_numbers_are_accepted():
     AugmentConfig(0, 1, np.float32(0.0), 1.0)
     TrainConfig(unroll_steps=3, tc_start_step=3, epochs=0, seed=np.int64(0), bins=2)
     TrainConfig(unroll_steps=0, tc_start_step=0)
+    assert TrainConfig(lr=np.float32(1e-3)).lr == np.float32(1e-3)
+    assert TrainConfig(lr=1).lr == 1
     LossWeights(lambda1=0, lambda2=0.0, lambda3=np.float32(0.0), c_pos=1e-9)
+    weights = LossWeights(lambda1=np.float64(0.5), c_pos=np.int64(2), deblur_enabled=np.False_)
+    assert not weights.deblur_enabled
     scene = _scene(velocity=np.array([-2.5, 0]))
     synth.render_scene(scene, 0)
     synth.render_scene(scene, scene.duration)
+    _scene(base=np.zeros((16, 16), dtype=np.int64), velocity=[1, 0])
     synth.checkerboard(GEOM, 1, amplitude=-2)
     _blobs(count=0, amplitude=0.0)
 

@@ -64,61 +64,6 @@ def _frozen(net):
     return lambda partition, voxel, mask: net(voxel, mask)
 
 
-@pytest.mark.parametrize("config,kw", [
-    (TrainConfig, dict(lr=np.nan)), (TrainConfig, dict(lr=np.inf)),
-    (TrainConfig, dict(lr=0.0)), (TrainConfig, dict(lr=-1.0)),
-    (LossWeights, dict(lambda1=-1.0)), (LossWeights, dict(c_pos=0.0)),
-    (LossWeights, dict(lambda1=np.nan)), (LossWeights, dict(lambda2=np.inf)),
-    (LossWeights, dict(lambda3=np.nan)), (LossWeights, dict(c_pos=np.nan)),
-    (LossWeights, dict(c_neg=np.inf)), (TrainConfig, dict(epochs=-1)),
-    (TrainConfig, dict(seed=-1))])
-def test_config_rejects_non_finite_or_non_positive_values(config, kw):
-    # NaN passes `x < 0` and `x <= 0` alike, so each check must reject it.
-    with pytest.raises(ValueError):
-        config(**kw)
-
-
-# A float unroll_steps would train nothing, because `k == window` never
-# holds; a float epochs or bins would fail late, inside `range`; a seed of
-# None would train unseeded, so the run would not be reproducible.
-@pytest.mark.parametrize("value", [2.5, 2.0, np.nan, True, "2", None])
-@pytest.mark.parametrize("name", ["epochs", "unroll_steps", "tc_start_step", "bins", "seed"])
-def test_config_rejects_non_integer_counts(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
-        TrainConfig(**{name: value})
-
-
-# The voxel grid's rule, checked at construction: `TrainConfig(bins=1)`
-# would fail only at the first voxel grid, and a network would take 0 and
-# fail on 2.5 or -1 inside numpy.
-@pytest.mark.parametrize("value", [1, 0, -1, 2.5, 2.0, np.nan, True, "2"])
-@pytest.mark.parametrize("build", [TrainConfig, FireFlowNet, ReconNet],
-                         ids=["TrainConfig", "FireFlowNet", "ReconNet"])
-def test_bin_count_is_an_integer_of_at_least_two_at_construction(build, value):
-    with pytest.raises(ValueError, match="bins must be an integer >= 2"):
-        build(bins=value)
-
-
-# A bool would train at lr 1 or weigh a term by 1, a string would fail in
-# a comparison with a bare TypeError, and any non-empty string is truthy.
-@pytest.mark.parametrize("config,name,value", [
-    *((TrainConfig, "lr", v) for v in (True, "1e-3", None, 1e-3 + 0j)),
-    *((LossWeights, name, v) for name in ("lambda1", "lambda2", "lambda3", "c_pos", "c_neg")
-      for v in (True, np.True_, "1")),
-    *((LossWeights, "deblur_enabled", v) for v in ("no", 1, 0.0, None))])
-def test_config_rejects_bool_or_non_real_settings(config, name, value):
-    kind = "a bool" if name == "deblur_enabled" else "a real number"
-    with pytest.raises(ValueError, match=f"{name} must be {kind}"):
-        config(**{name: value})
-
-
-def test_config_accepts_numpy_reals_and_bools():
-    assert TrainConfig(lr=np.float32(1e-3)).lr == np.float32(1e-3)
-    assert TrainConfig(lr=1).lr == 1
-    weights = LossWeights(lambda1=np.float64(0.5), c_pos=np.int64(2), deblur_enabled=np.False_)
-    assert not weights.deblur_enabled
-
-
 def test_flow_scale_is_not_a_setting():
     with pytest.raises(TypeError):
         TrainConfig(flow_scale=2.0)
