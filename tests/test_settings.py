@@ -41,28 +41,35 @@ def _field(config, name):
 
 # Every numeric field meets each of these.
 NOT_NUMBERS = [True, False, np.True_, "1", None, 1j, np.nan, np.inf, -np.inf]
-# (the callable, a call of it on the bad value, the field its error names,
-# the rule its error states, the bad values).
+# (the callable, a call of it on a value, the field its error names, the rule
+# its error states, values the rule rejects, values on or just inside each
+# bound and of each numpy kind that the rule accepts).
 FIELDS = [
     ("SensorGeometry", lambda v: SensorGeometry(v, 16), "geometry width", "an integer >= 8",
-     [*NOT_NUMBERS, 7, 2, 0, -16, 16.0, 16.5, np.float64(16)]),
+     [*NOT_NUMBERS, 7, 2, 0, -16, 16.0, 16.5, np.float64(16)],
+     [8, 9, np.int64(8), np.uint16(640)]),
     ("SensorGeometry", lambda v: SensorGeometry(16, v), "geometry height", "an integer >= 8",
-     [*NOT_NUMBERS, np.int64(7), 16.5, 16.0]),
+     [*NOT_NUMBERS, np.int64(7), 16.5, 16.0], [8, 9, np.uint16(8), np.int32(480)]),
     ("events_per_pixel_count", lambda v: events_per_pixel_count(GEOM, v), "density",
-     "a real number > 0", [*NOT_NUMBERS, 0.0, -0.3]),
+     "a real number > 0", [*NOT_NUMBERS, 0.0, -0.3], [0.01, 1, np.float32(0.5), np.int64(2)]),
     ("partition_by_count", lambda v: partition_by_count(STREAM, v), "partition size",
-     "an integer >= 2", [*NOT_NUMBERS, 1, 0, -4, 2.5, 4.0, np.float64(3.0)]),
+     "an integer >= 2", [*NOT_NUMBERS, 1, 0, -4, 2.5, 4.0, np.float64(3.0)],
+     [2, 3, 11, np.int32(2)]),
     *(("AugmentConfig", _field(AugmentConfig, name), name, "a real number in [0, 1]",
-       [*NOT_NUMBERS, -0.1, 1.5, np.float32(1.01)])
+       [*NOT_NUMBERS, -0.1, 1.5, np.float32(1.01)],
+       [0, 1, 0.0, 1.0, np.float32(0.5), np.int64(1)])
       for name in ("h_flip_prob", "v_flip_prob", "polarity_flip_prob", "pause_prob")),
     ("TrainConfig", _field(TrainConfig, "lr"), "lr", "a real number > 0",
-     [*NOT_NUMBERS, 0.0, -1e-3]),
-    *(("TrainConfig", _field(TrainConfig, name), name, "an integer >= 0",
-       [*NOT_NUMBERS, -1, 2.5, 2.0])
-      for name in ("epochs", "seed", "unroll_steps")),
+     [*NOT_NUMBERS, 0.0, -1e-3], [1e-9, 1, np.float32(1e-3), np.int64(1)]),
+    *(("TrainConfig", call, name, "an integer >= 0", [*NOT_NUMBERS, -1, 2.5, 2.0],
+       [0, 1, np.int64(0), np.uint8(3)])
+      for name, call in [("epochs", _field(TrainConfig, "epochs")),
+                         ("seed", _field(TrainConfig, "seed")),
+                         ("unroll_steps", lambda v: TrainConfig(unroll_steps=v, tc_start_step=0))]),
     ("TrainConfig", _field(TrainConfig, "tc_start_step"), "S0: tc_start_step",
-     "an integer in [0, 20]", [*NOT_NUMBERS, -1, 21, 2.5, 2.0]),
-    *((label, call, "bins", "an integer >= 2", [*NOT_NUMBERS, 1, 0, -3, 2.0, 2.5, 5.0])
+     "an integer in [0, 20]", [*NOT_NUMBERS, -1, 21, 2.5, 2.0], [0, 20, 5, np.int32(20)]),
+    *((label, call, "bins", "an integer >= 2", [*NOT_NUMBERS, 1, 0, -3, 2.0, 2.5, 5.0],
+       [2, 3, np.int64(2)])
       for label, call in [("TrainConfig", _field(TrainConfig, "bins")),
                           ("check_bin_count", check_bin_count),
                           ("build_voxel_grid",
@@ -70,47 +77,53 @@ FIELDS = [
                           ("FireFlowNet", _field(FireFlowNet, "bins")),
                           ("ReconNet", _field(ReconNet, "bins"))]),
     ("TrainConfig", _field(TrainConfig, "weights"), "weights", "a LossWeights",
-     [None, True, {"lambda1": 1.0}, AugmentConfig()]),
+     [None, True, {"lambda1": 1.0}, AugmentConfig()], [LossWeights(), LossWeights(lambda1=0)]),
     ("TrainConfig", _field(TrainConfig, "augment"), "augment", "an AugmentConfig",
-     [None, 0.5, {"h_flip_prob": 0.5}, LossWeights()]),
+     [None, 0.5, {"h_flip_prob": 0.5}, LossWeights()],
+     [AugmentConfig(), AugmentConfig(1, 1, 1, 1)]),
     *(("LossWeights", _field(LossWeights, name), name, "a real number >= 0",
-       [*NOT_NUMBERS, -0.1, -1])
+       [*NOT_NUMBERS, -0.1, -1], [0, 0.0, 1, np.float32(0.0)])
       for name in ("lambda1", "lambda2", "lambda3")),
     *(("LossWeights", _field(LossWeights, name), name, "a real number > 0",
-       [*NOT_NUMBERS, 0.0, -1.0])
+       [*NOT_NUMBERS, 0.0, -1.0], [1e-9, 1, np.int64(2)])
       for name in ("c_pos", "c_neg")),
     ("LossWeights", _field(LossWeights, "deblur_enabled"), "deblur_enabled", "a bool",
-     ["no", 1, 0.0, None]),
+     ["no", 1, 0.0, None], [True, False, np.True_, np.False_]),
     ("SyntheticScene", lambda v: _scene(base=v), "base", "a real numpy array",
-     [None, BASE.tolist(), BASE * (1 + 1j), BASE > 0]),
+     [None, BASE.tolist(), BASE * (1 + 1j), BASE > 0],
+     [BASE, BASE.astype(np.float32), BASE.astype(np.uint8),
+      np.zeros((16, 16), dtype=np.int64)]),
     ("SyntheticScene", lambda v: _scene(contrast=v), "contrast", "a real number > 0",
-     [*NOT_NUMBERS, 0.0, -0.25]),
+     [*NOT_NUMBERS, 0.0, -0.25], [1e-3, 1, np.float32(0.25)]),
     ("SyntheticScene", lambda v: _scene(duration=v), "duration", "a real number > 0",
-     [*NOT_NUMBERS, 0.0, -1.0]),
+     [*NOT_NUMBERS, 0.0, -1.0], [1e-3, 1, np.float32(2.0)]),
     ("SyntheticScene", lambda v: _scene(velocity=v), "velocity", "a pair (vx, vy)",
-     [None, 5.0, "12", (1.0,), (1.0, 2.0, 3.0), np.array(5.0), np.zeros((2, 1))]),
+     [None, 5.0, "12", (1.0,), (1.0, 2.0, 3.0), np.array(5.0), np.zeros((2, 1))],
+     [(1.0, 0.0), [1, 0], np.array([-2.5, 0]), np.zeros(2, dtype=np.float32)]),
     ("SyntheticScene", lambda v: _scene(velocity=(v, 3.0)), "velocity[0]", "a real number",
-     [*NOT_NUMBERS, (1.0, 2.0)]),
+     [*NOT_NUMBERS, (1.0, 2.0)], [0, -2.5, np.float32(1.0), np.int64(-3)]),
     ("SyntheticScene", lambda v: _scene(velocity=[1.0, v]), "velocity[1]", "a real number",
-     NOT_NUMBERS),
+     NOT_NUMBERS, [0, -2.5, np.float32(1.0), np.int64(-3)]),
     ("checkerboard", lambda v: synth.checkerboard(GEOM, v), "period", "an integer >= 1",
-     [*NOT_NUMBERS, 0, -2, 2.5]),
+     [*NOT_NUMBERS, 0, -2, 2.5], [1, 2, np.int64(16)]),
     ("checkerboard", lambda v: synth.checkerboard(GEOM, 4, amplitude=v), "amplitude",
-     "a real number", NOT_NUMBERS),
+     "a real number", NOT_NUMBERS, [-2, 0, 0.5, np.float32(1)]),
     ("gaussian_blobs", lambda v: _blobs(count=v), "count", "an integer >= 0",
-     [*NOT_NUMBERS, -1, 2.5]),
+     [*NOT_NUMBERS, -1, 2.5], [0, 1, np.int64(3)]),
     ("gaussian_blobs", lambda v: _blobs(sigma=v), "sigma", "a real number > 0",
-     [*NOT_NUMBERS, 0.0, -1.0]),
+     [*NOT_NUMBERS, 0.0, -1.0], [1e-3, 2, np.float32(0.5)]),
     ("gaussian_blobs", lambda v: _blobs(amplitude=v), "amplitude", "a real number",
-     NOT_NUMBERS),
+     NOT_NUMBERS, [0.0, -1, np.float64(2)]),
     ("render_scene", lambda v: synth.render_scene(_scene(), v), "t", "a real number in [0, 1.0]",
-     [*NOT_NUMBERS, -0.1, 1.5, 1.0 + 1e-9]),
+     [*NOT_NUMBERS, -0.1, 1.5, 1.0 + 1e-9], [0, 1.0, 0.5, np.float32(1.0)]),
     ("generate_events", lambda v: synth.generate_events(_scene(), v), "timestep",
-     "a real number > 0", [*NOT_NUMBERS, 0.0, -1e-2]),
+     "a real number > 0", [*NOT_NUMBERS, 0.0, -1e-2], [0.5, 0.1, np.float32(0.25)]),
 ]
 ROWS = [pytest.param(call, f"{field} must be {rule}, got {value!r}", value,
                      id=f"{label}-{field}-{value!r:.30}")
-        for label, call, field, rule, values in FIELDS for value in values]
+        for label, call, field, rule, values, _ in FIELDS for value in values]
+ACCEPTED = [pytest.param(call, value, id=f"{label}-{field}-{value!r:.30}")
+            for label, call, field, _, _, values in FIELDS for value in values]
 
 
 # Among these rows, before the shared rule: `AugmentConfig(h_flip_prob=True)`
@@ -141,7 +154,7 @@ CONFIGS = {TrainConfig: {}, LossWeights: {}, AugmentConfig: {},
 
 
 def test_every_config_field_has_a_row_and_no_field_can_be_assigned():
-    rows = {(label, field.split()[-1]) for label, _, field, _, _ in FIELDS}
+    rows = {(label, field.split()[-1]) for label, _, field, *_ in FIELDS}
     for cls, required in CONFIGS.items():
         config = cls(**required)
         for f in dataclasses.fields(cls):
@@ -150,23 +163,22 @@ def test_every_config_field_has_a_row_and_no_field_can_be_assigned():
                 setattr(config, f.name, getattr(config, f.name))
 
 
+# Rejecting 7 and accepting 8 pins where a closed bound lies; an open bound
+# gets a value just above it.
+@pytest.mark.parametrize("call,value", ACCEPTED)
+def test_setting_accepts_values_on_or_inside_each_bound(call, value):
+    call(value)
+
+
 def test_values_on_a_closed_bound_and_numpy_numbers_are_accepted():
-    SensorGeometry(8, np.uint16(8))
     assert len(partition_by_count(STREAM, np.int32(2))) == 5
-    AugmentConfig(0, 1, np.float32(0.0), 1.0)
     TrainConfig(unroll_steps=3, tc_start_step=3, epochs=0, seed=np.int64(0), bins=2)
-    TrainConfig(unroll_steps=0, tc_start_step=0)
     assert TrainConfig(lr=np.float32(1e-3)).lr == np.float32(1e-3)
     assert TrainConfig(lr=1).lr == 1
-    LossWeights(lambda1=0, lambda2=0.0, lambda3=np.float32(0.0), c_pos=1e-9)
     weights = LossWeights(lambda1=np.float64(0.5), c_pos=np.int64(2), deblur_enabled=np.False_)
     assert not weights.deblur_enabled
     scene = _scene(velocity=np.array([-2.5, 0]))
-    synth.render_scene(scene, 0)
     synth.render_scene(scene, scene.duration)
-    _scene(base=np.zeros((16, 16), dtype=np.int64), velocity=[1, 0])
-    synth.checkerboard(GEOM, 1, amplitude=-2)
-    _blobs(count=0, amplitude=0.0)
 
 
 @pytest.mark.parametrize("kw,message", [
