@@ -281,32 +281,15 @@ class AugmentConfig:
             check_number(f.name, getattr(self, f.name), low=0, high=1)
 
 
-@dataclass(frozen=True)
-class AugmentationRecord:
-    h_flip: bool = False
-    v_flip: bool = False
-    polarity_flip: bool = False
-    pause: bool = False
-
-
-def draw_augmentation(rng: np.random.Generator, config: AugmentConfig) -> AugmentationRecord:
-    return AugmentationRecord(
-        h_flip=bool(rng.random() < config.h_flip_prob),
-        v_flip=bool(rng.random() < config.v_flip_prob),
-        polarity_flip=bool(rng.random() < config.polarity_flip_prob),
-        pause=bool(rng.random() < config.pause_prob),
-    )
-
-
-def apply_augmentation(partition: EventStream, record: AugmentationRecord) -> EventStream:
+def apply_augmentation(partition: EventStream, *, h_flip: bool = False, v_flip: bool = False,
+                       polarity_flip: bool = False) -> EventStream:
+    """Mirror x, y or the polarities; the partition records its mirror flips."""
     x, y, p = partition.x, partition.y, partition.p
-    if record.h_flip:
+    if h_flip:
         x = (partition.geometry.width - 1 - x.astype(np.int64)).astype(np.uint16)
-    if record.v_flip:
+    if v_flip:
         y = (partition.geometry.height - 1 - y.astype(np.int64)).astype(np.uint16)
-    if record.polarity_flip:
+    if polarity_flip:
         p = (-p.astype(np.int64)).astype(np.int8)
-    # The pause flag is carried in the record only; the trainer inserts an
-    # `empty_stream` as one more partition, the events themselves are untouched.
-    return replace(partition, x=x, y=y, p=p, h_flip=partition.h_flip != record.h_flip,
-                   v_flip=partition.v_flip != record.v_flip)
+    return replace(partition, x=x, y=y, p=p, h_flip=partition.h_flip != h_flip,
+                   v_flip=partition.v_flip != v_flip)

@@ -150,7 +150,3 @@ def init_parameters(net, rng: np.random.Generator) -> None:
         else:
             p.data = np.zeros_like(p.data)
         p.grad = None
-
-
-def detach_state(state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-    return tuple(s.detach() for s in state)

@@ -29,12 +29,13 @@ class SyntheticScene:
     duration: float = 2.0            # seconds
 
     def __post_init__(self):
-        if not (isinstance(self.base, np.ndarray) and self.base.dtype.kind in "iuf"):
-            raise ConfigurationError(f"base must be a real numpy array, got {self.base!r}")
-        if self.base.shape != (self.geometry.height, self.geometry.width):
-            raise ValueError(f"pattern shape {self.base.shape} does not match geometry")
-        if not np.isfinite(self.base).all():
-            raise ValueError("pattern must be finite")
+        if not isinstance(self.geometry, SensorGeometry):
+            raise ConfigurationError(f"geometry must be a SensorGeometry, got {self.geometry!r}")
+        shape = (self.geometry.height, self.geometry.width)
+        if not (isinstance(self.base, np.ndarray) and self.base.dtype.kind in "iuf"
+                and self.base.shape == shape and np.isfinite(self.base).all()):
+            raise ConfigurationError(
+                f"base must be a finite real numpy array of shape {shape}, got {self.base!r}")
         check_number("contrast", self.contrast, low=0, open_low=True)
         check_number("duration", self.duration, low=0, open_low=True)
         # `ndim` first: a 0-d array has no len().

@@ -18,12 +18,12 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor, add
 from .events import (AugmentConfig, ConfigurationError, EventStream, apply_augmentation,
-                     check_number, draw_augmentation, empty_stream)
+                     check_number, empty_stream)
 from .geometry import as_flow, build_voxel_grid, check_bin_count, event_mask
 from .losses import (LossReport, LossWeights, flow_total_loss,
                      photometric_loss, predicted_increment, recon_total_loss,
                      reference_increment, temporal_loss, tv_loss, warp_previous)
-from .networks import FireFlowNet, ReconNet, detach_state, init_parameters
+from .networks import FireFlowNet, ReconNet, init_parameters
 from .synth import ground_truth_flow
 
 Curve = list[tuple[int, LossReport]]
@@ -111,20 +111,24 @@ def _epoch_steps(sequences, config: TrainConfig, rng: np.random.Generator,
                  min_length: int):
     """For each sequence of each epoch, an iterator over its training steps.
 
-    The sequence's partitions share one drawn augmentation; a drawn pause
+    The sequence's partitions share one augmentation, one draw each for the
+    h-flip, v-flip, polarity flip and pause at any probability; a drawn pause
     inserts one `empty_stream`, an ordinary partition, at a drawn position.
     Sequences shorter than `min_length` partitions are skipped with a
     warning before anything is drawn for them.
     """
+    a = config.augment
+    probs = (a.h_flip_prob, a.v_flip_prob, a.polarity_flip_prob, a.pause_prob)
     for _ in range(config.epochs):
         for seq in sequences:
             if len(seq) < min_length:
                 warnings.warn(f"sequence with {len(seq)} partitions is shorter than "
                               f"one training window ({min_length}); skipped")
                 continue
-            record = draw_augmentation(rng, config.augment)
-            parts = [apply_augmentation(p, record) for p in seq]
-            if record.pause:
+            h_flip, v_flip, polarity_flip, pause = (rng.random() < prob for prob in probs)
+            parts = [apply_augmentation(p, h_flip=h_flip, v_flip=v_flip,
+                                        polarity_flip=polarity_flip) for p in seq]
+            if pause:
                 parts.insert(int(rng.integers(0, len(parts) + 1)),
                              empty_stream(seq[0].geometry))
             yield (_voxel_step(p, config.bins) for p in parts)
@@ -227,7 +231,7 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
             k += 1
             if k == window:
                 _optimize(*recon_total_loss(pe, tc, tv, weights), opt_r, result.curve, "recon")
-                state = detach_state(state)
+                state = tuple(s.detach() for s in state)
                 l_prev = l_prev.detach()
                 k, pe, tc, tv = 0, 0.0, 0.0, 0.0
         # Trailing steps that do not fill a window are dropped, like the

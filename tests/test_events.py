@@ -392,7 +392,7 @@ def _simple_partition():
 
 def test_h_flip_maps_edges():
     part = _simple_partition()
-    out = ev.apply_augmentation(part, ev.AugmentationRecord(h_flip=True))
+    out = ev.apply_augmentation(part, h_flip=True)
     assert out.x[0] == 127 and out.x[1] == 122
     assert np.array_equal(out.y, part.y)
     # Recorded for ground truth, and kept by normalization and partitioning.
@@ -402,43 +402,22 @@ def test_h_flip_maps_edges():
 
 
 def test_polarity_flip():
-    out = ev.apply_augmentation(_simple_partition(), ev.AugmentationRecord(polarity_flip=True))
+    out = ev.apply_augmentation(_simple_partition(), polarity_flip=True)
     assert np.array_equal(out.p, [-1, 1])
-
-
-def test_zero_probabilities_are_identity():
-    rng = np.random.default_rng(0)
-    cfg = ev.AugmentConfig(0.0, 0.0, 0.0, 0.0)
-    record = ev.draw_augmentation(rng, cfg)
-    out = ev.apply_augmentation(_simple_partition(), record)
-    assert record == ev.AugmentationRecord()
-    assert np.array_equal(out.x, _simple_partition().x)
-    assert np.array_equal(out.p, _simple_partition().p)
 
 
 def test_double_flip_is_identity():
     part = _simple_partition()
-    for record in (ev.AugmentationRecord(h_flip=True),
-                   ev.AugmentationRecord(v_flip=True),
-                   ev.AugmentationRecord(polarity_flip=True)):
-        once = ev.apply_augmentation(part, record)
-        twice = ev.apply_augmentation(once, record)
-        assert (once.h_flip, once.v_flip) == (record.h_flip, record.v_flip)
+    for flip in ("h_flip", "v_flip", "polarity_flip"):
+        once = ev.apply_augmentation(part, **{flip: True})
+        twice = ev.apply_augmentation(once, **{flip: True})
+        assert (once.h_flip, once.v_flip) == (flip == "h_flip", flip == "v_flip")
         assert not (twice.h_flip or twice.v_flip)
         assert np.array_equal(twice.x, part.x)
         assert np.array_equal(twice.y, part.y)
         assert np.array_equal(twice.p, part.p)
 
 
-def test_probability_one_always_fires():
-    rng = np.random.default_rng(1)
-    cfg = ev.AugmentConfig(1.0, 1.0, 1.0, 1.0)
-    record = ev.draw_augmentation(rng, cfg)
-    assert record.h_flip and record.v_flip and record.polarity_flip and record.pause
-
-
 def test_augmentation_preserves_sorting():
-    rng = np.random.default_rng(2)
-    cfg = ev.AugmentConfig(1.0, 1.0, 1.0, 0.0)
-    out = ev.apply_augmentation(_simple_partition(), ev.draw_augmentation(rng, cfg))
+    out = ev.apply_augmentation(_simple_partition(), h_flip=True, v_flip=True, polarity_flip=True)
     assert np.all(np.diff(out.t.astype(np.int64)) >= 0)

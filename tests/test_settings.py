@@ -26,8 +26,14 @@ BASE = synth.checkerboard(GEOM, 4)
 
 
 def _scene(**kw):
-    kw = {"base": BASE, "velocity": (1.0, 0.0), "duration": 1.0, **kw}
-    return synth.SyntheticScene(GEOM, **kw)
+    kw = {"geometry": GEOM, "base": BASE, "velocity": (1.0, 0.0), "duration": 1.0, **kw}
+    return synth.SyntheticScene(**kw)
+
+
+def _base_with(row, col, value):
+    base = BASE.copy()
+    base[row, col] = value
+    return base
 
 
 def _blobs(**kw):
@@ -89,8 +95,13 @@ FIELDS = [
       for name in ("c_pos", "c_neg")),
     ("LossWeights", _field(LossWeights, "deblur_enabled"), "deblur_enabled", "a bool",
      ["no", 1, 0.0, None], [True, False, np.True_, np.False_]),
-    ("SyntheticScene", lambda v: _scene(base=v), "base", "a real numpy array",
-     [None, BASE.tolist(), BASE * (1 + 1j), BASE > 0],
+    ("SyntheticScene", lambda v: _scene(geometry=v), "geometry", "a SensorGeometry",
+     [None, (16, 16), 16], [GEOM]),
+    ("SyntheticScene", lambda v: _scene(base=v), "base",
+     "a finite real numpy array of shape (16, 16)",
+     [None, BASE.tolist(), BASE * (1 + 1j), BASE > 0, np.zeros((16, 17)), np.ones((17, 16)),
+      np.zeros((2, 16, 16)), np.zeros(256), np.full((16, 16), np.nan),
+      np.full((16, 16), np.inf), _base_with(3, 5, np.nan), _base_with(0, 0, -np.inf)],
      [BASE, BASE.astype(np.float32), BASE.astype(np.uint8),
       np.zeros((16, 16), dtype=np.int64)]),
     ("SyntheticScene", lambda v: _scene(contrast=v), "contrast", "a real number > 0",
@@ -139,7 +150,10 @@ ACCEPTED = [pytest.param(call, value, id=f"{label}-{field}-{value!r:.30}")
 # dict `augment` were accepted and failed at the first training step with a
 # bare AttributeError; a list `base` failed with a bare AttributeError and a
 # complex one simulated events; `velocity=np.array(5.0)` failed with a bare
-# TypeError from `len`.
+# TypeError from `len`. A `geometry` of None or (16, 16) failed with a bare
+# AttributeError, and a `base` of another shape or with a non-finite value
+# raised a plain ValueError; unchecked, a non-finite one would fail late,
+# inside `generate_events`, with an invalid-value warning.
 @pytest.mark.parametrize("call,message,value", ROWS)
 def test_numeric_setting_rejects_wrong_kind_non_finite_or_out_of_range(call, message, value):
     with pytest.raises(ConfigurationError) as raised:
@@ -150,7 +164,8 @@ def test_numeric_setting_rejects_wrong_kind_non_finite_or_out_of_range(call, mes
 # The configs, with their required arguments. A field added to one later
 # must get a row in FIELDS, and cannot be changed after the checks ran.
 CONFIGS = {TrainConfig: {}, LossWeights: {}, AugmentConfig: {},
-           SensorGeometry: dict(width=16, height=16)}
+           SensorGeometry: dict(width=16, height=16),
+           synth.SyntheticScene: dict(geometry=GEOM, base=BASE, velocity=(1.0, 0.0))}
 
 
 def test_every_config_field_has_a_row_and_no_field_can_be_assigned():

@@ -133,24 +133,6 @@ def test_timestep_precondition_violation_suggests_smaller_step():
         synth.generate_events(scene, 0.25)
 
 
-def _with_pixel(value):
-    base = synth.checkerboard(GEOM, 4)
-    base[3, 5] = value
-    return base
-
-
-# A non-finite pattern would fail late, inside generate_events, with an
-# invalid-value warning from a cast or a multiply.
-@pytest.mark.parametrize("base,match", [
-    (np.zeros((16, 17)), "pattern shape"), (np.zeros((17, 16)), "pattern shape"),
-    (np.zeros((2, 16, 16)), "pattern shape"),
-    (np.full((16, 16), np.nan), "finite"), (np.full((16, 16), np.inf), "finite"),
-    (_with_pixel(np.nan), "finite"), (_with_pixel(-np.inf), "finite")])
-def test_scene_rejects_pattern_of_another_shape_or_non_finite(base, match):
-    with pytest.raises(ValueError, match=match):
-        scene_with(base, velocity=(1.0, 0.0))
-
-
 def test_mirrored_velocity_produces_x_flipped_stream():
     # Symmetric pattern, dyadic velocity and timestep: the two runs are
     # bit-exact mirrors of each other, timestamps included.

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from evssl import autodiff as ad
 from evssl import losses, metrics, synth, training
-from evssl.events import (AugmentConfig, AugmentationRecord, SensorGeometry, apply_augmentation,
-                          empty_stream, events_per_pixel_count, normalize_timestamps,
-                          partition_by_count)
+from evssl.events import (AugmentConfig, SensorGeometry, apply_augmentation, empty_stream,
+                          events_per_pixel_count, normalize_timestamps, partition_by_count)
 from evssl.geometry import build_voxel_grid, event_mask, fwl
 from evssl.losses import (LossReport, LossWeights, contrast_loss, flow_total_loss,
                           reference_increment)
@@ -181,6 +180,57 @@ def test_non_finite_gradient_raises():
         with pytest.raises(FloatingPointError,
                            match="non-finite gradient of 'p' at flow step 0"):
             training._optimize(loss, LossReport(), training.Adam([p], 1e-3), [], "flow")
+
+
+# ---------------------------------------------------------------------------
+# augmentation draws
+
+
+def _drawn_augmentations(seqs, augment):
+    """Per sequence of each of 2 epochs, what `_epoch_steps` applied to it:
+    (h_flip, v_flip, polarity_flip, index of the pause or None)."""
+    config = _config(augment=augment)
+    drawn = []
+    for i, steps in enumerate(training._epoch_steps(seqs, config,
+                                                    np.random.default_rng(config.seed), 1)):
+        seq, parts = seqs[i % len(seqs)], [p for p, _, _ in steps]
+        pauses = [k for k, p in enumerate(parts) if not len(p)]
+        assert len(pauses) <= 1 and len(parts) == len(seq) + len(pauses)
+        flips = set()
+        for part, orig in zip([p for p in parts if len(p)], seq):
+            h, v, pol = part.h_flip, part.v_flip, bool(part.p[0] != orig.p[0])
+            assert np.array_equal(part.x, GEOM.width - 1 - orig.x if h else orig.x)
+            assert np.array_equal(part.y, GEOM.height - 1 - orig.y if v else orig.y)
+            assert np.array_equal(part.p, -orig.p if pol else orig.p)
+            assert part.t is orig.t
+            flips.add((h, v, pol))
+        (flip,) = flips  # the sequence's partitions share one draw
+        drawn.append((*flip, pauses[0] if pauses else None))
+    return drawn
+
+
+def test_zero_probabilities_are_identity():
+    drawn = _drawn_augmentations(_sequences([3, 2]), AugmentConfig(0.0, 0.0, 0.0, 0.0))
+    assert drawn == [(False, False, False, None)] * 4
+
+
+def test_probability_one_always_fires():
+    drawn = _drawn_augmentations(_sequences([3, 2]), AugmentConfig(1.0, 1.0, 1.0, 1.0))
+    assert [d[:3] for d in drawn] == [(True, True, True)] * 4
+    assert all(d[3] is not None for d in drawn)
+
+
+def test_augmentation_draws_keep_their_order():
+    # One draw each for h-flip, v-flip, polarity flip and pause, even at
+    # probability 0, then the pause position only if a pause was drawn:
+    # reordering or skipping a draw would change every training run.
+    seqs = _sequences([3, 3, 3])
+    assert _drawn_augmentations(seqs, AugmentConfig(0.5, 0.5, 0.5, 0.5)) == [
+        (True, True, False, None), (True, True, True, 2), (True, True, False, 2),
+        (False, False, False, 1), (False, True, True, None), (True, True, False, None)]
+    assert _drawn_augmentations(seqs, AugmentConfig(0.0, 0.5, 0.0, 0.5)) == [
+        (False, True, False, None), (False, True, False, 2), (False, True, False, 2),
+        (False, False, False, 1), (False, True, False, None), (False, True, False, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +515,6 @@ def test_ground_truth_flow_teaches_reconstruction_more_than_zero_flow():
     # terms alone, so mid-gray would not notice a broken photometric term.
     # The temporal term is off because it reads the flow too: with it on,
     # ground truth still beat zero flow with the photometric term zeroed.
-    # Flips are off: the ground-truth provider does not know that a flip
-    # negates a flow component.
     scene, windows, tail = _learning_scene_and_windows(104, unroll_steps=10)
     config = TrainConfig(epochs=1, seed=104, lr=1e-3, unroll_steps=10, tc_start_step=5,
                          weights=LossWeights(lambda2=0.0),
@@ -483,14 +531,13 @@ def test_ground_truth_flow_teaches_reconstruction_more_than_zero_flow():
     assert gt_ssim > max(zero_ssim, gray_ssim)
 
 
-@pytest.mark.parametrize("record,axis", [(AugmentationRecord(h_flip=True), 0),
-                                         (AugmentationRecord(v_flip=True), 1)])
+@pytest.mark.parametrize("record,axis", [({"h_flip": True}, 0), ({"v_flip": True}, 1)])
 def test_ground_truth_provider_mirrors_a_flipped_partition(checker_scene, checker_partitions,
                                                            record, axis):
     # Flipping x negates the partition's true u, flipping y its v. Before
     # the flips were recorded, the provider's unflipped flow scored FWL 3.56
     # on the h-flipped partition against 5.43 for its u-negation.
-    part = apply_augmentation(checker_partitions[0], record)
+    part = apply_augmentation(checker_partitions[0], **record)
     flow = training.GroundTruthFlowProvider(checker_scene)(part, None, None)
     mirrored = flow.copy()
     mirrored[axis] *= -1.0
