@@ -86,7 +86,7 @@ class FireFlowNet:
     scaled to `FLOW_SCALE` pixels per partition; e1's conv2d checks that a
     voxel has `bins` channels."""
 
-    def __init__(self, bins: int = 5):
+    def __init__(self, bins: int):
         check_bin_count(bins)
         channels = FLOW_CHANNELS
         self.e1 = ConvLayer("e1", bins, channels)
@@ -112,7 +112,7 @@ class ReconNet:
     has `bins` channels. Its parameters are float32: this is the one place
     that picks the reconstruction's dtype."""
 
-    def __init__(self, bins: int = 5):
+    def __init__(self, bins: int):
         check_bin_count(bins)
         channels = RECON_CHANNELS
         self.head = ConvLayer("head", bins, channels)

@@ -46,11 +46,10 @@ class SyntheticScene:
             check_number(f"velocity[{i}]", v)
 
 
-def checkerboard(geometry: SensorGeometry, period: int, amplitude: float = 1.0) -> np.ndarray:
+def checkerboard(geometry: SensorGeometry, period: int) -> np.ndarray:
     check_number("period", period, integer=True, low=1)
-    check_number("amplitude", amplitude)
     y, x = np.mgrid[0:geometry.height, 0:geometry.width]
-    return amplitude * (((x // period) + (y // period)) % 2).astype(np.float64)
+    return (((x // period) + (y // period)) % 2).astype(np.float64)
 
 
 def gaussian_blobs(geometry: SensorGeometry, count: int, sigma: float,

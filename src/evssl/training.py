@@ -178,35 +178,32 @@ class ReconTrainResult:
 
 
 def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
-                flow_provider=None, flow_net: FireFlowNet | None = None,
-                recon_net: ReconNet | None = None) -> ReconTrainResult:
+                flow_provider=None, recon_net: ReconNet | None = None) -> ReconTrainResult:
     """Unrolled photometric-constancy training of the reconstruction network.
 
     Flow comes from `flow_provider(partition, voxel, mask) -> (2,H,W)` and
     is detached; a pause (no events, no motion) gets zero flow without
-    asking it. Without a provider, `flow_net` (a new FireFlowNet if None)
-    is trained jointly on each partition just before the reconstruction
-    step consumes its flow; pass a frozen network as
-    `flow_provider=lambda p, v, m: net(v, m)`. The reconstruction update
-    fires every S+1 steps; hidden state and the previous frame are
-    truncated there and reset at sequence starts. Sequences shorter than
-    one unroll window are skipped.
+    asking it. Without a provider, a new FireFlowNet is trained jointly on
+    each partition just before the reconstruction step consumes its flow;
+    pass a frozen network as `flow_provider=lambda p, v, m: net(v, m)`.
+    The reconstruction update fires every S+1 steps; hidden state and the
+    previous frame are truncated there and reset at sequence starts.
+    Trailing steps that do not fill a window still run the provider and
+    ReconNet forward, but make no reconstruction update. Sequences shorter
+    than one unroll window are skipped.
     """
     if not sequences:
         raise ValueError("empty dataset")
-    if flow_provider is not None and flow_net is not None:
-        raise ValueError("flow_provider cannot be combined with flow_net")
     window = config.unroll_steps + 1
     rng = np.random.default_rng(config.seed)
     if recon_net is None:
         recon_net = ReconNet(bins=config.bins)
         init_parameters(recon_net, rng)
-    if flow_provider is None and flow_net is None:
-        flow_net = FireFlowNet(bins=config.bins)
-        init_parameters(flow_net, rng)
-    result = ReconTrainResult(recon_net, flow_net)
+    result = ReconTrainResult(recon_net, None)
     if flow_provider is None:
-        flow_provider = _flow_updates(flow_net, config, result.flow_curve)
+        result.flow_net = FireFlowNet(bins=config.bins)
+        init_parameters(result.flow_net, rng)
+        flow_provider = _flow_updates(result.flow_net, config, result.flow_curve)
     opt_r = Adam(recon_net.parameters(), config.lr)
     weights = config.weights
     for steps in _epoch_steps(sequences, config, rng, window):
@@ -234,8 +231,8 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
                 state = tuple(s.detach() for s in state)
                 l_prev = l_prev.detach()
                 k, pe, tc, tv = 0, 0.0, 0.0, 0.0
-        # Trailing steps that do not fill a window are dropped, like the
-        # trailing events that do not fill a partition.
+        # Trailing steps that do not fill a window get no reconstruction
+        # update, as trailing events that do not fill a partition get no partition.
     return result
 
 

@@ -17,7 +17,7 @@ CHECKER_DENSITY = 0.5
 @pytest.fixture(scope="session")
 def checker_scene():
     geom = SensorGeometry(64, 64)
-    base = synth.checkerboard(geom, period=16, amplitude=1.0)
+    base = synth.checkerboard(geom, period=16)
     return synth.SyntheticScene(geom, base, velocity=CHECKER_VELOCITY,
                                 contrast=1.0, duration=2.0)
 

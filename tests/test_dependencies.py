@@ -1,8 +1,9 @@
-"""numpy is the package's only runtime dependency, and every public name
-in it has a caller."""
+"""numpy is the package's only runtime dependency, every public name in it
+has a caller, and every parameter of a public callable is passed by one."""
 
 import ast
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,12 @@ CALLERS = SOURCES + sorted(p for p in (ROOT / "perfbench").glob("*.py")
 # Public names kept without a caller in src/ or perfbench/, each for a reason.
 UNCALLED = {
     "parse_text_events": "the text-event input boundary, tested for typed errors",
+}
+
+# Parameters kept though no call in src/ or perfbench/ passes them, each for a reason.
+UNPASSED = {
+    ("save_checkpoint", "config_text"):
+        "CKP1's config blob, the slot that saved training state will use",
 }
 
 
@@ -68,3 +75,61 @@ def test_every_public_name_has_a_caller_in_the_package_or_the_benchmark():
     assert set(UNCALLED) <= public, f"allowlisted names no longer defined: {set(UNCALLED) - public}"
     uncalled = public - referenced - set(UNCALLED)
     assert not uncalled, f"public names with no caller in src/ or perfbench/: {sorted(uncalled)}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+
+
+def _public_signatures(tree: ast.Module):
+    """(name, positional parameters, keyword-only parameters) of each public
+    function and of each public non-dataclass class's `__init__`, `self`
+    dropped. A dataclass's fields are settings, covered by test_settings.py."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            args, skip = node.args, 0
+        else:
+            init = [n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+            if _is_dataclass(node) or not init:
+                continue
+            args, skip = init[0].args, 1
+        positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+        yield node.name, positional, [a.arg for a in args.kwonlyargs]
+
+
+def _passed(call: ast.Call, positional: list[str], keyword_only: list[str]) -> set[str]:
+    """The parameters `call` may pass: by position, by keyword, or through a
+    `*` or `**` unpacking, which may pass any positional or any parameter."""
+    if any(k.arg is None for k in call.keywords):
+        return set(positional + keyword_only)
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        by_position = positional
+    else:
+        by_position = positional[:len(call.args)]
+    return set(by_position) | {k.arg for k in call.keywords}
+
+
+def test_every_parameter_is_passed_by_a_call_in_the_package_or_the_benchmark():
+    # Calls are matched by name, as `foo(...)` or `module.foo(...)`.
+    calls = defaultdict(list)
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[getattr(func, "id", getattr(func, "attr", None))].append(node)
+    parameters, unpassed = set(), set()
+    for path in SOURCES:
+        for name, positional, keyword_only in _public_signatures(
+                ast.parse(path.read_text(), filename=str(path))):
+            if name in UNCALLED:
+                continue
+            passed = set().union(*(_passed(c, positional, keyword_only) for c in calls[name]))
+            parameters |= {(name, p) for p in positional + keyword_only}
+            unpassed |= {(name, p) for p in positional + keyword_only if p not in passed}
+    assert set(UNPASSED) <= parameters, \
+        f"allowlisted parameters no longer defined: {set(UNPASSED) - parameters}"
+    unpassed -= set(UNPASSED)
+    assert not unpassed, f"parameters no call in src/ or perfbench/ passes: {sorted(unpassed)}"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,39 @@ def test_warp_rejects_flow_of_another_shape(shape):
     part = partition_from([(0, 1, 1, 1), (10, 2, 2, 1)])
     with pytest.raises(ValueError, match=r"flow shape .* != \(2, 16, 16\)"):
         geo.warp_events(part, np.zeros(shape), 1.0)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (1, 16, 16), (3, 16, 16), (2, 2, 16, 16), (2,)])
+def test_as_flow_rejects_what_is_not_two_by_h_by_w(shape):
+    with pytest.raises(ValueError, match=re.escape(f"flow must have shape (2,H,W), got {shape}")):
+        geo.as_flow(np.zeros(shape))
+
+
+def test_as_flow_keeps_a_tensor_and_its_graph():
+    # The flow network's output reaches the losses through as_flow; a copy
+    # would cut the gradient back to the network.
+    w = Parameter("w", np.ones((2, 4, 4)))
+    flow = ad.mul(w, 2.0)
+    assert geo.as_flow(flow) is flow
+    ad.tsum(geo.as_flow(flow)).backward()
+    assert np.array_equal(w.grad, np.full((2, 4, 4), 2.0))
+    array = constant_flow(1.5, -0.5)
+    assert np.array_equal(geo.as_flow(array).data, array)
+
+
+# Each entry point that reads t* names the step that is missing.
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda part: geo.build_voxel_grid(part, 5), id="build_voxel_grid"),
+    pytest.param(lambda part: geo.warp_events(part, zero_flow(), 1.0), id="warp_events"),
+    pytest.param(lambda part: geo.accumulate_warped_images(part, zero_flow(), 1.0, np.ones(2)),
+                 id="accumulate_warped_images"),
+    pytest.param(lambda part: geo.fwl(part, zero_flow()), id="fwl")])
+def test_a_partition_that_is_not_normalized_is_rejected(call):
+    part = EventStream(np.array([0, 10], dtype=np.uint64), np.array([1, 2], dtype=np.uint16),
+                       np.array([1, 2], dtype=np.uint16), np.array([1, -1], dtype=np.int8), GEOM)
+    with pytest.raises(ValueError, match=r"^partition is not normalized; "
+                                         r"call normalize_timestamps first$"):
+        call(part)
 
 
 # ---------------------------------------------------------------------------

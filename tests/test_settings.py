@@ -49,7 +49,8 @@ def _field(config, name):
 NOT_NUMBERS = [True, False, np.True_, "1", None, 1j, np.nan, np.inf, -np.inf]
 # (the callable, a call of it on a value, the field its error names, the rule
 # its error states, values the rule rejects, values on or just inside each
-# bound and of each numpy kind that the rule accepts).
+# bound and of each numpy kind that the rule accepts). A value's id is the
+# first 30 characters of its repr, unless it is a `pytest.param` with its own.
 FIELDS = [
     ("SensorGeometry", lambda v: SensorGeometry(v, 16), "geometry width", "an integer >= 8",
      [*NOT_NUMBERS, 7, 2, 0, -16, 16.0, 16.5, np.float64(16)],
@@ -102,8 +103,9 @@ FIELDS = [
      [None, BASE.tolist(), BASE * (1 + 1j), BASE > 0, np.zeros((16, 17)), np.ones((17, 16)),
       np.zeros((2, 16, 16)), np.zeros(256), np.full((16, 16), np.nan),
       np.full((16, 16), np.inf), _base_with(3, 5, np.nan), _base_with(0, 0, -np.inf)],
-     [BASE, BASE.astype(np.float32), BASE.astype(np.uint8),
-      np.zeros((16, 16), dtype=np.int64)]),
+     [pytest.param(BASE, id="BASE"),
+      pytest.param(BASE.astype(np.float32), id="BASE.astype(np.float32)"),
+      BASE.astype(np.uint8), np.zeros((16, 16), dtype=np.int64)]),
     ("SyntheticScene", lambda v: _scene(contrast=v), "contrast", "a real number > 0",
      [*NOT_NUMBERS, 0.0, -0.25], [1e-3, 1, np.float32(0.25)]),
     ("SyntheticScene", lambda v: _scene(duration=v), "duration", "a real number > 0",
@@ -117,8 +119,6 @@ FIELDS = [
      NOT_NUMBERS, [0, -2.5, np.float32(1.0), np.int64(-3)]),
     ("checkerboard", lambda v: synth.checkerboard(GEOM, v), "period", "an integer >= 1",
      [*NOT_NUMBERS, 0, -2, 2.5], [1, 2, np.int64(16)]),
-    ("checkerboard", lambda v: synth.checkerboard(GEOM, 4, amplitude=v), "amplitude",
-     "a real number", NOT_NUMBERS, [-2, 0, 0.5, np.float32(1)]),
     ("gaussian_blobs", lambda v: _blobs(count=v), "count", "an integer >= 0",
      [*NOT_NUMBERS, -1, 2.5], [0, 1, np.int64(3)]),
     ("gaussian_blobs", lambda v: _blobs(sigma=v), "sigma", "a real number > 0",
@@ -130,19 +130,27 @@ FIELDS = [
     ("generate_events", lambda v: synth.generate_events(_scene(), v), "timestep",
      "a real number > 0", [*NOT_NUMBERS, 0.0, -1e-2], [0.5, 0.1, np.float32(0.25)]),
 ]
+
+
+def _value_and_id(value):
+    if isinstance(value, type(pytest.param(None))):
+        return value.values[0], value.id
+    return value, f"{value!r:.30}"
+
+
 ROWS = [pytest.param(call, f"{field} must be {rule}, got {value!r}", value,
                      id=f"{label}-{field}-{value!r:.30}")
         for label, call, field, rule, values, _ in FIELDS for value in values]
-ACCEPTED = [pytest.param(call, value, id=f"{label}-{field}-{value!r:.30}")
-            for label, call, field, _, _, values in FIELDS for value in values]
+ACCEPTED = [pytest.param(call, value, id=f"{label}-{field}-{value_id}")
+            for label, call, field, _, _, values in FIELDS
+            for value, value_id in map(_value_and_id, values)]
 
 
 # Among these rows, before the shared rule: `AugmentConfig(h_flip_prob=True)`
 # was accepted and `pause_prob="0.5"` failed with a bare TypeError;
 # `events_per_pixel_count(geometry, True)` returned 64 on 8x8 and "1" failed
-# with a bare TypeError; `amplitude=True` was accepted by `checkerboard` and
-# `gaussian_blobs`, and `checkerboard(..., amplitude=nan)` returned an all-NaN
-# pattern; `render_scene(scene, True)` rendered at t = 1 s. Unchecked, a float
+# with a bare TypeError; `amplitude=True` was accepted by `gaussian_blobs`;
+# `render_scene(scene, True)` rendered at t = 1 s. Unchecked, a float
 # geometry side would give a float `pixels`, a float partition size or bin
 # count would fail late with a bare TypeError, a float `unroll_steps` would
 # train nothing (`k == window` never holds) and a `seed` of None would train

@@ -115,7 +115,7 @@ def test_event_count_consistency_with_brightness_travel():
     # signed event sum per pixel tracks the total brightness change to
     # within one threshold.
     c = 0.3
-    scene = scene_with(synth.checkerboard(GEOM, 4, amplitude=1.0), (6.0, 3.0),
+    scene = scene_with(synth.checkerboard(GEOM, 4), (6.0, 3.0),
                        contrast=c, duration=1.0)
     stream = synth.generate_events(scene, 1e-3)
     signed = np.zeros((16, 16))
@@ -127,7 +127,7 @@ def test_event_count_consistency_with_brightness_travel():
 
 
 def test_timestep_precondition_violation_suggests_smaller_step():
-    scene = scene_with(synth.checkerboard(GEOM, 4, amplitude=4.0), (40.0, 0.0),
+    scene = scene_with(4.0 * synth.checkerboard(GEOM, 4), (40.0, 0.0),
                        contrast=0.05, duration=1.0)
     with pytest.raises(ValueError, match="timestep"):
         synth.generate_events(scene, 0.25)
@@ -293,6 +293,19 @@ def test_ground_truth_flow_matches_velocity_times_span(checker_scene, checker_pa
 def test_ground_truth_frame_matches_render(checker_scene):
     frame = synth.ground_truth_frame(checker_scene, 500_000)
     assert np.array_equal(frame, synth.render_scene(checker_scene, 0.5))
+
+
+@pytest.mark.parametrize("period", [1, 3, 16])
+def test_checkerboard_alternates_unit_tiles_of_the_period(period):
+    # Unit contrast at every period: a scene scales the pattern itself, as in
+    # `4.0 * synth.checkerboard(GEOM, 4)`. A non-square frame tells x from y.
+    base = synth.checkerboard(SensorGeometry(24, 16), period)
+    assert base.shape == (16, 24) and base.dtype == np.float64
+    tiles = base[::period, ::period]
+    assert np.array_equal(np.kron(tiles, np.ones((period, period)))[:16, :24], base)
+    assert tiles[0, 0] == 0.0 and set(np.unique(tiles)) == {0.0, 1.0}
+    assert np.all(tiles[1:] == 1.0 - tiles[:-1])
+    assert np.all(tiles[:, 1:] == 1.0 - tiles[:, :-1])
 
 
 def test_gaussian_blob_pattern_shape_and_positivity():

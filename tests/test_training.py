@@ -63,6 +63,15 @@ def _frozen(net):
     return lambda partition, voxel, mask: net(voxel, mask)
 
 
+def test_train_config_defaults():
+    # Every test sets S and S0 itself, so only this pins the defaults:
+    # S = 20 steps per reconstruction update, the temporal term from S0 = 10.
+    config = TrainConfig()
+    assert (config.lr, config.epochs, config.unroll_steps, config.tc_start_step,
+            config.bins, config.seed) == (1e-4, 120, 20, 10, 5, 0)
+    assert config.weights == LossWeights() and config.augment == AugmentConfig()
+
+
 def test_flow_scale_is_not_a_setting():
     with pytest.raises(TypeError):
         TrainConfig(flow_scale=2.0)
@@ -109,16 +118,18 @@ def test_recon_with_frozen_network_same_seed_same_run():
 
 @pytest.mark.parametrize("pause_prob", [0.0, 0.5])
 def test_train_flow_and_joint_recon_make_the_same_flow_updates(pause_prob):
-    # Given both networks, the joint loop draws no initialization, so both
-    # loops draw the same augmentations; it asks for flow on every partition
-    # with events, as train_flow updates on each.
+    # Given ReconNet and a provider that trains the flow network, the joint
+    # loop draws no initialization, so both loops draw the same
+    # augmentations; it asks for flow on every partition with events,
+    # trailing steps of a sequence included, as train_flow updates on each.
     seqs = _sequences([4, 5, 5])
     config = _config(augment=AugmentConfig(pause_prob=pause_prob))
     net, curve = training.train_flow(seqs, config, _flow_net(seed=1))
-    joint = training.train_recon(seqs, config, flow_net=_flow_net(seed=1),
-                                 recon_net=_recon_net())
+    joint_net, joint_curve = _flow_net(seed=1), []
+    training.train_recon(seqs, config, training._flow_updates(joint_net, config, joint_curve),
+                         recon_net=_recon_net())
     assert len(curve) == 2 * 14
-    _assert_same_run(curve, joint.flow_curve, net, joint.flow_net)
+    _assert_same_run(curve, joint_curve, net, joint_net)
 
 
 def test_pause_gets_no_flow_update():
@@ -323,6 +334,32 @@ def test_temporal_term_covers_steps_s0_to_s(monkeypatch):
     assert len(result.curve) == 2 and len(values) == 2 * per_window
     for i, (_, report) in enumerate(result.curve):
         assert report.terms["temporal"] == sum(values[i * per_window:(i + 1) * per_window])
+
+
+def test_each_window_reports_only_its_own_terms(monkeypatch):
+    # One sequence of two windows: the terms restart at zero after each
+    # update, so the second report sums only the second window's steps.
+    values = {"photometric": [], "temporal": [], "tv": []}
+
+    def recording(term, loss):
+        def wrapped(*args):
+            out = loss(*args)
+            values[term].append(out.item())
+            return out
+        return wrapped
+
+    for term in values:
+        name = f"{term}_loss"
+        monkeypatch.setattr(training, name, recording(term, getattr(training, name)))
+    config = _config(epochs=1, augment=AugmentConfig(0.0, 0.0, 0.0, pause_prob=0.0))
+    result = training.train_recon(_sequences([6]), config, flow_provider=_constant_flow)
+    window = config.unroll_steps + 1
+    steps = {"photometric": window, "temporal": window - config.tc_start_step, "tv": window}
+    assert len(result.curve) == 2
+    assert {term: len(v) for term, v in values.items()} == {t: 2 * n for t, n in steps.items()}
+    for i, (_, report) in enumerate(result.curve):
+        assert report.terms == {term: sum(v[i * steps[term]:(i + 1) * steps[term]])
+                                for term, v in values.items()}
 
 
 def test_reconstruction_window_graph_size(monkeypatch):
@@ -542,14 +579,6 @@ def test_ground_truth_provider_mirrors_a_flipped_partition(checker_scene, checke
     mirrored = flow.copy()
     mirrored[axis] *= -1.0
     assert fwl(part, flow) > fwl(part, mirrored)
-
-
-def test_recon_rejects_provider_with_another_flow_source():
-    net = FireFlowNet(bins=5)
-    init_parameters(net, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="flow_provider cannot be combined with flow_net"):
-        training.train_recon(_sequences([3]), _config(), flow_provider=_constant_flow,
-                             flow_net=net)
 
 
 # ---------------------------------------------------------------------------
