@@ -68,8 +68,9 @@ class SensorGeometry:
     height: int
 
     def __post_init__(self):
-        check_number("geometry width", self.width, integer=True, low=8)
-        check_number("geometry height", self.height, integer=True, low=8)
+        # Up to 65536: x and y are uint16, in a stream and in an EVT1 record.
+        check_number("geometry width", self.width, integer=True, low=8, high=65536)
+        check_number("geometry height", self.height, integer=True, low=8, high=65536)
         # As Python ints: numpy sides such as uint16 overflow in `pixels`.
         object.__setattr__(self, "width", int(self.width))
         object.__setattr__(self, "height", int(self.height))
@@ -199,7 +200,7 @@ def write_binary_events(path, geometry: SensorGeometry, stream: EventStream) -> 
         f.write(records.tobytes())
 
 
-def read_binary_events(path, geometry: SensorGeometry | None = None) -> EventStream:
+def read_binary_events(path, geometry: SensorGeometry) -> EventStream:
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != _EVT1_MAGIC:
@@ -211,7 +212,7 @@ def read_binary_events(path, geometry: SensorGeometry | None = None) -> EventStr
         file_geometry = SensorGeometry(int(header["width"]), int(header["height"]))
     except ValueError as e:
         raise EventFormatError(f"header: {e}") from None
-    if geometry is not None and geometry != file_geometry:
+    if geometry != file_geometry:
         raise EventFormatError(f"geometry mismatch: file has {file_geometry}, expected {geometry}")
     count = int(header["count"])
     body = raw[4 + _EVT1_HEADER.itemsize:]

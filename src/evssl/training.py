@@ -3,7 +3,8 @@
 The two networks only share values, never gradients: the reconstruction
 loop asks one flow provider per step and detaches the flow it returns,
 whether a fixed flow, a frozen network or a jointly trained one made it.
-One flow-update provider serves `train_flow` and joint `train_recon` alike.
+One flow-update provider, `flow_updates`, serves `train_flow` and joint
+`train_recon` alike. Each loop trains the networks it is given.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .geometry import as_flow, build_voxel_grid, check_bin_count, event_mask
 from .losses import (LossReport, LossWeights, flow_total_loss,
                      photometric_loss, predicted_increment, recon_total_loss,
                      reference_increment, temporal_loss, tv_loss, warp_previous)
-from .networks import FireFlowNet, ReconNet, init_parameters
+from .networks import FireFlowNet, ReconNet
 from .synth import ground_truth_flow
 
 Curve = list[tuple[int, LossReport]]
@@ -37,7 +38,7 @@ class TrainConfig:
     unroll_steps: int = 20     # S: recurrent steps per reconstruction update
     tc_start_step: int = 10    # S0: first step the temporal term covers
     bins: int = 5
-    seed: int = 0
+    seed: int = 0              # seeds the augmentation draws only
     weights: LossWeights = field(default_factory=LossWeights)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
@@ -109,7 +110,8 @@ def _voxel_step(partition: EventStream, bins: int) -> Step:
 
 def _epoch_steps(sequences, config: TrainConfig, rng: np.random.Generator,
                  min_length: int):
-    """For each sequence of each epoch, an iterator over its training steps.
+    """For each sequence of each epoch, its number of training steps and an
+    iterator over them.
 
     The sequence's partitions share one augmentation, one draw each for the
     h-flip, v-flip, polarity flip and pause at any probability; a drawn pause
@@ -131,10 +133,10 @@ def _epoch_steps(sequences, config: TrainConfig, rng: np.random.Generator,
             if pause:
                 parts.insert(int(rng.integers(0, len(parts) + 1)),
                              empty_stream(seq[0].geometry))
-            yield (_voxel_step(p, config.bins) for p in parts)
+            yield len(parts), (_voxel_step(p, config.bins) for p in parts)
 
 
-def _flow_updates(net: FireFlowNet, config: TrainConfig, curve: Curve):
+def flow_updates(net: FireFlowNet, config: TrainConfig, curve: Curve):
     """The flow provider that trains `net`: each call makes one
     contrast-maximization update on the partition, appends its report to
     `curve` and returns the flow the update was computed from."""
@@ -151,18 +153,15 @@ def _flow_updates(net: FireFlowNet, config: TrainConfig, curve: Curve):
 
 
 def train_flow(sequences: list[list[EventStream]], config: TrainConfig,
-               net: FireFlowNet | None = None) -> tuple[FireFlowNet, Curve]:
-    """Contrast-maximization training of the flow network. A pause (no
-    events) has zero loss and gradient and gets no update, as in `train_recon`."""
+               net: FireFlowNet) -> tuple[FireFlowNet, Curve]:
+    """Contrast-maximization training of `net`. A pause (no events) has zero
+    loss and gradient and gets no update, as in `train_recon`."""
     if not sequences:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(config.seed)
-    if net is None:
-        net = FireFlowNet(bins=config.bins)
-        init_parameters(net, rng)
     curve: Curve = []
-    update = _flow_updates(net, config, curve)
-    for steps in _epoch_steps(sequences, config, rng, 1):
+    update = flow_updates(net, config, curve)
+    for _, steps in _epoch_steps(sequences, config, rng, 1):
         for partition, voxel, mask in steps:
             if len(partition):
                 update(partition, voxel, mask)
@@ -172,51 +171,45 @@ def train_flow(sequences: list[list[EventStream]], config: TrainConfig,
 @dataclass
 class ReconTrainResult:
     recon_net: ReconNet
-    flow_net: FireFlowNet | None
     curve: Curve = field(default_factory=list)
-    flow_curve: Curve = field(default_factory=list)
 
 
 def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
-                flow_provider=None, recon_net: ReconNet | None = None) -> ReconTrainResult:
-    """Unrolled photometric-constancy training of the reconstruction network.
+                flow_provider, recon_net: ReconNet) -> ReconTrainResult:
+    """Unrolled photometric-constancy training of `recon_net`.
 
     Flow comes from `flow_provider(partition, voxel, mask) -> (2,H,W)` and
     is detached; a pause (no events, no motion) gets zero flow without
-    asking it. Without a provider, a new FireFlowNet is trained jointly on
-    each partition just before the reconstruction step consumes its flow;
-    pass a frozen network as `flow_provider=lambda p, v, m: net(v, m)`.
+    asking it. Pass a frozen network as `lambda p, v, m: net(v, m)`, or
+    `flow_updates(net, config, curve)` to train `net` jointly, on each
+    partition just before the reconstruction step consumes its flow.
     The reconstruction update fires every S+1 steps; hidden state and the
     previous frame are truncated there and reset at sequence starts.
-    Trailing steps that do not fill a window still run the provider and
-    ReconNet forward, but make no reconstruction update. Sequences shorter
-    than one unroll window are skipped.
+    Trailing steps that do not fill a window still ask the provider, but
+    run no ReconNet forward and make no reconstruction update. Sequences
+    shorter than one unroll window are skipped.
     """
     if not sequences:
         raise ValueError("empty dataset")
     window = config.unroll_steps + 1
     rng = np.random.default_rng(config.seed)
-    if recon_net is None:
-        recon_net = ReconNet(bins=config.bins)
-        init_parameters(recon_net, rng)
-    result = ReconTrainResult(recon_net, None)
-    if flow_provider is None:
-        result.flow_net = FireFlowNet(bins=config.bins)
-        init_parameters(result.flow_net, rng)
-        flow_provider = _flow_updates(result.flow_net, config, result.flow_curve)
+    result = ReconTrainResult(recon_net)
     opt_r = Adam(recon_net.parameters(), config.lr)
     weights = config.weights
-    for steps in _epoch_steps(sequences, config, rng, window):
+    for length, steps in _epoch_steps(sequences, config, rng, window):
+        windowed = length - length % window
         state = None
         l_prev: Tensor | None = None
         k, pe, tc, tv = 0, 0.0, 0.0, 0.0
-        for partition, voxel, mask in steps:
+        for i, (partition, voxel, mask) in enumerate(steps):
             if l_prev is None:
                 l_prev = Tensor(np.zeros(mask.shape))
             flow = (as_flow(flow_provider(partition, voxel, mask)).data if len(partition)
                     else np.zeros((2, *mask.shape)))
             if not np.isfinite(flow).all():
                 raise FloatingPointError(f"non-finite flow at recon step {len(result.curve)}")
+            if i >= windowed:  # a trailing step: no window for ReconNet to fill
+                continue
             reference = reference_increment(partition, flow, weights)
             l_k, state = recon_net(voxel, state)
             warped = warp_previous(l_prev, flow)
@@ -231,8 +224,6 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
                 state = tuple(s.detach() for s in state)
                 l_prev = l_prev.detach()
                 k, pe, tc, tv = 0, 0.0, 0.0, 0.0
-        # Trailing steps that do not fill a window get no reconstruction
-        # update, as trailing events that do not fill a partition get no partition.
     return result
 
 
@@ -337,8 +328,9 @@ def network_state(net) -> dict[str, np.ndarray]:
 
 
 def load_network_state(net, tensors: dict[str, np.ndarray]) -> None:
-    """Strict load: names must match the network's parameter set exactly.
-    Each parameter keeps its dtype: CKP1's float64 holds a float32 exactly."""
+    """Strict load: names must match the network's parameter set exactly and
+    every value must be finite. Each parameter keeps its dtype: CKP1's
+    float64 holds a float32 exactly."""
     params = {p.name: p for p in net.parameters()}
     unknown = sorted(set(tensors) - set(params))
     if unknown:
@@ -352,6 +344,9 @@ def load_network_state(net, tensors: dict[str, np.ndarray]) -> None:
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {data.shape}, "
                 f"network {p.data.shape}")
-        p.data = np.asarray(data, p.data.dtype)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"non-finite values in {name!r}")
+    for name, p in params.items():  # only once all passed: a failed load changes nothing
+        p.data = np.asarray(tensors[name], p.data.dtype)
         p.grad = None
 

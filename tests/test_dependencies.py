@@ -1,5 +1,6 @@
 """numpy is the package's only runtime dependency, every public name in it
-has a caller, and every parameter of a public callable is passed by one."""
+has a caller, every parameter of a public callable is passed by one, and
+every `None` default of one is left out by one."""
 
 import ast
 import sys
@@ -83,9 +84,10 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def _public_signatures(tree: ast.Module):
-    """(name, positional parameters, keyword-only parameters) of each public
-    function and of each public non-dataclass class's `__init__`, `self`
-    dropped. A dataclass's fields are settings, covered by test_settings.py."""
+    """(name, positional parameters, keyword-only parameters, parameters
+    whose default is `None`) of each public function and of each public
+    non-dataclass class's `__init__`, `self` dropped. A dataclass's fields
+    are settings, covered by test_settings.py."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
@@ -96,8 +98,11 @@ def _public_signatures(tree: ast.Module):
             if _is_dataclass(node) or not init:
                 continue
             args, skip = init[0].args, 1
-        positional = [a.arg for a in args.posonlyargs + args.args][skip:]
-        yield node.name, positional, [a.arg for a in args.kwonlyargs]
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaults = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        defaults += [(a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+        none = {a for a, d in defaults if isinstance(d, ast.Constant) and d.value is None}
+        yield node.name, positional[skip:], [a.arg for a in args.kwonlyargs], none
 
 
 def _passed(call: ast.Call, positional: list[str], keyword_only: list[str]) -> set[str]:
@@ -112,24 +117,45 @@ def _passed(call: ast.Call, positional: list[str], keyword_only: list[str]) -> s
     return set(by_position) | {k.arg for k in call.keywords}
 
 
-def test_every_parameter_is_passed_by_a_call_in_the_package_or_the_benchmark():
-    # Calls are matched by name, as `foo(...)` or `module.foo(...)`.
+def _calls():
+    """Each call in src/ or perfbench/, by the name it calls: calls are
+    matched by name, as `foo(...)` or `module.foo(...)`."""
     calls = defaultdict(list)
     for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
                 func = node.func
                 calls[getattr(func, "id", getattr(func, "attr", None))].append(node)
-    parameters, unpassed = set(), set()
+    return calls
+
+
+def _called_signatures():
     for path in SOURCES:
-        for name, positional, keyword_only in _public_signatures(
-                ast.parse(path.read_text(), filename=str(path))):
-            if name in UNCALLED:
-                continue
-            passed = set().union(*(_passed(c, positional, keyword_only) for c in calls[name]))
-            parameters |= {(name, p) for p in positional + keyword_only}
-            unpassed |= {(name, p) for p in positional + keyword_only if p not in passed}
+        for signature in _public_signatures(ast.parse(path.read_text(), filename=str(path))):
+            if signature[0] not in UNCALLED:
+                yield signature
+
+
+def test_every_parameter_is_passed_by_a_call_in_the_package_or_the_benchmark():
+    calls = _calls()
+    parameters, unpassed = set(), set()
+    for name, positional, keyword_only, _ in _called_signatures():
+        passed = set().union(*(_passed(c, positional, keyword_only) for c in calls[name]))
+        parameters |= {(name, p) for p in positional + keyword_only}
+        unpassed |= {(name, p) for p in positional + keyword_only if p not in passed}
     assert set(UNPASSED) <= parameters, \
         f"allowlisted parameters no longer defined: {set(UNPASSED) - parameters}"
     unpassed -= set(UNPASSED)
     assert not unpassed, f"parameters no call in src/ or perfbench/ passes: {sorted(unpassed)}"
+
+
+def test_every_none_default_is_left_out_by_a_call_in_the_package_or_the_benchmark():
+    # A `None` default is a sentinel that picks a second code path; one that
+    # every call overrides picks a path no caller takes. A call that may
+    # pass a parameter through `*` or `**` does not count as leaving it out.
+    calls = _calls()
+    always_passed = {(name, p) for name, positional, keyword_only, none in _called_signatures()
+                     for p in none
+                     if all(p in _passed(c, positional, keyword_only) for c in calls[name])}
+    assert not always_passed, \
+        f"None defaults every call in src/ or perfbench/ overrides: {sorted(always_passed)}"

@@ -107,7 +107,7 @@ def test_binary_round_trip_small(tmp_path):
     stream = ev.parse_text_events("0.0 1 2 1\n0.5 3 4 0\n", GEOM)
     path = tmp_path / "events.evt1"
     ev.write_binary_events(path, GEOM, stream)
-    back = ev.read_binary_events(path)
+    back = ev.read_binary_events(path, GEOM)
     assert back.geometry == GEOM
     assert np.array_equal(back.t, stream.t)
     assert np.array_equal(back.x, stream.x)
@@ -119,14 +119,14 @@ def test_binary_empty_stream(tmp_path):
     path = tmp_path / "empty.evt1"
     ev.write_binary_events(path, GEOM, ev.empty_stream(GEOM))
     assert path.stat().st_size == 4 + 16  # magic + header only
-    assert len(ev.read_binary_events(path)) == 0
+    assert len(ev.read_binary_events(path, GEOM)) == 0
 
 
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "bad.evt1"
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(ev.EventFormatError, match="magic"):
-        ev.read_binary_events(path)
+        ev.read_binary_events(path, GEOM)
 
 
 def test_binary_truncated_record(tmp_path):
@@ -136,7 +136,7 @@ def test_binary_truncated_record(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-3])
     with pytest.raises(ev.EventFormatError, match="count mismatch"):
-        ev.read_binary_events(path)
+        ev.read_binary_events(path, GEOM)
 
 
 def test_binary_geometry_check(tmp_path):
@@ -161,12 +161,15 @@ def test_binary_write_rejects_header_geometry_of_another_stream(tmp_path, stream
     assert path.read_bytes() == b"existing bytes"
 
 
+ONE_EVENT_GEOM = ev.SensorGeometry(16, 16)
+
+
 def _corrupt_evt1(tmp_path, offset, value: bytes):
-    """One-event 16x16 EVT1 file with `value` written `offset` bytes into
-    its record (t at 0, x at 8, y at 10, polarity at 12, pad at 13)."""
-    geometry = ev.SensorGeometry(16, 16)
+    """One-event EVT1 file of ONE_EVENT_GEOM with `value` written `offset`
+    bytes into its record (t at 0, x at 8, y at 10, polarity at 12, pad at 13)."""
     path = tmp_path / "one.evt1"
-    ev.write_binary_events(path, geometry, ev.make_stream([0], [3], [4], [1], geometry))
+    ev.write_binary_events(path, ONE_EVENT_GEOM,
+                           ev.make_stream([0], [3], [4], [1], ONE_EVENT_GEOM))
     raw = bytearray(path.read_bytes())
     start = 4 + 16 + offset  # after magic and header
     raw[start:start + len(value)] = value
@@ -177,13 +180,13 @@ def _corrupt_evt1(tmp_path, offset, value: bytes):
 def test_binary_rejects_out_of_sensor_coordinate(tmp_path):
     path = _corrupt_evt1(tmp_path, 8, (20).to_bytes(2, "little"))
     with pytest.raises(ev.EventBoundsError):
-        ev.read_binary_events(path)
+        ev.read_binary_events(path, ONE_EVENT_GEOM)
 
 
 def test_binary_rejects_polarity_byte_above_one(tmp_path):
     path = _corrupt_evt1(tmp_path, 12, b"\x02")
     with pytest.raises(ev.EventFormatError, match="polarity"):
-        ev.read_binary_events(path)
+        ev.read_binary_events(path, ONE_EVENT_GEOM)
 
 
 def test_binary_rejects_decreasing_timestamp(tmp_path):
@@ -191,19 +194,20 @@ def test_binary_rejects_decreasing_timestamp(tmp_path):
     stream = ev.make_stream([50, 10, 40, 5], [1, 2, 3, 4], [1, 2, 3, 4], [1, -1, 1, -1], GEOM)
     ev.write_binary_events(path, GEOM, stream)
     with pytest.raises(ev.EventFormatError, match="record 1: timestamp decreases"):
-        ev.read_binary_events(path)
+        ev.read_binary_events(path, GEOM)
 
 
 def test_binary_rejects_non_zero_pad_byte(tmp_path):
     path = _corrupt_evt1(tmp_path, 13, b"\x01")
     with pytest.raises(ev.EventFormatError, match="pad"):
-        ev.read_binary_events(path)
+        ev.read_binary_events(path, ONE_EVENT_GEOM)
 
 
 def test_binary_rejects_header_geometry_below_minimum(tmp_path):
     path = _corrupt_evt1(tmp_path, -16, (4).to_bytes(4, "little") * 2)
-    with pytest.raises(ev.EventFormatError, match="header: geometry width must be an integer >= 8"):
-        ev.read_binary_events(path)
+    with pytest.raises(ev.EventFormatError,
+                       match=r"header: geometry width must be an integer in \[8, 65536\]"):
+        ev.read_binary_events(path, ONE_EVENT_GEOM)
 
 
 @settings(max_examples=150, deadline=None)
@@ -214,7 +218,7 @@ def test_binary_corrupt_bytes_raise_only_typed_errors(data, tmp_path_factory):
         [5, 9, 9, 70], [0, 127, 3, 64], [1, 2, 127, 0], [1, -1, -1, 1], GEOM))
     path.write_bytes(corrupted(path.read_bytes(), data))
     try:
-        ev.read_binary_events(path)
+        ev.read_binary_events(path, GEOM)
     except (ev.EventFormatError, ev.EventBoundsError):
         pass
 
@@ -224,7 +228,7 @@ def test_binary_corrupt_bytes_raise_only_typed_errors(data, tmp_path_factory):
 def test_binary_round_trip_property(stream, tmp_path_factory):
     path = tmp_path_factory.mktemp("evt") / "s.evt1"
     ev.write_binary_events(path, stream.geometry, stream)
-    back = ev.read_binary_events(path)
+    back = ev.read_binary_events(path, stream.geometry)
     assert np.array_equal(back.t, stream.t)
     assert np.array_equal(back.x, stream.x)
     assert np.array_equal(back.y, stream.y)

@@ -52,11 +52,12 @@ NOT_NUMBERS = [True, False, np.True_, "1", None, 1j, np.nan, np.inf, -np.inf]
 # bound and of each numpy kind that the rule accepts). A value's id is the
 # first 30 characters of its repr, unless it is a `pytest.param` with its own.
 FIELDS = [
-    ("SensorGeometry", lambda v: SensorGeometry(v, 16), "geometry width", "an integer >= 8",
-     [*NOT_NUMBERS, 7, 2, 0, -16, 16.0, 16.5, np.float64(16)],
-     [8, 9, np.int64(8), np.uint16(640)]),
-    ("SensorGeometry", lambda v: SensorGeometry(16, v), "geometry height", "an integer >= 8",
-     [*NOT_NUMBERS, np.int64(7), 16.5, 16.0], [8, 9, np.uint16(8), np.int32(480)]),
+    ("SensorGeometry", lambda v: SensorGeometry(v, 16), "geometry width",
+     "an integer in [8, 65536]", [*NOT_NUMBERS, 7, 2, 0, -16, 16.0, 16.5, np.float64(16), 65537],
+     [8, 9, np.int64(8), np.uint16(640), 65536]),
+    ("SensorGeometry", lambda v: SensorGeometry(16, v), "geometry height",
+     "an integer in [8, 65536]", [*NOT_NUMBERS, np.int64(7), 16.5, 16.0, 65537],
+     [8, 9, np.uint16(8), np.int32(480), 65536]),
     ("events_per_pixel_count", lambda v: events_per_pixel_count(GEOM, v), "density",
      "a real number > 0", [*NOT_NUMBERS, 0.0, -0.3], [0.01, 1, np.float32(0.5), np.int64(2)]),
     ("partition_by_count", lambda v: partition_by_count(STREAM, v), "partition size",
@@ -161,7 +162,9 @@ ACCEPTED = [pytest.param(call, value, id=f"{label}-{field}-{value_id}")
 # TypeError from `len`. A `geometry` of None or (16, 16) failed with a bare
 # AttributeError, and a `base` of another shape or with a non-finite value
 # raised a plain ValueError; unchecked, a non-finite one would fail late,
-# inside `generate_events`, with an invalid-value warning.
+# inside `generate_events`, with an invalid-value warning. A geometry side of
+# 100000 was accepted, and an x of 70000 passed the bounds check and was
+# stored as 4464 in the stream's uint16 column.
 @pytest.mark.parametrize("call,message,value", ROWS)
 def test_numeric_setting_rejects_wrong_kind_non_finite_or_out_of_range(call, message, value):
     with pytest.raises(ConfigurationError) as raised:

@@ -59,6 +59,26 @@ def _flow_net(seed=0):
     return net
 
 
+def _recon_net(seed=0):
+    net = ReconNet(bins=5)
+    init_parameters(net, np.random.default_rng(seed))
+    return net
+
+
+def _joint(seqs, config):
+    """A joint run: ReconNet trained on the flow of a FireFlowNet that
+    `flow_updates` trains, both initialized from one rng; the reconstruction
+    result, the flow network and its curve."""
+    rng = np.random.default_rng(config.seed)
+    recon_net, flow_net = ReconNet(bins=5), FireFlowNet(bins=5)
+    init_parameters(recon_net, rng)
+    init_parameters(flow_net, rng)
+    flow_curve = []
+    result = training.train_recon(seqs, config,
+                                  training.flow_updates(flow_net, config, flow_curve), recon_net)
+    return result, flow_net, flow_curve
+
+
 def _frozen(net):
     return lambda partition, voxel, mask: net(voxel, mask)
 
@@ -84,50 +104,49 @@ def test_flow_scale_is_not_a_setting():
 
 
 def test_train_flow_same_seed_same_run():
-    seqs = _sequences([3, 2])
-    net_a, curve_a = training.train_flow(seqs, _config())
-    net_b, curve_b = training.train_flow(seqs, _config())
+    seqs, config = _sequences([3, 2]), _config()
+    net_a, curve_a = training.train_flow(seqs, config, _flow_net(config.seed))
+    net_b, curve_b = training.train_flow(seqs, config, _flow_net(config.seed))
     assert curve_a
     _assert_same_run(curve_a, curve_b, net_a, net_b)
 
 
 def test_train_recon_same_seed_same_run():
-    seqs = _sequences([4, 3])
-    a = training.train_recon(seqs, _config(), flow_provider=_constant_flow)
-    b = training.train_recon(seqs, _config(), flow_provider=_constant_flow)
+    seqs, config = _sequences([4, 3]), _config()
+    a = training.train_recon(seqs, config, _constant_flow, _recon_net(config.seed))
+    b = training.train_recon(seqs, config, _constant_flow, _recon_net(config.seed))
     assert a.curve
     _assert_same_run(a.curve, b.curve, a.recon_net, b.recon_net)
 
 
 def test_joint_recon_same_seed_same_run():
     seqs = _sequences([4, 3])
-    a = training.train_recon(seqs, _config())
-    b = training.train_recon(seqs, _config())
-    assert a.curve and a.flow_curve
+    a, flow_net_a, flow_curve_a = _joint(seqs, _config())
+    b, flow_net_b, flow_curve_b = _joint(seqs, _config())
+    assert a.curve and flow_curve_a
     _assert_same_run(a.curve, b.curve, a.recon_net, b.recon_net)
-    _assert_same_run(a.flow_curve, b.flow_curve, a.flow_net, b.flow_net)
+    _assert_same_run(flow_curve_a, flow_curve_b, flow_net_a, flow_net_b)
 
 
 def test_recon_with_frozen_network_same_seed_same_run():
-    seqs = _sequences([4, 3])
-    a = training.train_recon(seqs, _config(), flow_provider=_frozen(_flow_net()))
-    b = training.train_recon(seqs, _config(), flow_provider=_frozen(_flow_net()))
+    seqs, config = _sequences([4, 3]), _config()
+    a = training.train_recon(seqs, config, _frozen(_flow_net()), _recon_net(config.seed))
+    b = training.train_recon(seqs, config, _frozen(_flow_net()), _recon_net(config.seed))
     assert a.curve
     _assert_same_run(a.curve, b.curve, a.recon_net, b.recon_net)
 
 
 @pytest.mark.parametrize("pause_prob", [0.0, 0.5])
 def test_train_flow_and_joint_recon_make_the_same_flow_updates(pause_prob):
-    # Given ReconNet and a provider that trains the flow network, the joint
-    # loop draws no initialization, so both loops draw the same
-    # augmentations; it asks for flow on every partition with events,
-    # trailing steps of a sequence included, as train_flow updates on each.
+    # Both loops draw the same augmentations, and the joint loop asks for
+    # flow on every partition with events, trailing steps of a sequence
+    # included, as train_flow updates on each.
     seqs = _sequences([4, 5, 5])
     config = _config(augment=AugmentConfig(pause_prob=pause_prob))
     net, curve = training.train_flow(seqs, config, _flow_net(seed=1))
     joint_net, joint_curve = _flow_net(seed=1), []
-    training.train_recon(seqs, config, training._flow_updates(joint_net, config, joint_curve),
-                         recon_net=_recon_net())
+    training.train_recon(seqs, config, training.flow_updates(joint_net, config, joint_curve),
+                         _recon_net())
     assert len(curve) == 2 * 14
     _assert_same_run(curve, joint_curve, net, joint_net)
 
@@ -138,8 +157,8 @@ def test_pause_gets_no_flow_update():
     seqs = _sequences([3, 2, 4])
     no_pause = AugmentConfig(0.0, 0.0, 0.0, pause_prob=0.0)
     always = AugmentConfig(0.0, 0.0, 0.0, pause_prob=1.0)
-    net_a, plain = training.train_flow(seqs, _config(augment=no_pause))
-    net_b, paused = training.train_flow(seqs, _config(augment=always))
+    net_a, plain = training.train_flow(seqs, _config(augment=no_pause), _flow_net())
+    net_b, paused = training.train_flow(seqs, _config(augment=always), _flow_net())
     assert len(plain) == 2 * 9
     _assert_same_run(plain, paused, net_a, net_b)
 
@@ -148,7 +167,7 @@ def test_recon_skips_short_sequence_with_warning():
     seqs = _sequences([2, 3])  # S+1 = 3 partitions per window
     config = _config(epochs=1, augment=AugmentConfig(pause_prob=0.0))
     with pytest.warns(UserWarning, match="2 partitions"):
-        result = training.train_recon(seqs, config, flow_provider=_constant_flow)
+        result = training.train_recon(seqs, config, _constant_flow, _recon_net(config.seed))
     assert len(result.curve) == 1
 
 
@@ -165,7 +184,7 @@ def test_non_finite_provider_flow_raises():
         return np.full((2, *mask.shape), np.nan)
 
     with pytest.raises(FloatingPointError, match="non-finite flow at recon step 0"):
-        training.train_recon(_sequences([3]), _config(), flow_provider=nan_flow)
+        training.train_recon(_sequences([3]), _config(), nan_flow, _recon_net())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -177,10 +196,13 @@ def test_non_finite_loss_value_raises_before_backward(value):
     assert curve == [] and p.grad is None
 
 
-@pytest.mark.parametrize("train", [training.train_flow, training.train_recon])
+@pytest.mark.parametrize("train", [
+    lambda: training.train_flow([], _config(), _flow_net()),
+    lambda: training.train_recon([], _config(), _constant_flow, _recon_net())],
+    ids=["train_flow", "train_recon"])
 def test_training_loops_reject_an_empty_dataset(train):
     with pytest.raises(ValueError, match="empty dataset"):
-        train([], _config())
+        train()
 
 
 def test_non_finite_gradient_raises():
@@ -202,9 +224,10 @@ def _drawn_augmentations(seqs, augment):
     (h_flip, v_flip, polarity_flip, index of the pause or None)."""
     config = _config(augment=augment)
     drawn = []
-    for i, steps in enumerate(training._epoch_steps(seqs, config,
-                                                    np.random.default_rng(config.seed), 1)):
+    for i, (length, steps) in enumerate(training._epoch_steps(
+            seqs, config, np.random.default_rng(config.seed), 1)):
         seq, parts = seqs[i % len(seqs)], [p for p, _, _ in steps]
+        assert length == len(parts)
         pauses = [k for k, p in enumerate(parts) if not len(p)]
         assert len(pauses) <= 1 and len(parts) == len(seq) + len(pauses)
         flips = set()
@@ -271,22 +294,11 @@ def test_adam_rebinds_gradients_and_never_writes_into_them():
     assert any(not np.array_equal(b, p.data) for b, p in zip(before, params))
 
 
-def test_joint_recon_builds_and_trains_its_own_flow_net():
-    seqs = _sequences([3])
-    result = training.train_recon(seqs, _config(epochs=1))
-    assert isinstance(result.flow_net, FireFlowNet)
-    assert result.flow_curve
-    assert result.curve
-
-
 def test_frozen_net_as_provider_is_not_trained():
-    net = FireFlowNet(bins=5)
-    init_parameters(net, np.random.default_rng(0))
+    net = _flow_net()
     before = {k: v.copy() for k, v in _params(net).items()}
-    result = training.train_recon(_sequences([3, 4]), _config(),
-                                  flow_provider=lambda p, v, m: net(v, m))
+    result = training.train_recon(_sequences([3, 4]), _config(), _frozen(net), _recon_net())
     assert result.curve
-    assert result.flow_net is None and result.flow_curve == []
     after = _params(net)
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
@@ -311,10 +323,36 @@ def test_provider_is_never_asked_about_a_pause():
         return _constant_flow(partition, voxel, mask)
 
     config = _config(epochs=1, augment=AugmentConfig(0.0, 0.0, 0.0, pause_prob=1.0))
-    result = training.train_recon(_sequences([3, 3]), config, flow_provider=recording)
+    result = training.train_recon(_sequences([3, 3]), config, recording,
+                                  _recon_net(config.seed))
     # Each sequence gains a pause: 4 steps, one window of S+1 = 3 updated.
     assert len(result.curve) == 2
     assert len(calls) == 6 and all(n > 0 for n in calls)
+
+
+def test_trailing_steps_ask_the_provider_but_run_no_reconnet_forward(monkeypatch):
+    # Sequences of 4, 5 and 5 partitions, 6 at most with a pause, leave
+    # trailing steps past their last window of S+1 = 3: a ReconNet forward
+    # there would feed no update, but a joint provider still trains on them.
+    forwards, asked = [], []
+    forward = ReconNet.__call__
+
+    def counting(self, *args):
+        forwards.append(args)
+        return forward(self, *args)
+
+    def recording(partition, voxel, mask):
+        asked.append(len(partition))
+        return _constant_flow(partition, voxel, mask)
+
+    monkeypatch.setattr(ReconNet, "__call__", counting)
+    config = _config()
+    result = training.train_recon(_sequences([4, 5, 5]), config, recording,
+                                  _recon_net(config.seed))
+    window = config.unroll_steps + 1
+    assert len(result.curve) * window < 2 * 14  # some steps trail every window
+    assert len(forwards) == len(result.curve) * window
+    assert len(asked) == 2 * 14 and all(asked)
 
 
 def test_temporal_term_covers_steps_s0_to_s(monkeypatch):
@@ -329,7 +367,8 @@ def test_temporal_term_covers_steps_s0_to_s(monkeypatch):
     monkeypatch.setattr(training, "temporal_loss", recording)
     config = _config(epochs=1, unroll_steps=4, tc_start_step=2,
                      augment=AugmentConfig(pause_prob=0.0))
-    result = training.train_recon(_sequences([5, 5]), config, flow_provider=_constant_flow)
+    result = training.train_recon(_sequences([5, 5]), config, _constant_flow,
+                                  _recon_net(config.seed))
     per_window = config.unroll_steps - config.tc_start_step + 1
     assert len(result.curve) == 2 and len(values) == 2 * per_window
     for i, (_, report) in enumerate(result.curve):
@@ -352,7 +391,8 @@ def test_each_window_reports_only_its_own_terms(monkeypatch):
         name = f"{term}_loss"
         monkeypatch.setattr(training, name, recording(term, getattr(training, name)))
     config = _config(epochs=1, augment=AugmentConfig(0.0, 0.0, 0.0, pause_prob=0.0))
-    result = training.train_recon(_sequences([6]), config, flow_provider=_constant_flow)
+    result = training.train_recon(_sequences([6]), config, _constant_flow,
+                                  _recon_net(config.seed))
     window = config.unroll_steps + 1
     steps = {"photometric": window, "temporal": window - config.tc_start_step, "tv": window}
     assert len(result.curve) == 2
@@ -377,43 +417,47 @@ def test_reconstruction_window_graph_size(monkeypatch):
     monkeypatch.setattr(ad, "_toposort", counting)
     config = _config(epochs=1, unroll_steps=4, tc_start_step=2,
                      augment=AugmentConfig(pause_prob=0.0))
-    training.train_recon(_sequences([5]), config, flow_provider=_constant_flow)
+    training.train_recon(_sequences([5]), config, _constant_flow, _recon_net(config.seed))
     assert sizes == [204]
 
 
 # Curve entries of short runs recorded from an earlier implementation of
 # the training loops, whose reconstruction terms each warped the previous
-# frame on their own; a rewrite of the loops must reproduce them. The
-# "recon" and "joint" entries were recorded again when ReconNet moved to
-# float32 (they had moved by float32 rounding, at most 3.5e-5 relative).
+# frame on their own; a rewrite of the loops must reproduce them. They were
+# recorded again when ReconNet moved to float32 (the "recon" and "joint"
+# entries moved by float32 rounding, at most 3.5e-5 relative), and when the
+# loops stopped building their own networks, which moved every entry: the
+# loop's rng no longer drew an initialization before the augmentations.
+# The new values were recorded by this test's body run against the loops
+# that still built networks, with the networks passed in.
 RECORDED = {
-    "flow": [({"contrast": 84.23061335078688, "smoothness": 0.7022911162076213},
-              84.9329044669945),
-             ({"contrast": 119.03554240549907, "smoothness": 0.410771766220607},
-              119.44631417171968)],
-    "recon": [({"photometric": 420.61333650608674, "temporal": 8.426202571642534,
-                "tv": 41.04140520095825}, 423.5080270232989),
-              ({"photometric": 537.8609973486874, "temporal": 7.509074832778424,
-                "tv": 31.195446968078613}, 540.1716771803692)],
-    "joint": [({"photometric": 496.35340383630273, "temporal": 8.854007609208141,
-                "tv": 43.87234163284302}, 499.4324216788657),
-              ({"photometric": 313.63293047261584, "temporal": 6.483769830522803,
-                "tv": 36.19964838027954}, 316.0912898746821)],
-    "joint_flow": [({"contrast": 87.75310215579059, "smoothness": 0.4782628550227139},
-                    88.2313650108133),
-                   ({"contrast": 108.20724279667806, "smoothness": 1.0618849450121741},
-                    109.26912774169023)],
+    "flow": [({"contrast": 85.9523217964103, "smoothness": 0.7026139595752018},
+              86.6549357559855),
+             ({"contrast": 91.3328347146907, "smoothness": 1.453849597429543},
+              92.78668431212024)],
+    "recon": [({"photometric": 517.5455459504122, "temporal": 10.484527812375745,
+                "tv": 43.54900121688843}, 520.7714487924942),
+              ({"photometric": 437.71666136635275, "temporal": 7.029130237046047,
+                "tv": 33.07190990447998}, 440.07316988528135)],
+    "joint": [({"photometric": 523.3001013964081, "temporal": 9.278678098127997,
+                "tv": 43.54900121688843}, 526.4054192670653),
+              ({"photometric": 389.7278787713973, "temporal": 6.366807776906784,
+                "tv": 35.699344635009766}, 392.14952678083847)],
+    "joint_flow": [({"contrast": 94.54722886632194, "smoothness": 0.469869330530159},
+                    95.0170981968521),
+                   ({"contrast": 113.85672572686133, "smoothness": 0.5056296538380491},
+                    114.36235538069937)],
 }
 
 
 def test_first_updates_reproduce_recorded_values():
     seqs = _sequences([5, 6])
     config = _config(epochs=1, unroll_steps=4, tc_start_step=2)
-    _, flow_curve = training.train_flow(seqs, config)
-    recon = training.train_recon(seqs, config, flow_provider=_constant_flow)
-    joint = training.train_recon(seqs, config)
+    _, flow_curve = training.train_flow(seqs, config, _flow_net(config.seed))
+    recon = training.train_recon(seqs, config, _constant_flow, _recon_net(config.seed))
+    joint, _, joint_flow_curve = _joint(seqs, config)
     runs = {"flow": flow_curve, "recon": recon.curve, "joint": joint.curve,
-            "joint_flow": joint.flow_curve}
+            "joint_flow": joint_flow_curve}
     for name, expected in RECORDED.items():
         got = [(report.terms, report.total) for _, report in runs[name][:len(expected)]]
         assert len(got) == len(expected), name
@@ -453,14 +497,14 @@ def test_reconnet_trains_in_float32_and_fireflownet_in_float64(monkeypatch):
     # A numpy float64 learning rate would promote a float32 update.
     config = _config(epochs=1, unroll_steps=4, tc_start_step=2, lr=np.float64(1e-3))
     adams = _recording_adams(monkeypatch)
-    recon = training.train_recon(seqs, config, flow_provider=_constant_flow)
-    flow_net, _ = training.train_flow(seqs, config)
-    joint = training.train_recon(seqs, config)
-    assert len(adams) == 4 and recon.curve and joint.curve and joint.flow_curve
+    recon = training.train_recon(seqs, config, _constant_flow, _recon_net(config.seed))
+    flow_net, _ = training.train_flow(seqs, config, _flow_net(config.seed))
+    joint, joint_flow_net, joint_flow_curve = _joint(seqs, config)
+    assert len(adams) == 4 and recon.curve and joint.curve and joint_flow_curve
     _assert_trained_in(recon.recon_net, adams[0], np.float32)
     _assert_trained_in(flow_net, adams[1], np.float64)
-    # The joint loop builds the flow network's Adam first.
-    _assert_trained_in(joint.flow_net, adams[2], np.float64)
+    # `flow_updates` builds the flow network's Adam before the joint loop runs.
+    _assert_trained_in(joint_flow_net, adams[2], np.float64)
     _assert_trained_in(joint.recon_net, adams[3], np.float32)
 
     voxel = build_voxel_grid(seqs[0][0], 5)
@@ -468,7 +512,7 @@ def test_reconnet_trains_in_float32_and_fireflownet_in_float64(monkeypatch):
     image, state = recon.recon_net(voxel, state)
     assert image.data.dtype == np.float32
     assert all(h.data.dtype == np.float32 for h in state)
-    assert joint.flow_net(voxel, event_mask(voxel)).data.dtype == np.float64
+    assert joint_flow_net(voxel, event_mask(voxel)).data.dtype == np.float64
 
 
 def test_float64_checkpoint_loads_into_reconnet_as_float32(tmp_path):
@@ -502,8 +546,7 @@ def test_float32_window_gradients_match_a_float64_copy(seed):
     for p, q in zip(twin.parameters(), net.parameters()):
         p.data = q.data.astype(np.float64)
     for n in (net, twin):
-        assert len(training.train_recon(seqs, config, flow_provider=_constant_flow,
-                                        recon_net=n).curve) == 1
+        assert len(training.train_recon(seqs, config, _constant_flow, n).curve) == 1
     top = max(np.abs(p.grad).max() for p in twin.parameters())
     for a, b in zip(net.parameters(), twin.parameters()):
         assert a.grad.dtype == np.float32 and b.grad.dtype == np.float64
@@ -558,10 +601,10 @@ def test_ground_truth_flow_teaches_reconstruction_more_than_zero_flow():
                          augment=AugmentConfig(0.0, 0.0, 0.0, 0.0))
     seqs = [windows[i % 3] for i in range(20)]
     gt_mse, gt_ssim = _recon_scores(training.train_recon(
-        seqs, config, flow_provider=training.GroundTruthFlowProvider(scene)).recon_net,
+        seqs, config, training.GroundTruthFlowProvider(scene), _recon_net(104)).recon_net,
         scene, tail)
     zero_mse, zero_ssim = _recon_scores(training.train_recon(
-        seqs, config, flow_provider=_zero_flow).recon_net, scene, tail)
+        seqs, config, _zero_flow, _recon_net(104)).recon_net, scene, tail)
     # A constant image normalizes to mid-gray.
     gray_mse, gray_ssim = _frame_scores([np.zeros(scene.base.shape)] * len(tail), scene, tail)
     assert gt_mse < min(zero_mse, gray_mse)
@@ -583,12 +626,6 @@ def test_ground_truth_provider_mirrors_a_flipped_partition(checker_scene, checke
 
 # ---------------------------------------------------------------------------
 # CKP1 checkpoints
-
-
-def _recon_net(seed=0):
-    net = ReconNet(bins=5)
-    init_parameters(net, np.random.default_rng(seed))
-    return net
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -702,6 +739,21 @@ def test_load_network_state_missing_name():
     tensors.pop(next(iter(tensors)))
     with pytest.raises(CheckpointError, match="missing"):
         training.load_network_state(net, tensors)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_network_state_rejects_non_finite_values(tmp_path, value):
+    # Loaded silently, a NaN in a weight made every flow inference non-finite.
+    saved = dict(training.network_state(_flow_net(seed=1)))
+    saved["e1.weight"] = saved["e1.weight"].copy()
+    saved["e1.weight"][0, 0, 1, 2] = value
+    tensors, _ = training.load_checkpoint(_saved(tmp_path, saved))
+    net = _flow_net()
+    before = {k: v.copy() for k, v in _params(net).items()}
+    with pytest.raises(CheckpointError, match="non-finite values in 'e1.weight'"):
+        training.load_network_state(net, tensors)
+    after = _params(net)
+    assert all(np.array_equal(before[k], after[k]) for k in before)  # nothing loaded
 
 
 def test_load_network_state_shape_mismatch():
