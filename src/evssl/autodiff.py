@@ -2,15 +2,20 @@
 
 Define-by-run: every operation returns a new Tensor through
 `Tensor._from_op`, which alone decides, for every op, whether it records
-a graph node and which parents that node keeps: only the inputs that
+a graph node and which parents that node links: only the inputs that
 require gradients. With none left the result is a plain constant Tensor
-and the op's backward closure is dropped. `backward()` on a scalar root
-accumulates gradients into the `.grad` of every reachable leaf (a tensor
-without a closure, such as a Parameter). Intermediate gradients
-are freed as soon as their closure has run, and each closure keeps only
-the arrays it reads. Gradients are handed over, never copied, and never
-written in place: code that changes a `.grad` rebinds it. So two leaves
-may share one gradient array, as both inputs of `add` do.
+and the op's backward closure is dropped.
+
+The graph links nodes, not values. A tensor that requires a gradient
+owns a node: its `.grad`, its parents' nodes and its closure. Each
+closure keeps only the arrays its backward reads, so a value that no
+backward reads is freed when its caller drops the tensor. `backward()`
+on a scalar root accumulates gradients into the `.grad` of every
+reachable leaf (a node without a closure, such as a Parameter's).
+Intermediate gradients, and the closures with what they kept, are freed
+as soon as the closure has run. Gradients are handed over, never copied,
+and never written in place: code that changes a `.grad` rebinds it. So
+two leaves may share one gradient array, as both inputs of `add` do.
 
 Ops are module functions only; Tensor has no arithmetic operators.
 Broadcasting is restricted to scalar-with-tensor; all other operands must
@@ -30,7 +35,8 @@ graph the paper builds:
   the weight gradient builds no such copy of its own;
 - resampling: bilinear_sample and bilinear_splat, which take constant
   grids and values. They are adjoint and share one corner kernel: the
-  gradient of a sample is a splat of the same corners;
+  gradient of a sample is a splat of the same corners, recomputed in
+  backward from the positions;
 - reductions: tsum, sum_of_squares.
 
 A fused node (conv2d with its bias, skip and activation, or a whole
@@ -59,32 +65,66 @@ __all__ = [
 ]
 
 
+class _Node:
+    """A gradient, the nodes of an op's operands (None for one that needs no
+    gradient, or is absent) and `backward(g)`, which returns one gradient
+    per operand, None where the node is; a leaf has neither. It holds no
+    value."""
+
+    __slots__ = ("grad", "parents", "backward")
+
+    def __init__(self, parents: tuple = (), backward=None):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward = backward
+
+
 class Tensor:
-    """A float32 or float64 array plus an optional autodiff graph node.
+    """A float32 or float64 array plus, if it requires a gradient, a node.
 
     float32 data stays float32; any other data is cast to float64.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
+    __slots__ = ("data", "_node", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node = _Node() if requires_grad else None
         self._consumed = False
 
     @classmethod
-    def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
-        parents = tuple(p for p in parents if p.requires_grad)
-        if not parents:
-            return cls(data)
-        out = cls(data, requires_grad=True)
-        out._parents = parents
-        out._backward = backward
+    def _from_op(cls, data: np.ndarray, parents: tuple["Tensor | None", ...], backward) -> "Tensor":
+        out = cls(data)
+        links = tuple(None if p is None else p._node for p in parents)
+        if any(n is not None for n in links):
+            out._node = _Node(links, backward)
         return out
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._node.grad = g
+
+    @property
+    def _parents(self) -> tuple[_Node, ...]:
+        return () if self._node is None else tuple(p for p in self._node.parents if p is not None)
+
+    @property
+    def _backward(self):
+        # perfbench/tracing.py times an op's backward by rebinding this.
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._node.backward = fn
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -108,10 +148,9 @@ class Tensor:
         """Reverse accumulation from a scalar root into the leaves' `.grad`.
 
         Every non-leaf node drops its gradient, closure and parents once its
-        closure has run, so only leaves keep a gradient, and is popped off the
-        walk then, so its value, which no later closure reads, can be freed.
-        A graph can be backpropagated once; rebuild the forward pass to
-        differentiate again.
+        closure has run, so only leaves keep a gradient, and the arrays that
+        closure kept are freed then. A graph can be backpropagated once;
+        rebuild the forward pass to differentiate again.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar root, got shape {self.shape}")
@@ -124,27 +163,26 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            fn = node._backward
-            if fn is not None:
-                fn(node.grad)
-                node.grad = None
-                node._backward = None
-                node._parents = ()
+            if node.backward is not None:
+                for parent, g in zip(node.parents, node.backward(node.grad)):
+                    if parent is not None:
+                        parent.grad = g if parent.grad is None else parent.grad + g
+                node.grad = node.backward = None
+                node.parents = ()
 
     def __getitem__(self, key):
         """Basic indexing only (int, slice, None, Ellipsis): an array key could
         repeat an element, whose gradients the backward's assignment would not sum."""
         if not all(map(_basic_index, key if isinstance(key, tuple) else (key,))):
             raise TypeError(f"Tensor index must be int, slice, None or Ellipsis, got {key!r}")
-        data = self.data[key]
-        src = self
+        shape, dtype = self.shape, self.data.dtype
 
         def backward(g):
-            full = np.zeros_like(src.data)
+            full = np.zeros(shape, dtype)
             full[key] = g
-            _accum(src, full)
+            return (full,)
 
-        return Tensor._from_op(data, (src,), backward)
+        return Tensor._from_op(self.data[key], (self,), backward)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -168,28 +206,23 @@ def _basic_index(k) -> bool:
             or isinstance(k, (int, np.integer)) and not isinstance(k, bool))
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    # Iterative post-order DFS; unrolled recurrent graphs exceed the
-    # interpreter's recursion limit.
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, int]] = [(root, 0)]
-    visited.add(id(root))
+def _toposort(root: Tensor) -> list[_Node]:
+    # Iterative post-order DFS over root's node and every node it reaches;
+    # unrolled recurrent graphs exceed the interpreter's recursion limit.
+    topo: list[_Node] = []
+    visited: set[_Node] = {root._node}
+    stack: list[tuple[_Node, int]] = [(root._node, 0)]
     while stack:
         node, i = stack.pop()
-        if i < len(node._parents):
+        if i < len(node.parents):
             stack.append((node, i + 1))
-            parent = node._parents[i]
-            if id(parent) not in visited:
-                visited.add(id(parent))
+            parent = node.parents[i]
+            if parent is not None and parent not in visited:
+                visited.add(parent)
                 stack.append((parent, 0))
         else:
             topo.append(node)
     return topo
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    t.grad = g if t.grad is None else t.grad + g
 
 
 def _as_tensor(x) -> Tensor:
@@ -207,28 +240,30 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g if g.shape == shape else np.asarray(g.sum()).reshape(shape)
 
 
-def _binary(a, b, fwd, da, db) -> Tensor:
+def _binary(a, b, fwd, da, db, reads=("", "")) -> Tensor:
+    """da(g, x, y) and db(g, x, y) are a's and b's gradients, and `reads` the
+    operands ("x" is a, "y" is b) that each reads: the only ones kept."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_binary_shapes(a, b)
-    data = fwd(a.data, b.data)
+    ra, rb = a.requires_grad, b.requires_grad
+    read = (reads[0] if ra else "") + (reads[1] if rb else "")
+    x = a.data if "x" in read else None
+    y = b.data if "y" in read else None
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _reduce_to(da(g, a.data, b.data), a.shape))
-        if b.requires_grad:
-            _accum(b, _reduce_to(db(g, a.data, b.data), b.shape))
+        return (_reduce_to(da(g, x, y), sa) if ra else None,
+                _reduce_to(db(g, x, y), sb) if rb else None)
 
-    return Tensor._from_op(data, (a, b), backward)
+    return Tensor._from_op(fwd(a.data, b.data), (a, b), backward)
 
 
-def _unary(x, fwd, dx) -> Tensor:
+def _unary(x, fwd, dx, reads_output=False) -> Tensor:
+    """dx(g, v) is the gradient, v the input (the output if `reads_output`)."""
     x = _as_tensor(x)
     data = fwd(x.data)
-
-    def backward(g):
-        _accum(x, dx(g, x.data, data))
-
-    return Tensor._from_op(data, (x,), backward)
+    v = data if reads_output else x.data
+    return Tensor._from_op(data, (x,), lambda g: (dx(g, v),))
 
 
 def add(a, b) -> Tensor:
@@ -240,26 +275,28 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x,
+                   reads=("y", "x"))
 
 
 def div(a, b) -> Tensor:
     return _binary(a, b, lambda x, y: x / y,
                    lambda g, x, y: g / y,
-                   lambda g, x, y: -g * x / (y * y))
+                   lambda g, x, y: -g * x / (y * y),
+                   reads=("y", "xy"))
 
 
 def absolute(x) -> Tensor:
     # Subgradient 0 at 0, via sign().
-    return _unary(x, np.abs, lambda g, x_, out: g * np.sign(x_))
+    return _unary(x, np.abs, lambda g, x_: g * np.sign(x_))
 
 
 def square(x) -> Tensor:
-    return _unary(x, np.square, lambda g, x_, out: 2.0 * x_ * g)
+    return _unary(x, np.square, lambda g, x_: 2.0 * x_ * g)
 
 
 def sqrt(x) -> Tensor:
-    return _unary(x, np.sqrt, lambda g, x_, out: g / (2.0 * out))
+    return _unary(x, np.sqrt, lambda g, out: g / (2.0 * out), reads_output=True)
 
 
 # Activation name (None for none) -> (forward, gradient from the output
@@ -325,23 +362,28 @@ def _correlate(blocks, w: np.ndarray) -> np.ndarray:
     return _drop_junk(w.reshape(c_out, -1) @ _im2col(blocks, k, w.dtype), blocks[0].shape[2], k)
 
 
-def _correlate_grads(blocks, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _correlate_grads(blocks, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """Weight and input gradients of `_correlate(blocks, w)` from its output
-    gradient g (C_out,H,W), both from one im2col of g, in w's dtype."""
+    gradient g (C_out,H,W), both from one im2col of g, in w's dtype. With
+    blocks None the weight needs no gradient: it comes out None, and only
+    the input's is computed."""
     c_out, c_in, k, _ = w.shape
     cols = _im2col([g], k, w.dtype)
-    # Weight tap (dy, dx) sums g at run position i times the input at
-    # i + dy*(W+2p) + dx. Shifted by the offset of the flipped tap
-    # (k-1-dy, k-1-dx), that is g's run of the flipped tap times the
-    # input's center run, whose zeros mask the junk columns.
-    center = _runs(blocks, k, w.dtype)[:, k // 2, k // 2]
-    w_grad = (cols @ center.T).reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-    del center
+    w_grad = None
+    if blocks is not None:
+        # Weight tap (dy, dx) sums g at run position i times the input at
+        # i + dy*(W+2p) + dx. Shifted by the offset of the flipped tap
+        # (k-1-dy, k-1-dx), that is g's run of the flipped tap times the
+        # input's center run, whose zeros mask the junk columns.
+        center = _runs(blocks, k, w.dtype)[:, k // 2, k // 2]
+        w_grad = (cols @ center.T).reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        w_grad = np.ascontiguousarray(w_grad)
+        del center
     # Transposed convolution: g correlated with the flipped kernel, input
     # and output channels swapped.
     x_grad = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1) @ cols
     del cols  # like center: dropped once read, before the next buffer is made
-    return np.ascontiguousarray(w_grad), _drop_junk(x_grad, g.shape[2], k)
+    return w_grad, _drop_junk(x_grad, g.shape[2], k)
 
 
 def _correlate_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
@@ -386,7 +428,10 @@ def conv2d(x, weight, bias=None, activation: str | None = None, skip=None) -> Te
     if activation not in _ACTIVATIONS:
         raise ValueError(f"activation must be None, relu, sigmoid or tanh, got {activation!r}")
 
-    out = _correlate([x.data], weight.data)  # a fresh array: add in place
+    # Cast as _runs would cast it, so that a float64 input under float32
+    # weights is not what the node keeps.
+    xd = x.data.astype(weight.data.dtype, copy=False)
+    out = _correlate([xd], weight.data)  # a fresh array: add in place
     if bias is not None:
         out += bias.data[:, None, None]
     if skip is not None:
@@ -394,21 +439,24 @@ def conv2d(x, weight, bias=None, activation: str | None = None, skip=None) -> Te
     act, act_grad = _ACTIVATIONS[activation]
     out = act(out)
 
-    parents = tuple(t for t in (x, weight, bias, skip) if t is not None)
+    rx, rw = x.requires_grad, weight.requires_grad
+    rb, rs = bias is not None and bias.requires_grad, skip is not None and skip.requires_grad
+    dtype = out.dtype
+    kept_out = out if activation is not None else None  # the identity's gradient reads none
+    xd = xd if rw else None                  # read by the weight gradient only
+    wd = weight.data if rx else None         # read by the input gradient only
 
     def backward(g):
-        g = act_grad(g.astype(out.dtype, copy=False), out)
-        if bias is not None and bias.requires_grad:
-            _accum(bias, g.reshape(c_out, -1).sum(axis=1))
-        if skip is not None and skip.requires_grad:
-            _accum(skip, g)
-        if x.requires_grad:
-            w_grad, x_grad = _correlate_grads([x.data], weight.data, g)
-            _accum(x, x_grad)
-        if weight.requires_grad:
-            _accum(weight, w_grad if x.requires_grad else _correlate_weight_grad(x.data, g, k))
+        g = act_grad(g.astype(dtype, copy=False), kept_out)
+        w_grad = x_grad = None
+        if rx:
+            w_grad, x_grad = _correlate_grads([xd] if rw else None, wd, g)
+        elif rw:
+            w_grad = _correlate_weight_grad(xd, g, k)
+        return (x_grad, w_grad, g.reshape(c_out, -1).sum(axis=1) if rb else None,
+                g if rs else None)
 
-    return Tensor._from_op(out, parents, backward)
+    return Tensor._from_op(out, (x, weight, bias, skip), backward)
 
 
 def conv_gru(x, h, update_weight, update_bias, reset_weight, reset_bias,
@@ -445,26 +493,23 @@ def conv_gru(x, h, update_weight, update_bias, reset_weight, reset_bias,
     cand = tanh(cand + bc.data[:, None, None])
     out = (1.0 - z) * hd + z * cand
 
-    parents = (x, h) + params
+    xd, wzd, wrd, wcd, dtype = x.data, wz.data, wr.data, wc.data, out.dtype
 
     def backward(g):
-        g = g.astype(out.dtype, copy=False)
+        g = g.astype(dtype, copy=False)
         z, r = zr[:c], zr[c:]
         g_cand = tanh_grad(g * z, cand)
-        g_wc, g_rhx = _correlate_grads([r * hd, x.data], wc.data, g_cand)
+        g_wc, g_rhx = _correlate_grads([r * hd, xd], wcd, g_cand)
         g_zr = sigmoid_grad(np.concatenate([g * cand - g * hd, g_rhx[:c] * hd]), zr)
-        g_wzr, g_hx = _correlate_grads([hd, x.data], np.concatenate([wz.data, wr.data]), g_zr)
+        g_wzr, g_hx = _correlate_grads([hd, xd], np.concatenate([wzd, wrd]), g_zr)
         g_bzr = g_zr.reshape(2 * c, -1).sum(axis=1)
-        grads = (g_rhx[c:] + g_hx[c:],
-                 g * (1.0 - z) + g_rhx[:c] * r + g_hx[:c],
-                 g_wzr[:c], g_bzr[:c], g_wzr[c:], g_bzr[c:],
-                 g_wc,
-                 g_cand.reshape(c, -1).sum(axis=1))
-        for t, grad in zip(parents, grads):
-            if t.requires_grad:
-                _accum(t, grad)
+        return (g_rhx[c:] + g_hx[c:],
+                g * (1.0 - z) + g_rhx[:c] * r + g_hx[:c],
+                g_wzr[:c], g_bzr[:c], g_wzr[c:], g_bzr[c:],
+                g_wc,
+                g_cand.reshape(c, -1).sum(axis=1))
 
-    return Tensor._from_op(out, parents, backward)
+    return Tensor._from_op(out, (x, h) + params, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +570,9 @@ def bilinear_sample(image, grid) -> Tensor:
 
     def backward(g):
         gf = g.reshape(c, -1)
+        corners, _, _ = _corners(gx, gy, h, w)
         grad = sum(_scatter(idx, gf * wt, h * w) for _, idx, wt in corners)
-        _accum(image, grad.reshape(c, h, w))
+        return (grad.reshape(c, h, w),)
 
     return Tensor._from_op(out, (image,), backward)
 
@@ -543,16 +589,18 @@ def bilinear_splat(values, pos, shape: tuple[int, int]) -> Tensor:
     if values.ndim != 2 or pos.shape != (2, values.shape[1]):
         raise ValueError("values must be (C,N) and pos (2,N)")
     h, w = shape
-    corners, fx, fy = _corners(pos.data[0], pos.data[1], h, w)
+    xs, ys = pos.data
+    corners, _, _ = _corners(xs, ys, h, w)
     out = sum(_scatter(idx, values * wt, h * w) for _, idx, wt in corners).reshape(-1, h, w)
 
     def backward(g):
         gf = g.reshape(values.shape[0], -1)
+        corners, fx, fy = _corners(xs, ys, h, w)
         g00, g10, g01, g11 = (np.where(ok, np.take(gf, idx, axis=1), 0.0)
                               for ok, idx, _ in corners)
         gx = values * ((1.0 - fy) * (g10 - g00) + fy * (g11 - g01))
         gy = values * ((1.0 - fx) * (g01 - g00) + fx * (g11 - g10))
-        _accum(pos, np.stack([gx.sum(axis=0), gy.sum(axis=0)]))
+        return (np.stack([gx.sum(axis=0), gy.sum(axis=0)]),)
 
     return Tensor._from_op(out, (pos,), backward)
 
@@ -579,7 +627,7 @@ def gather_pixels(field, iy: np.ndarray, ix: np.ndarray) -> Tensor:
     data = np.take(field.data.reshape(c, -1), idx, axis=1)
 
     def backward(g):
-        _accum(field, _scatter(idx.ravel(), g.reshape(c, -1), h * w).reshape(c, h, w))
+        return (_scatter(idx.ravel(), g.reshape(c, -1), h * w).reshape(c, h, w),)
 
     return Tensor._from_op(data, (field,), backward)
 
@@ -589,8 +637,11 @@ def gather_pixels(field, iy: np.ndarray, ix: np.ndarray) -> Tensor:
 
 
 def tsum(x) -> Tensor:
-    return _unary(x, lambda v: np.asarray(v.sum()), lambda g, x_, out: np.full_like(x_, float(g)))
+    x = _as_tensor(x)
+    shape, dtype = x.shape, x.data.dtype
+    return Tensor._from_op(np.asarray(x.data.sum()), (x,),
+                           lambda g: (np.full(shape, float(g), dtype),))
 
 
 def sum_of_squares(x) -> Tensor:
-    return _unary(x, lambda v: np.asarray((v * v).sum()), lambda g, x_, out: 2.0 * x_ * float(g))
+    return _unary(x, lambda v: np.asarray((v * v).sum()), lambda g, x_: 2.0 * x_ * float(g))

@@ -264,7 +264,7 @@ def test_warp_previous_of_a_parameter_frame_adds_five_nodes():
     # border, one correlation, the crop of its outer ring and one sample.
     frame = Parameter("frame", np.random.default_rng(14).normal(size=(6, 7)))
     out = losses.warp_previous(frame, np.ones((2, 6, 7)))
-    assert len([node for node in ad._toposort(out) if node is not frame]) == 5
+    assert len([node for node in ad._toposort(out) if node is not frame._node]) == 5
 
 
 def test_warp_previous_shifts_ramp():

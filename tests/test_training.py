@@ -421,6 +421,24 @@ def test_reconstruction_window_graph_size(monkeypatch):
     assert sizes == [204]
 
 
+def test_a_bench_window_walks_804_nodes_each_once(monkeypatch):
+    # The benchmark's window (S=20, S0=10): a trace of it reports the length
+    # of `_toposort(root)` as its graph size, 804 nodes.
+    walks = []
+
+    def walked(root):
+        topo = toposort(root)
+        walks.append((len(topo), len({id(node) for node in topo})))
+        return topo
+
+    toposort = ad._toposort
+    monkeypatch.setattr(ad, "_toposort", walked)
+    config = _config(epochs=1, unroll_steps=20, tc_start_step=10,
+                     augment=AugmentConfig(pause_prob=0.0))
+    training.train_recon(_sequences([21]), config, _constant_flow, _recon_net(config.seed))
+    assert walks == [(804, 804)]
+
+
 # Curve entries of short runs recorded from an earlier implementation of
 # the training loops, whose reconstruction terms each warped the previous
 # frame on their own; a rewrite of the loops must reproduce them. They were
