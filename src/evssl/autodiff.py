@@ -4,14 +4,16 @@ Define-by-run: every operation returns a new Tensor through
 `Tensor._from_op`, which alone decides, for every op, whether it records
 a graph node and which parents that node links: only the inputs that
 require gradients. With none left the result is a plain constant Tensor
-and the op's backward closure is dropped.
+and the op's backward closure is dropped. `requires_grad` can be turned
+on, never off, and a Parameter's is turned on by the optimizer that holds
+it (`training.Adam`): a network run only for its output records no graph.
 
 The graph links nodes, not values. A tensor that requires a gradient
 owns a node: its `.grad`, its parents' nodes and its closure. Each
 closure keeps only the arrays its backward reads, so a value that no
 backward reads is freed when its caller drops the tensor. `backward()`
 on a scalar root accumulates gradients into the `.grad` of every
-reachable leaf (a node without a closure, such as a Parameter's).
+reachable leaf (a node without a closure, such as a held Parameter's).
 Intermediate gradients, and the closures with what they kept, are freed
 as soon as the closure has run. Gradients are handed over, never copied,
 and never written in place: code that changes a `.grad` rebinds it. So
@@ -87,10 +89,10 @@ class Tensor:
 
     __slots__ = ("data", "_node", "_consumed")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
-        self._node = _Node() if requires_grad else None
+        self._node = None
         self._consumed = False
 
     @classmethod
@@ -105,17 +107,23 @@ class Tensor:
     def requires_grad(self) -> bool:
         return self._node is not None
 
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        if not flag:  # dropping the node would orphan the graphs that link it
+            raise ValueError("requires_grad can be turned on, not off")
+        if self._node is None:
+            self._node = _Node()
+
     @property
     def grad(self) -> np.ndarray | None:
         return None if self._node is None else self._node.grad
 
     @grad.setter
     def grad(self, g: np.ndarray | None) -> None:
-        self._node.grad = g
-
-    @property
-    def _parents(self) -> tuple[_Node, ...]:
-        return () if self._node is None else tuple(p for p in self._node.parents if p is not None)
+        if self._node is not None:
+            self._node.grad = g
+        elif g is not None:
+            raise AttributeError("a tensor that requires no gradient holds none")
 
     @property
     def _backward(self):
@@ -142,7 +150,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Same values, no graph history."""
-        return Tensor(self.data, requires_grad=False)
+        return Tensor(self.data)
 
     def backward(self) -> None:
         """Reverse accumulation from a scalar root into the leaves' `.grad`.
@@ -189,12 +197,13 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named leaf tensor updated by the optimizer."""
+    """Named leaf tensor updated by the optimizer; it requires no gradient
+    until an optimizer holds it."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, data):
-        super().__init__(data, requires_grad=True)
+        super().__init__(data)
         self.name = name
 
     def __repr__(self):

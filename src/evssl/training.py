@@ -57,7 +57,9 @@ class TrainConfig:
 
 class Adam:
     """Standard Adam with bias correction; moments keyed by parameter name.
-    Moments and updates keep each parameter's (and its gradient's) dtype."""
+    Moments and updates keep each parameter's (and its gradient's) dtype.
+    Holding a parameter turns its gradient on: from then on a forward pass
+    through it records a graph."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -65,6 +67,8 @@ class Adam:
 
     def __init__(self, params: list[Parameter], lr: float):
         self.params = list(params)
+        for p in self.params:
+            p.requires_grad = True
         self.lr = float(lr)  # a numpy float64 would promote a float32 update
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -180,9 +184,11 @@ def train_recon(sequences: list[list[EventStream]], config: TrainConfig,
 
     Flow comes from `flow_provider(partition, voxel, mask) -> (2,H,W)` and
     is detached; a pause (no events, no motion) gets zero flow without
-    asking it. Pass a frozen network as `lambda p, v, m: net(v, m)`, or
-    `flow_updates(net, config, curve)` to train `net` jointly, on each
-    partition just before the reconstruction step consumes its flow.
+    asking it. Pass a frozen network as `lambda p, v, m: net(v, m)`, which
+    records no graph for a network no optimizer holds (a trained one still
+    records it), or `flow_updates(net, config, curve)` to train `net`
+    jointly, on each partition just before the reconstruction step
+    consumes its flow.
     The reconstruction update fires every S+1 steps; hidden state and the
     previous frame are truncated there and reset at sequence starts.
     Trailing steps that do not fill a window still ask the provider, but

@@ -7,8 +7,18 @@ non-smooth sets of the checked operations.
 
 import numpy as np
 
+from evssl.autodiff import Parameter
+
 FD_STEP = 1e-6
 REL_TOL = 1e-5
+
+
+def trainable(name, data):
+    """A Parameter with its gradient on, as an optimizer holding it sets it:
+    a bare Parameter requires no gradient."""
+    p = Parameter(name, data)
+    p.requires_grad = True
+    return p
 
 
 def numeric_gradient(build, param, h=FD_STEP):

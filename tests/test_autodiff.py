@@ -12,13 +12,13 @@ from evssl.autodiff import Parameter, Tensor
 from evssl.events import AugmentConfig, SensorGeometry
 
 from conftest import random_partition
-from gradcheck import check_gradients
+from gradcheck import check_gradients, trainable
 
 N_INSTANCES = 20
 
 
 def leaf(rng, shape, lo=-2.0, hi=2.0, name="p"):
-    return Parameter(name, rng.uniform(lo, hi, size=shape))
+    return trainable(name, rng.uniform(lo, hi, size=shape))
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +26,7 @@ def leaf(rng, shape, lo=-2.0, hi=2.0, name="p"):
 
 
 def test_tanh_zero_has_unit_gradient():
-    x = Parameter("x", np.zeros((1, 1, 1)))
+    x = trainable("x", np.zeros((1, 1, 1)))
     out = ad.tsum(ad.conv2d(x, Tensor(np.ones((1, 1, 1, 1))), activation="tanh"))
     assert out.item() == 0.0
     out.backward()
@@ -70,7 +70,7 @@ def test_evaluation_is_deterministic():
     w = rng.normal(size=(3, 2, 3, 3))
 
     def run():
-        x = Parameter("x", data)
+        x = trainable("x", data)
         out = ad.tsum(ad.conv2d(x, Tensor(w), activation="tanh"))
         out.backward()
         return out.data.copy(), x.grad.copy()
@@ -87,14 +87,14 @@ def test_evaluation_is_deterministic():
 
 def test_backward_linear_gradient():
     x = np.array([1.0, -2.0, 3.0])
-    w = Parameter("w", [0.5, 0.5, 0.5])
+    w = trainable("w", [0.5, 0.5, 0.5])
     loss = ad.tsum(ad.mul(w, x))
     loss.backward()
     assert np.array_equal(w.grad, x)
 
 
 def test_backward_accumulates_over_reuse():
-    w = Parameter("w", [1.0, 2.0])
+    w = trainable("w", [1.0, 2.0])
     loss = ad.add(ad.tsum(w), ad.tsum(w))
     loss.backward()
     assert np.array_equal(w.grad, [2.0, 2.0])
@@ -103,7 +103,7 @@ def test_backward_accumulates_over_reuse():
 def test_backward_hands_gradients_over_without_copying():
     # Both inputs of add receive the node's gradient itself; a later
     # contribution makes a new array instead of writing into the shared one.
-    a, b = Parameter("a", [1.0, 2.0]), Parameter("b", [3.0, 4.0])
+    a, b = trainable("a", [1.0, 2.0]), trainable("b", [3.0, 4.0])
     ad.tsum(ad.add(a, b)).backward()
     assert a.grad is b.grad
     ad.add(ad.tsum(a), ad.tsum(ad.mul(a, 2.0))).backward()
@@ -112,13 +112,13 @@ def test_backward_hands_gradients_over_without_copying():
 
 
 def test_backward_requires_scalar_root():
-    w = Parameter("w", [1.0, 2.0])
+    w = trainable("w", [1.0, 2.0])
     with pytest.raises(ValueError):
         ad.mul(w, 2.0).backward()
 
 
 def test_repeated_backward_errors():
-    w = Parameter("w", [1.0])
+    w = trainable("w", [1.0])
     loss = ad.tsum(w)
     loss.backward()
     with pytest.raises(RuntimeError):
@@ -126,7 +126,7 @@ def test_repeated_backward_errors():
 
 
 def test_deep_graph_backward_no_recursion_limit():
-    x = Parameter("x", 1.0)
+    x = trainable("x", 1.0)
     out = x
     for _ in range(5000):
         out = ad.add(out, 1.0)
@@ -148,6 +148,7 @@ def test_backward_keeps_only_leaf_gradients_and_bounded_memory():
     steps = 5
     net = nets.ReconNet(bins=5)
     nets.init_parameters(net, np.random.default_rng(3))
+    training.Adam(net.parameters(), 1e-3)  # holding them turns their gradients on
 
     def unroll():
         rng = np.random.default_rng(4)
@@ -211,7 +212,7 @@ def test_a_training_window_graph_holds_at_most_17_feature_maps_per_step(monkeypa
 
 
 def test_detach_blocks_gradient_and_keeps_values():
-    w = Parameter("w", [1.0, 2.0])
+    w = trainable("w", [1.0, 2.0])
     inner = ad.mul(w, 3.0)
     cut = inner.detach()
     assert np.array_equal(cut.data, inner.data)
@@ -220,6 +221,29 @@ def test_detach_blocks_gradient_and_keeps_values():
     assert w.grad is None
     assert not cut.requires_grad
     assert not cut.detach().requires_grad  # idempotent
+
+
+def test_requires_grad_is_turned_on_only():
+    # Dropping or replacing a node would orphan the graphs that link it.
+    x = Tensor([1.0, 2.0])
+    x.requires_grad = True
+    node = x._node
+    out = ad.mul(x, 2.0)
+    for t in (x, out):
+        t.requires_grad = True
+        with pytest.raises(ValueError, match="turned on, not off"):
+            t.requires_grad = False
+    assert x._node is node and out._node.parents == (node, None)
+    ad.tsum(out).backward()
+    assert np.array_equal(x.grad, [2.0, 2.0])
+
+
+def test_only_a_tensor_that_requires_a_gradient_holds_one():
+    x = Tensor([1.0, 2.0])
+    x.grad = None  # nothing to reset
+    with pytest.raises(AttributeError, match="requires no gradient"):
+        x.grad = np.ones(2)
+    assert x.grad is None
 
 
 def _constant(*shape):
@@ -257,20 +281,19 @@ def test_constant_op_cases_cover_every_public_op():
 def test_op_on_constants_returns_a_leaf(name):
     out = CONSTANT_OPS[name]()
     assert not out.requires_grad
-    assert out._parents == ()
     assert out._backward is None
 
 
 def test_node_keeps_only_parents_that_require_gradients():
-    p = Parameter("p", [1.0, 2.0])
+    p = trainable("p", [1.0, 2.0])
     out = ad.mul(p, Tensor([3.0, 4.0]))
-    assert out._parents == (p._node,)
+    assert out._node.parents == (p._node, None)
 
 
 def test_rebinding_backward_replaces_the_closure_that_backward_runs():
     # The benchmark's tracer (perfbench/tracing.py) times each op's backward
     # by rebinding `_backward` on the tensor the op returns.
-    p = Parameter("p", [1.0, 2.0])
+    p = trainable("p", [1.0, 2.0])
     out = ad.mul(p, Tensor([3.0, 4.0]))
     closure, ran = out._backward, []
     out._backward = lambda g: ran.append(g) or closure(g)
@@ -281,7 +304,7 @@ def test_rebinding_backward_replaces_the_closure_that_backward_runs():
 
 def _intermediate():
     """A value that needs a gradient and that only its caller holds."""
-    return ad.mul(Parameter("p", np.linspace(0.5, 1.5, 32).reshape(2, 4, 4)), 2.0)
+    return ad.mul(trainable("p", np.linspace(0.5, 1.5, 32).reshape(2, 4, 4)), 2.0)
 
 
 def _output(out):
@@ -304,13 +327,13 @@ FREED_VALUES = {
 
 # ...or keep it until its backward has run, because it does.
 KEPT_VALUES = {
-    "mul-other-operand": lambda t: (t, ad.tsum(ad.mul(Parameter("q", np.ones((2, 4, 4))), t))),
+    "mul-other-operand": lambda t: (t, ad.tsum(ad.mul(trainable("q", np.ones((2, 4, 4))), t))),
     "absolute-input": lambda t: (t, ad.tsum(ad.absolute(t))),
     "square-input": lambda t: (t, ad.tsum(ad.square(t))),
     "sum_of_squares-input": lambda t: (t, ad.sum_of_squares(t)),
     "sqrt-output": lambda t: _output(ad.sqrt(t)),
     "conv2d-input-trainable-weight":
-        lambda t: (t, ad.tsum(ad.conv2d(t, Parameter("w", np.ones((1, 2, 3, 3)))))),
+        lambda t: (t, ad.tsum(ad.conv2d(t, trainable("w", np.ones((1, 2, 3, 3)))))),
 }
 
 
@@ -352,13 +375,13 @@ ADVANCED_KEYS = {
 @pytest.mark.parametrize("key", ADVANCED_KEYS.values(), ids=ADVANCED_KEYS.keys())
 def test_getitem_rejects_advanced_keys(key):
     # tsum(p[[0, 0, 1]]) would get gradient [1, 1, 0, 0] for p[0], not [2, 1, 0, 0].
-    p = Parameter("p", [[1.0, 2.0, 3.0, 4.0]] * 4)
+    p = trainable("p", [[1.0, 2.0, 3.0, 4.0]] * 4)
     with pytest.raises(TypeError, match="int, slice, None or Ellipsis"):
         p[key]
 
 
 def test_getitem_accepts_basic_keys():
-    p = Parameter("p", np.arange(24.0).reshape(2, 3, 4))
+    p = trainable("p", np.arange(24.0).reshape(2, 3, 4))
     for key in (1, np.int64(-1), slice(None, None, -1), (Ellipsis, 2), (None, 0, slice(1, 3))):
         assert np.array_equal(p[key].data, p.data[key])
     ad.tsum(p[0, ::2, None, -1]).backward()
@@ -407,7 +430,7 @@ def test_scalar_broadcast_gradients():
     for seed in range(5):
         rng = np.random.default_rng(300 + seed)
         x = leaf(rng, (3, 3), name="x")
-        s = Parameter("s", rng.uniform(0.5, 1.5))
+        s = trainable("s", rng.uniform(0.5, 1.5))
         check_gradients(lambda: ad.tsum(ad.square(ad.mul(x, s))), [x, s])
         check_gradients(lambda: ad.tsum(ad.square(ad.div(x, s))), [x, s])
 
@@ -741,9 +764,9 @@ def test_conv2d_under_a_constant_weight_computes_only_the_input_gradient(kernel,
     # for the input gradient, and none of the input for a weight gradient.
     # The input gradient is the one a trainable copy of the weight gives.
     rng = np.random.default_rng(996)
-    x = Parameter("x", rng.normal(size=(3, 6, 7)))
+    x = trainable("x", rng.normal(size=(3, 6, 7)))
     w, probe = rng.normal(size=(2, 3, kernel, kernel)), rng.normal(size=(2, 6, 7))
-    ad.tsum(ad.mul(ad.conv2d(x, Parameter("w", w), activation="tanh"), probe)).backward()
+    ad.tsum(ad.mul(ad.conv2d(x, trainable("w", w), activation="tanh"), probe)).backward()
     expected, x.grad = x.grad, None
     out = ad.conv2d(x, w, activation="tanh")
     runs, real_runs = [], ad._runs
@@ -783,7 +806,7 @@ def composite_gru(x, h, wz, bz, wr, br, wc, bc):
     return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, cand))
 
 
-# (state, input): a Parameter, or a constant zero state (the first step) or
+# (state, input): a trainable leaf, or a constant zero state (the first step) or
 # constant input that gets no gradient.
 GRU_CASES = ["both", "zero_state", "constant_input"]
 
@@ -871,7 +894,7 @@ def test_tensor_keeps_float32_and_casts_any_other_dtype_to_float64():
 
 def test_gradient_check_refuses_float32_parameters():
     # h = 1e-6 is below float32's resolution near 1.
-    x = Parameter("x", np.ones(3, np.float32))
+    x = trainable("x", np.ones(3, np.float32))
     with pytest.raises(TypeError, match="x needs float64, got float32"):
         check_gradients(lambda: ad.tsum(ad.square(x)), [x])
 
@@ -886,7 +909,7 @@ def _assert_dtype_and_close(tensors, twins, dtype):
 
 
 def _upcast(t):
-    return Parameter(t.name, t.data.astype(np.float64)) if t.requires_grad \
+    return trainable(t.name, t.data.astype(np.float64)) if t.requires_grad \
         else Tensor(t.data.astype(np.float64))
 
 
@@ -900,10 +923,10 @@ DTYPE_PAIRS = [(np.float64, np.float32), (np.float32, np.float64)]
 def test_conv2d_runs_in_its_weights_dtype(w_dtype, x_dtype, x_needs_grad):
     rng = np.random.default_rng(995)
     x = rng.uniform(-2.0, 2.0, size=(3, 5, 6)).astype(x_dtype)
-    x = Parameter("x", x) if x_needs_grad else Tensor(x)
-    w = Parameter("w", rng.uniform(-2.0, 2.0, size=(2, 3, 3, 3)).astype(w_dtype))
-    b = Parameter("b", rng.uniform(-2.0, 2.0, size=2).astype(w_dtype))
-    skip = Parameter("skip", rng.uniform(-2.0, 2.0, size=(2, 5, 6)).astype(x_dtype))
+    x = trainable("x", x) if x_needs_grad else Tensor(x)
+    w = trainable("w", rng.uniform(-2.0, 2.0, size=(2, 3, 3, 3)).astype(w_dtype))
+    b = trainable("b", rng.uniform(-2.0, 2.0, size=2).astype(w_dtype))
+    skip = trainable("skip", rng.uniform(-2.0, 2.0, size=(2, 5, 6)).astype(x_dtype))
     probe = rng.normal(size=(2, 5, 6))
     tensors = (x, w, b, skip)
     twins = [_upcast(t) for t in tensors]
@@ -918,9 +941,9 @@ def test_conv2d_runs_in_its_weights_dtype(w_dtype, x_dtype, x_needs_grad):
 @pytest.mark.parametrize("w_dtype,x_dtype", DTYPE_PAIRS, ids=["f64-weights", "f32-weights"])
 def test_conv_gru_runs_in_its_weights_dtype(w_dtype, x_dtype):
     rng = np.random.default_rng(996)
-    params = [Parameter(p.name, p.data.astype(w_dtype)) for p in gru_parameters(rng, 2, 3)]
-    x = Parameter("x", rng.uniform(-2.0, 2.0, size=(3, 4, 5)).astype(x_dtype))
-    h = Parameter("h", rng.uniform(-1.0, 1.0, size=(2, 4, 5)).astype(x_dtype))
+    params = [trainable(p.name, p.data.astype(w_dtype)) for p in gru_parameters(rng, 2, 3)]
+    x = trainable("x", rng.uniform(-2.0, 2.0, size=(3, 4, 5)).astype(x_dtype))
+    h = trainable("h", rng.uniform(-1.0, 1.0, size=(2, 4, 5)).astype(x_dtype))
     probe = rng.normal(size=(2, 4, 5))
     tensors = (x, h, *params)
     twins = [_upcast(t) for t in tensors]
@@ -1005,7 +1028,7 @@ def test_bilinear_splat_gradients():
         rng = np.random.default_rng(1100 + seed)
         n = 8
         vals = rng.uniform(0.3, 1.5, size=(2, n))
-        pos = Parameter("pos", np.stack([rng.uniform(0.15, 4.8, size=n),
+        pos = trainable("pos", np.stack([rng.uniform(0.15, 4.8, size=n),
                                          rng.uniform(0.15, 3.8, size=n)]))
         pos.data += np.where(np.abs(pos.data - np.round(pos.data)) < 0.05, 0.07, 0.0)
         target = Tensor(rng.normal(size=(2, 5, 6)))

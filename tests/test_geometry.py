@@ -6,11 +6,10 @@ import pytest
 from evssl import autodiff as ad
 from evssl import geometry as geo
 from evssl import synth
-from evssl.autodiff import Parameter
 from evssl.events import EventStream, SensorGeometry, normalize_timestamps
 
 from conftest import random_partition
-from gradcheck import check_gradients
+from gradcheck import check_gradients, trainable
 
 GEOM = SensorGeometry(16, 16)
 
@@ -151,7 +150,7 @@ def test_as_flow_rejects_what_is_not_two_by_h_by_w(shape):
 def test_as_flow_keeps_a_tensor_and_its_graph():
     # The flow network's output reaches the losses through as_flow; a copy
     # would cut the gradient back to the network.
-    w = Parameter("w", np.ones((2, 4, 4)))
+    w = trainable("w", np.ones((2, 4, 4)))
     flow = ad.mul(w, 2.0)
     assert geo.as_flow(flow) is flow
     ad.tsum(geo.as_flow(flow)).backward()
@@ -287,7 +286,7 @@ def test_warped_image_gradients_match_finite_differences():
         geom = SensorGeometry(9, 9)
         part = random_partition(rng, geometry=geom, n_events=12)
         # Random non-integer flow keeps warp targets off the pixel lattice.
-        flow = Parameter("flow", rng.uniform(-1.6, 1.6, size=(2, 9, 9))
+        flow = trainable("flow", rng.uniform(-1.6, 1.6, size=(2, 9, 9))
                          + rng.choice([-0.37, 0.23], size=(2, 9, 9)))
         probe_h = rng.normal(size=(2, 9, 9))
         probe_t = rng.normal(size=(2, 9, 9))

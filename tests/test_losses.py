@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from evssl import autodiff as ad
 from evssl import losses
 from evssl import synth
-from evssl.autodiff import Parameter, Tensor
+from evssl.autodiff import Tensor
 from evssl.events import EventStream, SensorGeometry, normalize_timestamps
 from evssl.losses import LossWeights
 from evssl.training import TrainConfig
 
 from conftest import random_partition
-from gradcheck import check_gradients
+from gradcheck import check_gradients, trainable
 
 GEOM = SensorGeometry(16, 16)
 W = LossWeights()
@@ -73,7 +73,7 @@ def test_contrast_gradient_matches_finite_differences():
         rng = np.random.default_rng(seed)
         geom = SensorGeometry(8, 8)
         part = random_partition(rng, geometry=geom, n_events=10)
-        flow = Parameter("flow", rng.uniform(-1.3, 1.3, size=(2, 8, 8)) + 0.21)
+        flow = trainable("flow", rng.uniform(-1.3, 1.3, size=(2, 8, 8)) + 0.21)
         check_gradients(lambda: losses.contrast_loss(part, flow), [flow])
 
 
@@ -89,7 +89,7 @@ def test_charbonnier_constant_flow_is_zero():
 @pytest.mark.parametrize("value", [0.0, 3.25, -40.0])
 def test_charbonnier_of_a_one_pixel_flow_is_zero(value):
     # No forward difference fits in a 1x1 field.
-    flow = Parameter("flow", np.full((2, 1, 1), value))
+    flow = trainable("flow", np.full((2, 1, 1), value))
     loss = losses.charbonnier_smoothness(flow)
     assert loss.item() == 0.0 and not loss.requires_grad
 
@@ -116,7 +116,7 @@ def test_charbonnier_scaling_increases_loss():
 def test_charbonnier_gradient():
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
-        flow = Parameter("flow", rng.normal(size=(2, 5, 6)))
+        flow = trainable("flow", rng.normal(size=(2, 5, 6)))
         check_gradients(lambda: losses.charbonnier_smoothness(flow), [flow])
 
 
@@ -195,7 +195,7 @@ def test_reference_increment_balanced_events_cancel():
 def test_reference_increment_detaches_flow():
     rng = np.random.default_rng(4)
     part = random_partition(rng)
-    flow = Parameter("flow", rng.normal(size=(2, 16, 16)))
+    flow = trainable("flow", rng.normal(size=(2, 16, 16)))
     out = losses.reference_increment(part, flow, W)
     loss = ad.sum_of_squares(out)
     loss.backward()
@@ -262,7 +262,7 @@ def test_warp_previous_zero_flow_identity():
 def test_warp_previous_of_a_parameter_frame_adds_five_nodes():
     # The frame lifted to one channel, the gather that replicates its
     # border, one correlation, the crop of its outer ring and one sample.
-    frame = Parameter("frame", np.random.default_rng(14).normal(size=(6, 7)))
+    frame = trainable("frame", np.random.default_rng(14).normal(size=(6, 7)))
     out = losses.warp_previous(frame, np.ones((2, 6, 7)))
     assert len([node for node in ad._toposort(out) if node is not frame._node]) == 5
 
@@ -333,7 +333,7 @@ def test_predicted_increment_ramp_value():
 def test_predicted_increment_gradient_flows_to_previous_image():
     for seed in range(10):
         rng = np.random.default_rng(200 + seed)
-        img = Parameter("img", rng.normal(size=(6, 6)))
+        img = trainable("img", rng.normal(size=(6, 6)))
         flow = rng.uniform(-1.2, 1.2, size=(2, 6, 6)) + 0.31
         check_gradients(lambda: ad.sum_of_squares(_predicted(img, flow)), [img])
 
@@ -403,8 +403,8 @@ def test_tv_homogeneity():
 def test_recon_term_gradients():
     for seed in range(10):
         rng = np.random.default_rng(300 + seed)
-        cur = Parameter("cur", rng.normal(size=(6, 6)))
-        prev = Parameter("prev", rng.normal(size=(6, 6)))
+        cur = trainable("cur", rng.normal(size=(6, 6)))
+        prev = trainable("prev", rng.normal(size=(6, 6)))
         flow = rng.uniform(-1.1, 1.1, size=(2, 6, 6)) + 0.17
         ref = rng.normal(size=(6, 6))
         check_gradients(lambda: losses.photometric_loss(ref, _predicted(prev, flow)), [prev])

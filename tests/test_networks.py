@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from evssl import autodiff as ad
 from evssl import networks as nets
-from evssl.autodiff import Parameter, Tensor
+from evssl import training
+from evssl.autodiff import Tensor
+from evssl.geometry import build_voxel_grid, event_mask
+from evssl.losses import LossWeights, flow_total_loss
 
-from gradcheck import check_gradients
+from conftest import random_partition
+from gradcheck import check_gradients, trainable
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +197,9 @@ def test_convgru_cell_gradients():
         rng = np.random.default_rng(100 + seed)
         cell = nets.ConvGRUCell("g", 2)
         nets.init_parameters(cell, rng)
-        x = Parameter("x", rng.normal(size=(2, 4, 4)))
-        h = Parameter("h", 0.5 * rng.normal(size=(2, 4, 4)))
+        training.Adam(cell.parameters(), 1e-3)
+        x = trainable("x", rng.normal(size=(2, 4, 4)))
+        h = trainable("h", 0.5 * rng.normal(size=(2, 4, 4)))
         probe = rng.normal(size=(2, 4, 4))
         params = [x, h] + cell.parameters()
 
@@ -207,13 +214,15 @@ def test_residual_block_gradients():
         rng = np.random.default_rng(200 + seed)
         block = nets.ResidualBlock("r", 2)
         nets.init_parameters(block, rng)
-        x = Parameter("x", rng.normal(size=(2, 4, 4)))
+        training.Adam(block.parameters(), 1e-3)
+        x = trainable("x", rng.normal(size=(2, 4, 4)))
         check_gradients(lambda: ad.sum_of_squares(block(x)), [x] + block.parameters())
 
 
 def test_fireflownet_backward_reaches_all_parameters():
     rng = np.random.default_rng(15)
     net = _init_flow_net(seed=16)
+    training.Adam(net.parameters(), 1e-3)
     voxel = rng.normal(size=(5, 8, 8))
     mask = np.ones((8, 8), dtype=bool)
     loss = ad.sum_of_squares(net(voxel, mask))
@@ -222,3 +231,96 @@ def test_fireflownet_backward_reaches_all_parameters():
         assert p.grad is not None, p.name
         assert np.all(np.isfinite(p.grad))
         p.grad = None
+
+
+# ---------------------------------------------------------------------------
+# a graph only once an optimizer holds the parameters
+
+
+def _counted_nodes(monkeypatch) -> list:
+    """A list that grows by one for every graph node made from now on."""
+    made = []
+
+    class Counted(ad._Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ad, "_Node", Counted)
+    return made
+
+
+def _forward(net, voxel):
+    """The network's output for voxel: flow on an all-ones mask, or a frame."""
+    if isinstance(net, nets.FireFlowNet):
+        return net(voxel, np.ones(voxel.shape[1:], dtype=bool))
+    return net(voxel, None)[0]
+
+
+@pytest.mark.parametrize("build", [_init_flow_net, _init_recon_net], ids=["flow", "recon"])
+def test_a_network_no_optimizer_holds_records_no_graph(build, monkeypatch):
+    net = build()
+    made = _counted_nodes(monkeypatch)
+    out = _forward(net, np.random.default_rng(17).normal(size=(5, 12, 12)))
+    assert made == [] and not out.requires_grad
+    assert not any(p.requires_grad for p in net.parameters())
+
+
+@pytest.mark.parametrize("build,nodes", [(_init_flow_net, 25), (_init_recon_net, 33)],
+                         ids=["flow", "recon"])
+def test_an_optimizer_turns_the_graph_on(build, nodes):
+    # The forward's leaves (every parameter) and ops: 25 nodes for
+    # FireFlowNet's, 33 for ReconNet's. The whole flow loss walks 72.
+    net = build()
+    voxel = np.random.default_rng(18).normal(size=(5, 12, 12))
+    frozen = _forward(net, voxel)
+    training.Adam(net.parameters(), 1e-3)
+    out = _forward(net, voxel)
+    assert not frozen.requires_grad and out.requires_grad
+    assert np.array_equal(out.data, frozen.data)
+    assert len(ad._toposort(out)) == nodes
+    if isinstance(net, nets.FireFlowNet):
+        part = random_partition(np.random.default_rng(0), n_events=300)
+        voxel = build_voxel_grid(part, 5)
+        loss, _ = flow_total_loss(part, net(voxel, event_mask(voxel)), LossWeights())
+        assert len(ad._toposort(loss)) == 72
+
+
+def test_init_and_load_work_on_a_network_no_optimizer_holds():
+    net = nets.FireFlowNet(bins=5)
+    nets.init_parameters(net, np.random.default_rng(19))
+    state = training.network_state(_init_flow_net(seed=20))
+    training.load_network_state(net, state)
+    assert all(np.array_equal(p.data, state[p.name]) for p in net.parameters())
+    assert not any(p.requires_grad or p.grad is not None for p in net.parameters())
+
+
+def _carried_pass(net, steps: int) -> tuple[list[np.ndarray], int]:
+    """The frames of a 64x64 pass that carries its state over random voxels,
+    and the bytes it retains at its end beyond those frames."""
+    rng = np.random.default_rng(21)
+    frames, state = [], None
+    tracemalloc.start()
+    try:
+        for _ in range(steps):
+            image, state = net(rng.normal(size=(5, 64, 64)), state)
+            frames.append(image.data)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return frames, held - sum(f.nbytes for f in frames)
+
+
+def test_a_carried_reconnet_pass_retains_constant_memory():
+    # With its parameters requiring gradients, each step's graph stays
+    # alive through the state: 29.5 MiB retained after 12 steps and
+    # 113.5 MiB after 48. Without, only the state and one step's values.
+    net = _init_recon_net(seed=22)
+    frames, short = _carried_pass(net, 12)
+    _, long = _carried_pass(net, 48)
+    assert long <= short + 2**20, f"48 steps retain {long / 2**20:.1f} MiB, 12 {short / 2**20:.1f}"
+    training.Adam(net.parameters(), 1e-3)
+    held_frames, _ = _carried_pass(net, 12)
+    assert all(np.array_equal(a, b) for a, b in zip(frames, held_frames))

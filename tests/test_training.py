@@ -190,9 +190,10 @@ def test_non_finite_provider_flow_raises():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_loss_value_raises_before_backward(value):
     p = ad.Parameter("p", np.full(3, value))
+    opt = training.Adam([p], 1e-3)  # before the loss, so the loss has a graph
     curve = []
     with pytest.raises(FloatingPointError, match="non-finite loss at recon step 0"):
-        training._optimize(ad.tsum(p), LossReport(), training.Adam([p], 1e-3), curve, "recon")
+        training._optimize(ad.tsum(p), LossReport(), opt, curve, "recon")
     assert curve == [] and p.grad is None
 
 
@@ -208,11 +209,12 @@ def test_training_loops_reject_an_empty_dataset(train):
 def test_non_finite_gradient_raises():
     # sqrt(sum(p^2)) at p = 0: the loss is 0, its gradient is not finite.
     p = ad.Parameter("p", np.zeros(3))
+    opt = training.Adam([p], 1e-3)
     with np.errstate(divide="ignore", invalid="ignore"):
         loss = ad.sqrt(ad.tsum(ad.square(p)))
         with pytest.raises(FloatingPointError,
                            match="non-finite gradient of 'p' at flow step 0"):
-            training._optimize(loss, LossReport(), training.Adam([p], 1e-3), [], "flow")
+            training._optimize(loss, LossReport(), opt, [], "flow")
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +275,26 @@ def test_augmentation_draws_keep_their_order():
 
 def test_adam_rejects_missing_gradient():
     p, q = ad.Parameter("p", np.zeros(2)), ad.Parameter("q", np.zeros(1))
+    opt = training.Adam([p, q], 1e-3)
     p.grad = np.ones(2)
     with pytest.raises(ValueError, match="missing gradient for parameter 'q'"):
-        training.Adam([p, q], 1e-3).step()
+        opt.step()
 
 
 def test_adam_rebinds_gradients_and_never_writes_into_them():
     # Backward hands gradients over uncopied, so leaves may share an array;
     # Adam must rebind a gradient rather than write into it.
     net = _flow_net()
+    params = net.parameters()
+    opt = training.Adam(params, 1e-3)
     part = _sequences([1])[0][0]
     voxel = build_voxel_grid(part, 5)
     loss, _ = flow_total_loss(part, net(voxel, event_mask(voxel)), LossWeights())
     loss.backward()
-    params = net.parameters()
     for p in params:
         p.grad.flags.writeable = False
     before = [p.data for p in params]
-    training.Adam(params, 1e-3).step()
+    opt.step()
     assert any(not np.array_equal(b, p.data) for b, p in zip(before, params))
 
 
@@ -307,7 +311,8 @@ def test_pause_is_an_ordinary_empty_partition():
     pause = empty_stream(GEOM)
     voxel = build_voxel_grid(pause, 5)
     assert voxel.shape == (5, 16, 16) and not voxel.any() and not event_mask(voxel).any()
-    flow = ad.Parameter("flow", np.full((2, 16, 16), 0.5))
+    flow = ad.Tensor(np.full((2, 16, 16), 0.5))
+    flow.requires_grad = True
     assert not reference_increment(pause, flow.data, LossWeights()).data.any()
     contrast = contrast_loss(pause, flow)
     assert contrast.item() == 0.0
