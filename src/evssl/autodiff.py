@@ -33,8 +33,11 @@ graph the paper builds:
   operand and activation fused into its node; conv_gru, one ConvGRU step
   over the same correlation. Each correlation reads its input from one
   flat zero-padded buffer in which every kernel tap is a contiguous run.
-  Forward and input gradient are one GEMM over a copy of the runs, and
-  the weight gradient builds no such copy of its own;
+  The forward multiplies a copy of the runs band by band, so no copy
+  spans the whole frame. The input gradient is one GEMM over a copy of
+  the whole output gradient's runs, and the weight gradient builds no
+  copy of its own; neither is banded, because the weight gradient sums
+  over every pixel;
 - resampling: bilinear_sample and bilinear_splat, which take constant
   grids and values. They are adjoint and share one corner kernel: the
   gradient of a sample is a splat of the same corners, recomputed in
@@ -332,10 +335,21 @@ _ACTIVATIONS = {
 # center run (dy = dx = p) is the input itself with zeros in the junk
 # columns, which is how a weight gradient masks them.
 #
-# Forward and input gradient are one GEMM over the copied runs (an
-# im2col). The weight gradient never builds an im2col of its own: it
-# reuses the input gradient's im2col of g or, where the input needs no
-# gradient, multiplies the input's runs in place.
+# The forward copies the runs (an im2col) and multiplies them in bands of
+# output rows, so its transient is O(W*C) per layer, not O(H*W*C). The
+# input gradient is one GEMM over the im2col of the whole output gradient
+# g. The weight gradient never builds an im2col of its own: it reuses
+# that im2col of g or, where the input needs no gradient, multiplies the
+# input's runs in place. The backward is not banded because the weight
+# gradient sums over every pixel, and bands would reorder that sum.
+#
+# Output rows per forward band. At 16, a band's im2col is C*k*k x
+# 16*(W+2p), and the banded product matched the one-GEMM product bit for
+# bit on every probe (64x64 in float32 and float64, 260x346 float64,
+# 17x23 float32 with k=5). BLAS may round a column differently when one
+# call gets fewer columns: 4-row bands moved float32 outputs of 16x16
+# networks past a relative 1e-9, so the height must not go lower.
+_BAND_ROWS = 16
 
 
 def _runs(blocks, k: int, dtype) -> np.ndarray:
@@ -351,12 +365,6 @@ def _runs(blocks, k: int, dtype) -> np.ndarray:
                                            (s0, wp * s1, s1, s1), writeable=False)
 
 
-def _im2col(blocks, k: int, dtype) -> np.ndarray:
-    """Every tap's run of the flat buffer of blocks, copied: (C*k*k, H*(W+2p))."""
-    runs = _runs(blocks, k, dtype)
-    return runs.reshape(-1, runs.shape[-1])
-
-
 def _drop_junk(out: np.ndarray, w: int, k: int) -> np.ndarray:
     """A GEMM output over the runs, (N, H*(W+2p)), as (N,H,W) without its
     junk columns."""
@@ -365,10 +373,20 @@ def _drop_junk(out: np.ndarray, w: int, k: int) -> np.ndarray:
 
 def _correlate(blocks, w: np.ndarray) -> np.ndarray:
     """Same-padded stride-1 correlation of the channel stack of blocks
-    (C_in,H,W) with w (C_out,C_in,k,k), in w's dtype."""
+    (C_in,H,W) with w (C_out,C_in,k,k), in w's dtype: one im2col and one
+    GEMM per band of at most _BAND_ROWS output rows."""
     c_out, _, k, _ = w.shape
-    # The im2col is freed as soon as the GEMM returns.
-    return _drop_junk(w.reshape(c_out, -1) @ _im2col(blocks, k, w.dtype), blocks[0].shape[2], k)
+    h, width = blocks[0].shape[1:]
+    wp = width + k - 1
+    runs, wm = _runs(blocks, k, w.dtype), w.reshape(c_out, -1)
+    out = np.empty((c_out, h, width), w.dtype)
+    for y in range(0, h, _BAND_ROWS):
+        rows = min(_BAND_ROWS, h - y)
+        # The reshape copies this band of every run, the band's im2col,
+        # which is freed as soon as the GEMM returns.
+        band = wm @ runs[..., y * wp:(y + rows) * wp].reshape(-1, rows * wp)
+        out[:, y:y + rows] = band.reshape(c_out, rows, wp)[:, :, :width]
+    return out
 
 
 def _correlate_grads(blocks, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
@@ -377,7 +395,7 @@ def _correlate_grads(blocks, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray |
     blocks None the weight needs no gradient: it comes out None, and only
     the input's is computed."""
     c_out, c_in, k, _ = w.shape
-    cols = _im2col([g], k, w.dtype)
+    cols = _runs([g], k, w.dtype).reshape(c_out * k * k, -1)  # copied: the im2col of g
     w_grad = None
     if blocks is not None:
         # Weight tap (dy, dx) sums g at run position i times the input at
@@ -537,13 +555,18 @@ def _corners(xs: np.ndarray, ys: np.ndarray, h: int, w: int):
     x0, y0 = np.floor(xs), np.floor(ys)
     fx, fy = xs - x0, ys - y0
     x0, y0 = x0.astype(np.int64), y0.astype(np.int64)
+    # In frame per axis, for offsets 0 and 1; the corners' flat indices are
+    # base + {0, 1, W, W+1}.
+    x_ok = ((x0 >= 0) & (x0 < w), (x0 >= -1) & (x0 < w - 1))
+    y_ok = ((y0 >= 0) & (y0 < h), (y0 >= -1) & (y0 < h - 1))
+    base = y0 * w + x0
     corners = []
-    for cx, cy, cw in ((x0, y0, (1.0 - fx) * (1.0 - fy)),
-                       (x0 + 1, y0, fx * (1.0 - fy)),
-                       (x0, y0 + 1, (1.0 - fx) * fy),
-                       (x0 + 1, y0 + 1, fx * fy)):
-        ok = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        corners.append((ok, np.where(ok, cy * w + cx, 0), np.where(ok, cw, 0.0)))
+    for dx, dy, cw in ((0, 0, (1.0 - fx) * (1.0 - fy)),
+                       (1, 0, fx * (1.0 - fy)),
+                       (0, 1, (1.0 - fx) * fy),
+                       (1, 1, fx * fy)):
+        ok = x_ok[dx] & y_ok[dy]
+        corners.append((ok, np.where(ok, base + (dy * w + dx), 0), np.where(ok, cw, 0.0)))
     return corners, fx, fy
 
 

@@ -144,8 +144,10 @@ def fwl(partition: EventStream, flow) -> float:
     shape = (partition.geometry.height, partition.geometry.width)
     ones = np.ones((1, len(partition)))
     var_flow = float(np.var(ad.bilinear_splat(ones, pos, shape).data))
-    unwarped = np.stack([partition.x, partition.y])
-    var_zero = float(np.var(ad.bilinear_splat(ones, unwarped, shape).data))
+    # Unwarped events sit on their pixels, where a splat is a count.
+    pix = partition.y.astype(np.int64) * partition.geometry.width + partition.x.astype(np.int64)
+    counts = np.bincount(pix, minlength=partition.geometry.pixels)
+    var_zero = float(np.var(counts.astype(np.float64)))
     if var_zero == 0.0:
         raise ValueError("unwarped event image has zero variance; FWL undefined")
     return var_flow / var_zero

@@ -680,9 +680,10 @@ def test_conv2d_rejects_bias_of_another_shape(shape):
 # The correlation helpers against tap-by-tap references that never see the
 # flat layout. Images narrower or shorter than the kernel make every run
 # wrap through the padding, and k=1 has no padding and no junk columns.
+# 37 rows make the forward run two full bands and a short last one.
 CORRELATION_CASES = [pytest.param(k, shape, id=f"k{k}-{shape[0]}x{shape[1]}")
                      for k in (1, 3, 5)
-                     for shape in ((1, 1), (1, 2), (2, 3), (6, 7), (3, 11), (64, 64))]
+                     for shape in ((1, 1), (1, 2), (2, 3), (6, 7), (3, 11), (37, 23), (64, 64))]
 
 
 def padded_taps(x, k):
@@ -744,6 +745,23 @@ def test_weight_gradient_builds_no_im2col():
         tracemalloc.stop()
     im2col = 32 * 9 * 64 * 64 * 8
     assert peak < im2col / 3, f"weight gradient peaks at {peak / im2col:.2f} im2cols"
+
+
+def test_forward_builds_no_whole_frame_im2col():
+    # A 32->32 3x3 conv at 64x64: the forward's banded im2cols, its flat
+    # buffer and its output together must stay below 0.6 of the im2col
+    # over the whole frame (C_in*9*H*(W+2) doubles). Measured at 0.53; a
+    # single whole-frame im2col peaked at 1.11.
+    rng = np.random.default_rng(994)
+    x, w = rng.normal(size=(32, 64, 64)), rng.normal(size=(32, 32, 3, 3))
+    tracemalloc.start()
+    try:
+        ad._correlate([x], w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    im2col = 32 * 9 * 64 * 66 * 8
+    assert peak < 0.6 * im2col, f"forward peaks at {peak / im2col:.2f} im2cols"
 
 
 @pytest.mark.parametrize("kernel", [1, 3, 5])
