@@ -47,7 +47,9 @@ graph the paper builds:
 A fused node (conv2d with its bias, skip and activation, or a whole
 conv_gru step) keeps only the arrays its backward reads, and rebuilds
 cheap intermediates such as the flat buffers of its (stacked) inputs
-there instead of holding them for the life of the graph.
+there instead of holding them for the life of the graph. It applies its
+bias, skip and activation in place on its own fresh output, so no forward
+allocates a second frame for them.
 
 One dtype rule: a correlation runs in its weights' dtype. conv2d and
 conv_gru cast their inputs to it while copying them into the flat buffer,
@@ -311,13 +313,23 @@ def sqrt(x) -> Tensor:
     return _unary(x, np.sqrt, lambda g, out: g / (2.0 * out), reads_output=True)
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    # 1 / (1 + exp(-v)), each step written into v.
+    np.negative(v, out=v)
+    np.exp(v, out=v)
+    v += 1.0
+    return np.divide(1.0, v, out=v)
+
+
 # Activation name (None for none) -> (forward, gradient from the output
 # gradient g and the activated output). relu has subgradient 0 at 0.
+# Each forward overwrites the array it is given and returns it, so pass it
+# only an array the op owns, such as its own fresh correlation output.
 _ACTIVATIONS = {
     None: (lambda v: v, lambda g, out: g),
-    "relu": (lambda v: np.maximum(v, 0.0), lambda g, out: g * (out > 0.0)),
-    "sigmoid": (lambda v: 1.0 / (1.0 + np.exp(-v)), lambda g, out: g * out * (1.0 - out)),
-    "tanh": (np.tanh, lambda g, out: g * (1.0 - out * out)),
+    "relu": (lambda v: np.maximum(v, 0.0, out=v), lambda g, out: g * (out > 0.0)),
+    "sigmoid": (_sigmoid, lambda g, out: g * out * (1.0 - out)),
+    "tanh": (lambda v: np.tanh(v, out=v), lambda g, out: g * (1.0 - out * out)),
 }
 
 
@@ -458,7 +470,7 @@ def conv2d(x, weight, bias=None, activation: str | None = None, skip=None) -> Te
     # Cast as _runs would cast it, so that a float64 input under float32
     # weights is not what the node keeps.
     xd = x.data.astype(weight.data.dtype, copy=False)
-    out = _correlate([xd], weight.data)  # a fresh array: add in place
+    out = _correlate([xd], weight.data)  # a fresh array: bias, skip and activation go in place
     if bias is not None:
         out += bias.data[:, None, None]
     if skip is not None:
@@ -513,12 +525,16 @@ def conv_gru(x, h, update_weight, update_bias, reset_weight, reset_bias,
     sigmoid, sigmoid_grad = _ACTIVATIONS["sigmoid"]
     tanh, tanh_grad = _ACTIVATIONS["tanh"]
     hd = h.data.astype(wz.data.dtype, copy=False)  # read outside the buffers too
+    # Biases and activations go in place, so the state keeps the weights' dtype.
     zr = _correlate([hd, x.data], np.concatenate([wz.data, wr.data]))
-    zr = sigmoid(zr + np.concatenate([bz.data, br.data])[:, None, None])
+    zr += np.concatenate([bz.data, br.data])[:, None, None]
+    zr = sigmoid(zr)
     z, r = zr[:c], zr[c:]
     cand = _correlate([r * hd, x.data], wc.data)
-    cand = tanh(cand + bc.data[:, None, None])
-    out = (1.0 - z) * hd + z * cand
+    cand += bc.data[:, None, None]
+    cand = tanh(cand)
+    out = z * cand
+    out += (1.0 - z) * hd
 
     xd, wzd, wrd, wcd, dtype = x.data, wz.data, wr.data, wc.data, out.dtype
 

@@ -44,16 +44,36 @@ def test_scalar_broadcast_allowed():
 
 
 def test_no_operation_mutates_inputs():
+    # The fused nodes apply bias, skip and activation in place on their own
+    # output; none of that may reach an operand, forward or backward.
     rng = np.random.default_rng(1)
-    x = Tensor(rng.normal(size=(4, 4)))
-    before = x.data.copy()
-    x3 = x[None]
-    ad.conv2d(x3, Tensor(np.ones((1, 1, 3, 3))), activation="relu", skip=x3)
-    ad.add(x, x)
-    ad.conv2d(x3, Tensor(np.ones((1, 1, 3, 3))), activation="sigmoid")
-    w, b = Tensor(np.ones((1, 2, 3, 3))), Tensor(np.ones(1))
-    ad.conv_gru(x3, x3, w, b, w, b, w, b)
-    assert np.array_equal(x.data, before)
+    x, h = leaf(rng, (2, 4, 4), name="x"), leaf(rng, (3, 4, 4), name="h")
+    w, b = leaf(rng, (3, 2, 3, 3), name="w"), leaf(rng, (3,), name="b")
+    skip = leaf(rng, (3, 4, 4), name="skip")
+    gru = gru_parameters(rng, 3, 2)  # six distinct arrays
+    operands = (x, skip, h, w, b, *gru)
+    before = [t.data.copy() for t in operands]
+    for activation in (None, "relu", "sigmoid", "tanh"):
+        ad.tsum(ad.conv2d(x, w, b, activation, skip=skip)).backward()
+    ad.tsum(ad.add(x, x)).backward()
+    ad.tsum(ad.conv_gru(x, h, *gru)).backward()
+    for t, data in zip(operands, before):
+        assert np.array_equal(t.data, data), t.name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name,reference", [
+    ("relu", lambda v: np.maximum(v, 0.0)),
+    ("sigmoid", lambda v: 1.0 / (1.0 + np.exp(-v))),
+    ("tanh", np.tanh),
+], ids=["relu", "sigmoid", "tanh"])
+def test_activation_overwrites_its_argument_with_the_out_of_place_value(name, reference, dtype):
+    v = np.random.default_rng(8).uniform(-20.0, 20.0, size=(5, 33, 65)).astype(dtype)
+    expected = reference(v)
+    out = ad._ACTIVATIONS[name][0](v)
+    assert np.shares_memory(out, v)
+    assert out.dtype == dtype
+    assert np.array_equal(out, expected)
 
 
 def test_item_reads_any_size_one_tensor():
@@ -956,10 +976,16 @@ def test_conv2d_runs_in_its_weights_dtype(w_dtype, x_dtype, x_needs_grad):
     _assert_dtype_and_close(tensors, twins, w_dtype)
 
 
-@pytest.mark.parametrize("w_dtype,x_dtype", DTYPE_PAIRS, ids=["f64-weights", "f32-weights"])
-def test_conv_gru_runs_in_its_weights_dtype(w_dtype, x_dtype):
+# The third case's biases are added into the float32 correlation outputs,
+# as conv2d adds its own, so they do not promote the state to float64.
+@pytest.mark.parametrize("w_dtype,x_dtype,b_dtype",
+                         [(w, x, w) for w, x in DTYPE_PAIRS]
+                         + [(np.float32, np.float32, np.float64)],
+                         ids=["f64-weights", "f32-weights", "f32-weights-f64-biases"])
+def test_conv_gru_runs_in_its_weights_dtype(w_dtype, x_dtype, b_dtype):
     rng = np.random.default_rng(996)
-    params = [trainable(p.name, p.data.astype(w_dtype)) for p in gru_parameters(rng, 2, 3)]
+    params = [trainable(p.name, p.data.astype(w_dtype if p.name.endswith("weight") else b_dtype))
+              for p in gru_parameters(rng, 2, 3)]
     x = trainable("x", rng.uniform(-2.0, 2.0, size=(3, 4, 5)).astype(x_dtype))
     h = trainable("h", rng.uniform(-1.0, 1.0, size=(2, 4, 5)).astype(x_dtype))
     probe = rng.normal(size=(2, 4, 5))
