@@ -8,6 +8,10 @@ types are immutable values whose columns are shared and never written: a
 partition's columns are views of its recording's, and an augmentation
 reuses every column it does not flip. `check_number` is the one boundary
 rule for every numeric setting and argument of the package.
+
+An EVT1 read holds the file's bytes and one copy of the columns at once,
+16 + 13 bytes per event; an EVT1 write holds one record array beside the
+columns and hands it to the file uncopied.
 """
 
 from __future__ import annotations
@@ -117,6 +121,14 @@ def empty_stream(geometry: SensorGeometry) -> EventStream:
 def make_stream(t, x, y, p, geometry: SensorGeometry) -> EventStream:
     """Build a validated stream from integer array-likes (t in microseconds);
     values are checked before the cast, so none wraps or truncates into range."""
+    t, x, y, p = _checked_columns(t, x, y, p, geometry)
+    return EventStream(np.asarray(t, dtype=np.uint64), np.asarray(x, dtype=np.uint16),
+                       np.asarray(y, dtype=np.uint16), np.asarray(p, dtype=np.int8), geometry)
+
+
+def _checked_columns(t, x, y, p, geometry: SensorGeometry) -> list[np.ndarray]:
+    """The columns as arrays, once they pass the rules of a stream's columns:
+    equal lengths, integers, t >= 0, x and y on the sensor, p +1 or -1."""
     cols = t, x, y, p = [np.asarray(c) for c in (t, x, y, p)]
     if not (len(t) == len(x) == len(y) == len(p)):
         raise ValueError("column lengths differ")
@@ -128,10 +140,17 @@ def make_stream(t, x, y, p, geometry: SensorGeometry) -> EventStream:
         if (x.min() < 0 or x.max() >= geometry.width
                 or y.min() < 0 or y.max() >= geometry.height):
             raise EventBoundsError("event coordinates outside geometry")
-        if not np.isin(p, (-1, 1)).all():
+        # Not np.isin: its temporaries take 12 bytes per int8 event. The abs
+        # of int8 -128 wraps to -128, so it fails too.
+        if not (np.abs(p) == 1).all():
             raise ValueError("polarity must be +1 or -1")
-    return EventStream(np.asarray(t, dtype=np.uint64), np.asarray(x, dtype=np.uint16),
-                       np.asarray(y, dtype=np.uint16), np.asarray(p, dtype=np.int8), geometry)
+    return cols
+
+
+def _first_decrease(t: np.ndarray) -> int | None:
+    """Index of the first timestamp below the one before it, if any."""
+    back = np.flatnonzero(t[1:] < t[:-1])  # not np.diff: uint64 wraps around
+    return int(back[0]) + 1 if back.size else None
 
 
 def parse_text_events(data: bytes | str, geometry: SensorGeometry) -> EventStream:
@@ -180,16 +199,22 @@ _EVT1_RECORD = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"),
 
 
 def write_binary_events(path, geometry: SensorGeometry, stream: EventStream) -> None:
-    """The header's `geometry` must be the stream's own; a mismatch raises
-    EventFormatError before `path` is opened, so a file there keeps its bytes."""
+    """Write only what `read_binary_events` returns unchanged. The header's
+    `geometry` must be the stream's own (else EventFormatError), its columns
+    must pass `make_stream`'s rules (else its errors) and its timestamps must
+    not decrease (else EventFormatError), all checked before `path` is
+    opened, so a file there keeps its bytes."""
     if geometry != stream.geometry:
         raise EventFormatError(
             f"geometry mismatch: header {geometry}, stream has {stream.geometry}")
-    records = np.zeros(len(stream), dtype=_EVT1_RECORD)
-    records["t"] = stream.t
-    records["x"] = stream.x
-    records["y"] = stream.y
-    records["p"] = (stream.p > 0).astype(np.uint8)
+    t, x, y, p = _checked_columns(stream.t, stream.x, stream.y, stream.p, geometry)
+    if (i := _first_decrease(t)) is not None:
+        raise EventFormatError(f"record {i}: timestamp decreases")
+    records = np.zeros(len(t), dtype=_EVT1_RECORD)
+    records["t"] = t
+    records["x"] = x
+    records["y"] = y
+    records["p"] = p > 0
     header = np.zeros(1, dtype=_EVT1_HEADER)
     header["width"] = geometry.width
     header["height"] = geometry.height
@@ -197,10 +222,13 @@ def write_binary_events(path, geometry: SensorGeometry, stream: EventStream) -> 
     with open(path, "wb") as f:
         f.write(_EVT1_MAGIC)
         f.write(header.tobytes())
-        f.write(records.tobytes())
+        f.write(records)
 
 
 def read_binary_events(path, geometry: SensorGeometry) -> EventStream:
+    """Read a whole EVT1 file, holding its bytes and one copy of the columns
+    at once: the records are checked where they lie in the bytes read, and
+    t, x, y and p are copied out of them as contiguous columns."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != _EVT1_MAGIC:
@@ -215,20 +243,19 @@ def read_binary_events(path, geometry: SensorGeometry) -> EventStream:
     if geometry != file_geometry:
         raise EventFormatError(f"geometry mismatch: file has {file_geometry}, expected {geometry}")
     count = int(header["count"])
-    body = raw[4 + _EVT1_HEADER.itemsize:]
-    if len(body) != count * _EVT1_RECORD.itemsize:
-        raise EventFormatError(
-            f"count mismatch: header says {count} records, body holds {len(body)} bytes")
-    records = np.frombuffer(body, dtype=_EVT1_RECORD)
+    start = 4 + _EVT1_HEADER.itemsize
+    if len(raw) - start != count * _EVT1_RECORD.itemsize:
+        raise EventFormatError(f"count mismatch: header says {count} records, "
+                               f"body holds {len(raw) - start} bytes")
+    records = np.frombuffer(raw, dtype=_EVT1_RECORD, count=count, offset=start)
     if (records["p"] > 1).any():
         raise EventFormatError("polarity byte must be 0 or 1")
     if records["pad"].any():
         raise EventFormatError("non-zero pad byte")
     t = records["t"]
-    back = np.flatnonzero(t[1:] < t[:-1])  # not np.diff: uint64 wraps around
-    if back.size:
-        raise EventFormatError(f"record {back[0] + 1}: timestamp decreases")
-    p = np.where(records["p"] > 0, 1, -1).astype(np.int8)
+    if (i := _first_decrease(t)) is not None:
+        raise EventFormatError(f"record {i}: timestamp decreases")
+    p = np.where(records["p"] > 0, np.int8(1), np.int8(-1))
     return make_stream(t.copy(), records["x"].copy(), records["y"].copy(),
                        p, file_geometry)
 
@@ -249,9 +276,8 @@ def events_per_pixel_count(geometry: SensorGeometry, density: float) -> int:
 def partition_by_count(stream: EventStream, n: int) -> list[EventStream]:
     """Consecutive disjoint partitions of exactly n events; remainder dropped."""
     check_number("partition size", n, integer=True, low=2)
-    back = np.flatnonzero(stream.t[1:] < stream.t[:-1])
-    if back.size:
-        raise ValueError(f"event {back[0] + 1}: timestamp decreases")
+    if (i := _first_decrease(stream.t)) is not None:
+        raise ValueError(f"event {i}: timestamp decreases")
     return [replace(stream, t=stream.t[i:i + n], x=stream.x[i:i + n], y=stream.y[i:i + n],
                     p=stream.p[i:i + n], t_star=None)
             for i in range(0, len(stream) - n + 1, n)]

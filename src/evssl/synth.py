@@ -100,6 +100,10 @@ def generate_events(scene: SyntheticScene, timestep: float) -> EventStream:
     C > 0, a // C >= 1 exactly when a >= C. `//` is kept because
     `np.floor(a / C)` differs from it: 0.8999999999999999 // 0.3 is 2,
     while the quotient rounds to 3.0.
+
+    Each step's events go straight into four typed columns (t rounded to
+    microseconds, x, y, p), which double in place when full and are sorted
+    once, by (t, y, x), at the end.
     """
     check_number("timestep", timestep, low=0, open_low=True)
     c = scene.contrast
@@ -108,7 +112,8 @@ def generate_events(scene: SyntheticScene, timestep: float) -> EventStream:
     l_prev = render_scene(scene, 0.0).ravel()
     l_ref = l_prev.copy()
 
-    ts_parts, pix_parts, pol_parts = [], [], []
+    cols = [np.empty(0, dtype) for dtype in (np.uint64, np.uint16, np.uint16, np.int8)]
+    count = 0
     t_prev = 0.0
     for step in range(1, n_steps + 1):
         t_next = min(step * timestep, scene.duration)
@@ -133,22 +138,24 @@ def generate_events(scene: SyntheticScene, timestep: float) -> EventStream:
             targets = l_ref[pix] + pol * k * c
             lp = l_prev[pix]
             frac = (targets - lp) / (l_new[pix] - lp)
-            ts_parts.append(t_prev + frac * (t_next - t_prev))
-            pix_parts.append(pix)
-            pol_parts.append(pol)
+            t_us = np.rint((t_prev + frac * (t_next - t_prev)) * US_PER_SECOND)
+            if count + total > len(cols[0]):
+                for col in cols:
+                    col.resize(max(2 * len(col), count + total), refcheck=False)
+            for col, part in zip(cols, (t_us, pix % w, pix // w, pol)):
+                col[count:count + total] = part  # the same casts as astype
+            count += total
             l_ref[fired] += sign * reps * c
         l_prev = l_new
         t_prev = t_next
 
-    if not ts_parts:
+    if not count:
         return empty_stream(scene.geometry)
-    t_us = np.rint(np.concatenate(ts_parts) * US_PER_SECOND).astype(np.uint64)
-    pix = np.concatenate(pix_parts)
-    pol = np.concatenate(pol_parts).astype(np.int8)
-    x = (pix % w).astype(np.uint16)
-    y = (pix // w).astype(np.uint16)
-    order = np.lexsort((x, y, t_us))
-    return EventStream(t_us[order], x[order], y[order], pol[order], scene.geometry)
+    for col in cols:
+        col.resize(count, refcheck=False)
+    t, x, y, p = cols
+    order = np.lexsort((x, y, t))
+    return EventStream(t[order], x[order], y[order], p[order], scene.geometry)
 
 
 def ground_truth_flow(scene: SyntheticScene, partition: EventStream) -> FlowField:

@@ -1,9 +1,13 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evssl import events as ev
+from evssl import synth
 
 from conftest import corrupted
 
@@ -161,6 +165,46 @@ def test_binary_write_rejects_header_geometry_of_another_stream(tmp_path, stream
     assert path.read_bytes() == b"existing bytes"
 
 
+# Each stream, built directly rather than by make_stream, would read back
+# altered (p = 0 as -1) or be refused by the reader.
+@pytest.mark.parametrize("column,values,error,match", [
+    ("p", [1, 0], ValueError, "polarity"),
+    ("p", [2, -1], ValueError, "polarity"),
+    ("x", [3, 9], ev.EventBoundsError, "outside"),
+    ("y", [8, 3], ev.EventBoundsError, "outside"),
+    ("t", [7, 6], ev.EventFormatError, "record 1: timestamp decreases")])
+def test_binary_write_rejects_streams_its_reader_alters_or_rejects(tmp_path, column, values,
+                                                                  error, match):
+    geometry = ev.SensorGeometry(8, 8)
+    columns = dict(t=np.array([5, 6], dtype=np.uint64), x=np.array([1, 2], dtype=np.uint16),
+                   y=np.array([3, 4], dtype=np.uint16), p=np.array([1, -1], dtype=np.int8))
+    columns[column] = np.array(values, dtype=columns[column].dtype)
+    path = tmp_path / "kept.evt1"
+    path.write_bytes(b"existing bytes")
+    with pytest.raises(error, match=match):
+        ev.write_binary_events(path, geometry, ev.EventStream(**columns, geometry=geometry))
+    assert path.read_bytes() == b"existing bytes"
+
+
+def test_binary_layout_and_read_back_columns_are_pinned(tmp_path):
+    # The digest was recorded from a writer that copied its records to bytes
+    # first, so it pins the EVT1 layout. The columns are copies, not field
+    # views of the record buffer: views left RSS where copies left it but
+    # took ~10x the minor page faults in stream_infer, and raised its step time.
+    geometry = ev.SensorGeometry(64, 48)
+    i = np.arange(1000)
+    stream = ev.make_stream(i * i // 3, i * 7 % 64, i * 5 % 48, np.where(i % 3, 1, -1), geometry)
+    path = tmp_path / "pinned.evt1"
+    ev.write_binary_events(path, geometry, stream)
+    assert (hashlib.sha1(path.read_bytes()).hexdigest()
+            == "ee16619520426aba3a43c017b295634d27b30608")
+    back = ev.read_binary_events(path, geometry)
+    for name, dtype in zip("txyp", (np.uint64, np.uint16, np.uint16, np.int8)):
+        col = getattr(back, name)
+        assert col.dtype == dtype and col.flags.c_contiguous and col.flags.owndata
+        assert np.array_equal(col, getattr(stream, name))
+
+
 ONE_EVENT_GEOM = ev.SensorGeometry(16, 16)
 
 
@@ -191,8 +235,11 @@ def test_binary_rejects_polarity_byte_above_one(tmp_path):
 
 def test_binary_rejects_decreasing_timestamp(tmp_path):
     path = tmp_path / "unsorted.evt1"
-    stream = ev.make_stream([50, 10, 40, 5], [1, 2, 3, 4], [1, 2, 3, 4], [1, -1, 1, -1], GEOM)
+    stream = ev.make_stream([5, 10, 40, 50], [1, 2, 3, 4], [1, 2, 3, 4], [1, -1, 1, -1], GEOM)
     ev.write_binary_events(path, GEOM, stream)
+    raw = bytearray(path.read_bytes())
+    raw[20:28] = (50).to_bytes(8, "little")  # record 0's t, past record 1's
+    path.write_bytes(bytes(raw))
     with pytest.raises(ev.EventFormatError, match="record 1: timestamp decreases"):
         ev.read_binary_events(path, GEOM)
 
@@ -237,6 +284,48 @@ def test_binary_round_trip_property(stream, tmp_path_factory):
     path2 = path.with_suffix(".roundtrip")
     ev.write_binary_events(path2, back.geometry, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# per-event memory of the event path: synthesis, EVT1 write and read
+
+
+@pytest.fixture(scope="module")
+def dense_recording(tmp_path_factory):
+    """A dense 64x64 checkerboard stream (168,896 events) and its EVT1 file."""
+    geometry = ev.SensorGeometry(64, 64)
+    scene = synth.SyntheticScene(geometry, synth.checkerboard(geometry, 16), (32.0, 40.0),
+                                 contrast=0.125, duration=1.2)
+    stream = synth.generate_events(scene, 1e-3)
+    path = tmp_path_factory.mktemp("dense") / "dense.evt1"
+    ev.write_binary_events(path, geometry, stream)
+    return scene, stream, path
+
+
+def _peak_bytes_per_event(call, n_events: int) -> float:
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / n_events
+
+
+# Measured peaks, bytes per event: synthesis 34.7 (68.0 when every step's
+# events were kept in float64/int64 lists and concatenated), write 15.0
+# (28.0 with a bytes copy of the records), read 29.0 (53.0 with a copy of
+# the body, an int64 polarity temporary and np.isin's temporaries). Each
+# bound adds ~15% to the measured peak.
+@pytest.mark.parametrize("stage,bound", [("generate", 40.0), ("write", 18.0), ("read", 34.0)])
+def test_event_path_peak_bytes_per_event(dense_recording, tmp_path, stage, bound):
+    scene, stream, path = dense_recording
+    calls = {"generate": lambda: synth.generate_events(scene, 1e-3),
+             "write": lambda: ev.write_binary_events(tmp_path / "w.evt1", scene.geometry, stream),
+             "read": lambda: ev.read_binary_events(path, scene.geometry)}
+    per_event = _peak_bytes_per_event(calls[stage], len(stream))
+    assert per_event <= bound, f"{stage} peaks at {per_event:.1f} bytes per event"
 
 
 # ---------------------------------------------------------------------------
