@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -52,6 +54,14 @@ def blob_partitions(blob_scene):
     stream = synth.generate_events(blob_scene, 1e-3)
     n = events_per_pixel_count(blob_scene.geometry, BLOB_DENSITY)
     return [normalize_timestamps(p) for p in partition_by_count(stream, n)]
+
+
+def stream_sha1(stream) -> str:
+    """SHA-1 of a stream's t, x, y and p columns, each little-endian."""
+    digest = hashlib.sha1()
+    for col in (stream.t, stream.x, stream.y, stream.p):
+        digest.update(col.astype(col.dtype.newbyteorder("<")).tobytes())
+    return digest.hexdigest()
 
 
 def corrupted(raw: bytes, data) -> bytes:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from evssl import events as ev
 from evssl import synth
 
-from conftest import corrupted
+from conftest import corrupted, stream_sha1
 
 
 GEOM = ev.SensorGeometry(128, 128)
@@ -302,6 +302,14 @@ def dense_recording(tmp_path_factory):
     return scene, stream, path
 
 
+def test_dense_recording_stream_is_pinned(dense_recording):
+    # The digest of the stream as the per-step simulator emitted it; the run
+    # crosses 38 of the 32-step emission blocks.
+    _, stream, _ = dense_recording
+    assert len(stream) == 168_896
+    assert stream_sha1(stream) == "12fa48239295e3af41acc2bb735f82f3d9e16b64"
+
+
 def _peak_bytes_per_event(call, n_events: int) -> float:
     tracemalloc.start()
     try:
@@ -313,8 +321,10 @@ def _peak_bytes_per_event(call, n_events: int) -> float:
     return (peak - start) / n_events
 
 
-# Measured peaks, bytes per event: synthesis 34.7 (68.0 when every step's
-# events were kept in float64/int64 lists and concatenated), write 15.0
+# Measured peaks, bytes per event: synthesis 35.3 (38.3 when its per-block
+# firing records were still held at the final sort, 34.7 when each step
+# wrote its own events, 68.0 when every step's events were kept in
+# float64/int64 lists and concatenated), write 15.0
 # (28.0 with a bytes copy of the records), read 29.0 (53.0 with a copy of
 # the body, an int64 polarity temporary and np.isin's temporaries). Each
 # bound adds ~15% to the measured peak.

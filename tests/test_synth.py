@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evssl import synth
-from evssl.events import US_PER_SECOND, SensorGeometry
+from evssl.events import US_PER_SECOND, ConfigurationError, SensorGeometry
+
+from conftest import stream_sha1
 
 GEOM = SensorGeometry(16, 16)
 
@@ -69,6 +71,22 @@ def test_render_matches_ix_gathers_at_whole_periods_plus_a_fraction(vx, vy):
     scene = scene_with(base, (vx, vy), geometry=SensorGeometry(16, 12))
     for t in (0.0, 0.3, 1.0):
         assert np.array_equal(synth.render_scene(scene, t), _render_ix(base, -vx * t, -vy * t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_render_matches_ix_gathers_on_drawn_frames(data):
+    # Non-square frames, either sign, up to 5 periods per second for up to
+    # 4 s: the window's whole-pixel offset wraps many times over.
+    h = data.draw(st.integers(8, 20))
+    w = data.draw(st.integers(8, 20).filter(lambda v: v != h))
+    base = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(h, w))
+    vx = data.draw(st.floats(-5.0 * w, 5.0 * w))
+    vy = data.draw(st.floats(-5.0 * h, 5.0 * h))
+    duration = data.draw(st.floats(0.01, 4.0))
+    t = data.draw(st.floats(0.0, duration))
+    scene = scene_with(base, (vx, vy), duration=duration, geometry=SensorGeometry(w, h))
+    assert np.array_equal(synth.render_scene(scene, t), _render_ix(base, -vx * t, -vy * t))
 
 
 def test_render_rejects_time_outside_duration():
@@ -215,7 +233,10 @@ def small_scenes(draw):
     """
     h, w = draw(st.integers(8, 12)), draw(st.integers(8, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_steps = draw(st.integers(1, 24))
+    # Short runs, and runs that end on or between later emission blocks.
+    block = synth._BLOCK_STEPS
+    n_steps = draw(st.one_of(st.integers(1, 24), st.integers(1, 3).map(lambda m: m * block),
+                             st.integers(block + 1, 3 * block + 7)))
     if draw(st.booleans()):
         # At 0.15, 0.3 and 0.6, 3 * C // C is 2, below the quotient's floor.
         c = draw(st.sampled_from([0.1, 0.15, 0.3, 0.35, 0.6, 0.7]))
@@ -278,6 +299,17 @@ def test_change_of_exactly_one_threshold_fires_one_event():
     assert np.all(stream.t == US_PER_SECOND)
 
 
+# Digests of these 2 s runs as the per-step simulator emitted them. They
+# cross 63 of the 32-step emission blocks, which the small scenes above
+# never reach.
+@pytest.mark.parametrize("name,count,sha1", [
+    ("checker_scene", 32_768, "e3682d9c1ffe2089fbf3a06ead90416fdeffb806"),
+    ("blob_scene", 61_963, "32d708ba51cfe76c1322cf5828b8f35df8602f52")])
+def test_full_size_scene_streams_are_pinned(request, name, count, sha1):
+    stream = synth.generate_events(request.getfixturevalue(name), 1e-3)
+    assert len(stream) == count and stream_sha1(stream) == sha1
+
+
 # ---------------------------------------------------------------------------
 # ground truth
 
@@ -293,6 +325,22 @@ def test_ground_truth_flow_matches_velocity_times_span(checker_scene, checker_pa
 def test_ground_truth_frame_matches_render(checker_scene):
     frame = synth.ground_truth_frame(checker_scene, 500_000)
     assert np.array_equal(frame, synth.render_scene(checker_scene, 0.5))
+
+
+def test_ground_truth_frame_accepts_the_rounded_last_event_time():
+    # The stripe moves one whole pixel in one step of a duration that is
+    # not a whole number of microseconds; every event time rounds up to
+    # 123457 us, 0.3 us past the end. 123458 us is 1.3 us past it and raises.
+    duration = 0.1234567
+    base = np.zeros((16, 16))
+    base[:, 5] = 0.3
+    scene = scene_with(base, (1.0 / duration, 0.0), contrast=0.3, duration=duration)
+    stream = synth.generate_events(scene, duration)
+    assert len(stream) == 2 * 16 and np.all(stream.t == 123_457)
+    frame = synth.ground_truth_frame(scene, int(stream.t[-1]))
+    assert np.array_equal(frame, synth.render_scene(scene, duration))
+    with pytest.raises(ConfigurationError):
+        synth.ground_truth_frame(scene, 123_458)
 
 
 @pytest.mark.parametrize("period", [1, 3, 16])
