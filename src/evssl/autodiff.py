@@ -19,10 +19,11 @@ as soon as the closure has run. Gradients are handed over, never copied,
 and never written in place: code that changes a `.grad` rebinds it. So
 two leaves may share one gradient array, as both inputs of `add` do.
 
-Ops are module functions only; Tensor has no arithmetic operators.
-Broadcasting is restricted to scalar-with-tensor; all other operands must
-have identical shapes. No operation mutates its inputs. The ops cover the
-graph the paper builds:
+Ops are module functions only; Tensor has no arithmetic operators. A
+binary op's operands have one shape, or one is a 0-d scalar that needs no
+gradient and broadcasts: a scalar that needs one raises against an array,
+so no gradient is ever summed back to a scalar. No operation mutates its
+inputs. The ops cover the graph the paper builds:
 
 - element-wise: add, sub, mul, div, absolute, square, sqrt;
 - structural: basic indexing (`Tensor[...]`) and gather_pixels, which
@@ -243,31 +244,22 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _check_binary_shapes(a: Tensor, b: Tensor) -> None:
-    # Scalar here means 0-d; a shape-(1,) array is a mismatched shape.
-    if a.shape == b.shape or a.ndim == 0 or b.ndim == 0:
-        return
-    raise ValueError(f"shape mismatch: {a.shape} vs {b.shape} (only scalar broadcast allowed)")
-
-
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return g if g.shape == shape else np.asarray(g.sum()).reshape(shape)
-
-
 def _binary(a, b, fwd, da, db, reads=("", "")) -> Tensor:
     """da(g, x, y) and db(g, x, y) are a's and b's gradients, and `reads` the
     operands ("x" is a, "y" is b) that each reads: the only ones kept."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_binary_shapes(a, b)
     ra, rb = a.requires_grad, b.requires_grad
+    # Scalar here means 0-d; a shape-(1,) array is a mismatched shape. A
+    # scalar that needs a gradient would need the output's gradient summed.
+    if a.shape != b.shape and not (a.ndim == 0 and not ra or b.ndim == 0 and not rb):
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape} "
+                         "(only a scalar that needs no gradient broadcasts)")
     read = (reads[0] if ra else "") + (reads[1] if rb else "")
     x = a.data if "x" in read else None
     y = b.data if "y" in read else None
-    sa, sb = a.shape, b.shape
 
     def backward(g):
-        return (_reduce_to(da(g, x, y), sa) if ra else None,
-                _reduce_to(db(g, x, y), sb) if rb else None)
+        return da(g, x, y) if ra else None, db(g, x, y) if rb else None
 
     return Tensor._from_op(fwd(a.data, b.data), (a, b), backward)
 
@@ -378,9 +370,9 @@ def _runs(blocks, k: int, dtype) -> np.ndarray:
 
 
 def _drop_junk(out: np.ndarray, w: int, k: int) -> np.ndarray:
-    """A GEMM output over the runs, (N, H*(W+2p)), as (N,H,W) without its
-    junk columns."""
-    return np.ascontiguousarray(out.reshape(len(out), -1, w + k - 1)[:, :, :w])
+    """A GEMM output over the runs, (N, H*(W+2p)), as an (N,H,W) view
+    without its junk columns."""
+    return out.reshape(len(out), -1, w + k - 1)[:, :, :w]
 
 
 def _correlate(blocks, w: np.ndarray) -> np.ndarray:
@@ -397,7 +389,7 @@ def _correlate(blocks, w: np.ndarray) -> np.ndarray:
         # The reshape copies this band of every run, the band's im2col,
         # which is freed as soon as the GEMM returns.
         band = wm @ runs[..., y * wp:(y + rows) * wp].reshape(-1, rows * wp)
-        out[:, y:y + rows] = band.reshape(c_out, rows, wp)[:, :, :width]
+        out[:, y:y + rows] = _drop_junk(band, width, k)
     return out
 
 
@@ -422,7 +414,7 @@ def _correlate_grads(blocks, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray |
     # and output channels swapped.
     x_grad = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1) @ cols
     del cols  # like center: dropped once read, before the next buffer is made
-    return w_grad, _drop_junk(x_grad, g.shape[2], k)
+    return w_grad, np.ascontiguousarray(_drop_junk(x_grad, g.shape[2], k))
 
 
 def _correlate_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:

@@ -288,8 +288,8 @@ def normalize_timestamps(partition: EventStream) -> EventStream:
     if len(partition) == 0:
         raise ValueError("cannot normalize an empty partition")
     t = partition.t
-    if np.any(t[1:] < t[:-1]):  # not np.diff: uint64 wraps around
-        raise ValueError("partition timestamps must be non-decreasing")
+    if (i := _first_decrease(t)) is not None:
+        raise ValueError(f"event {i}: timestamp decreases")
     # Offsets in integers: float64 loses single microseconds beyond 2**53.
     dt = (t - t[0]).astype(np.float64)
     t_star = np.zeros_like(dt) if dt[-1] == 0 else dt / dt[-1]

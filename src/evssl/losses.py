@@ -125,10 +125,9 @@ def warp_previous(l_prev, flow) -> Tensor:
     the frame's border one pixel out; the correlation's own zero padding
     then reaches only the outer ring, which is dropped.
     """
-    img = l_prev if isinstance(l_prev, Tensor) else Tensor(l_prev)
-    h, w = img.shape
+    h, w = l_prev.shape
     rows, cols = np.mgrid[-1:h + 1, -1:w + 1]
-    padded = ad.gather_pixels(img[None], np.clip(rows, 0, h - 1), np.clip(cols, 0, w - 1))
+    padded = ad.gather_pixels(l_prev[None], np.clip(rows, 0, h - 1), np.clip(cols, 0, w - 1))
     stack = ad.conv2d(padded, _GRADIENT_STACK)[:, 1:-1, 1:-1]
     fd = as_flow(flow).data
     grid = np.stack([cols[1:-1, 1:-1] - fd[0], rows[1:-1, 1:-1] - fd[1]])
@@ -156,9 +155,8 @@ def temporal_loss(l_k, warped) -> Tensor:
 
 def tv_loss(image) -> Tensor:
     """Anisotropic total variation with forward differences."""
-    img = image if isinstance(image, Tensor) else Tensor(image)
-    dx = ad.sub(img[:, 1:], img[:, :-1])
-    dy = ad.sub(img[1:, :], img[:-1, :])
+    dx = ad.sub(image[:, 1:], image[:, :-1])
+    dy = ad.sub(image[1:, :], image[:-1, :])
     return ad.add(ad.tsum(ad.absolute(dx)), ad.tsum(ad.absolute(dy)))
 
 

@@ -226,6 +226,7 @@ def ground_truth_frame(scene: SyntheticScene, t_us: int) -> np.ndarray:
     Event times are rounded to the nearest microsecond, so one up to half a
     microsecond past the end of the scene renders as its final frame.
     """
+    check_number("t_us", t_us, integer=True, low=0)
     t = t_us / US_PER_SECOND
     if t_us - 0.5 <= scene.duration * US_PER_SECOND:
         t = min(t, scene.duration)

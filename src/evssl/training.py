@@ -66,6 +66,7 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, params: list[Parameter], lr: float):
+        check_number("lr", lr, low=0, open_low=True)
         self.params = list(params)
         for p in self.params:
             p.requires_grad = True

@@ -33,9 +33,17 @@ def test_tanh_zero_has_unit_gradient():
     assert x.grad[0, 0, 0] == pytest.approx(1.0)
 
 
-def test_add_rejects_mismatched_nonscalar_shapes():
-    with pytest.raises(ValueError):
-        ad.add(Tensor([1.0, 2.0]), Tensor([3.0]))
+# A 0-d operand broadcasts only if it needs no gradient, on either side: one
+# that needs a gradient against an array raises like any other mismatch.
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div], ids=lambda op: op.__name__)
+@pytest.mark.parametrize("operands,shapes", [
+    (lambda: (Tensor([1.0, 2.0]), Tensor([3.0])), r"\(2,\) vs \(1,\)"),
+    (lambda: (trainable("s", 2.0), Tensor(np.ones((3, 3)))), r"\(\) vs \(3, 3\)"),
+    (lambda: (Tensor(np.ones((3, 3))), trainable("s", 2.0)), r"\(3, 3\) vs \(\)"),
+], ids=["nonscalar", "grad_scalar_first", "grad_scalar_second"])
+def test_add_rejects_mismatched_nonscalar_shapes(op, operands, shapes):
+    with pytest.raises(ValueError, match=shapes):
+        op(*operands())
 
 
 def test_scalar_broadcast_allowed():
@@ -447,12 +455,15 @@ def test_binary_gradients(name, op, box):
 
 
 def test_scalar_broadcast_gradients():
+    # A constant 0-d scalar on either side of each op; only the array operand
+    # needs a gradient. Both lie away from 0, so either may divide.
     for seed in range(5):
         rng = np.random.default_rng(300 + seed)
-        x = leaf(rng, (3, 3), name="x")
-        s = trainable("s", rng.uniform(0.5, 1.5))
-        check_gradients(lambda: ad.tsum(ad.square(ad.mul(x, s))), [x, s])
-        check_gradients(lambda: ad.tsum(ad.square(ad.div(x, s))), [x, s])
+        x = leaf(rng, (3, 3), 0.5, 2.0, name="x")
+        s = Tensor(rng.uniform(0.5, 1.5))
+        for _, op, _ in BINARY_CASES:
+            check_gradients(lambda: ad.tsum(ad.square(op(x, s))), [x])
+            check_gradients(lambda: ad.tsum(ad.square(op(s, x))), [x])
 
 
 # ---------------------------------------------------------------------------

@@ -452,7 +452,7 @@ def test_normalize_rejects_unsorted():
     part = ev.EventStream(np.array([40, 10], dtype=np.uint64),
                              np.zeros(2, dtype=np.uint16), np.zeros(2, dtype=np.uint16),
                              np.ones(2, dtype=np.int8), GEOM)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="event 1: timestamp decreases"):
         ev.normalize_timestamps(part)
 
 

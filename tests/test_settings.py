@@ -17,7 +17,7 @@ from evssl.events import (AugmentConfig, ConfigurationError, SensorGeometry, che
 from evssl.geometry import build_voxel_grid, check_bin_count
 from evssl.losses import LossWeights
 from evssl.networks import FireFlowNet, ReconNet
-from evssl.training import TrainConfig
+from evssl.training import Adam, TrainConfig
 
 GEOM = SensorGeometry(16, 16)
 STREAM = make_stream(np.arange(10) * 10, np.zeros(10, int), np.zeros(10, int), np.ones(10, int),
@@ -130,6 +130,11 @@ FIELDS = [
      [*NOT_NUMBERS, -0.1, 1.5, 1.0 + 1e-9], [0, 1.0, 0.5, np.float32(1.0)]),
     ("generate_events", lambda v: synth.generate_events(_scene(), v), "timestep",
      "a real number > 0", [*NOT_NUMBERS, 0.0, -1e-2], [0.5, 0.1, np.float32(0.25)]),
+    ("ground_truth_frame", lambda v: synth.ground_truth_frame(_scene(), v), "t_us",
+     "an integer >= 0", [*NOT_NUMBERS, -5, 7.0, 2.5, np.float64(7)],
+     [0, 7, np.int64(500_000), np.uint64(1_000_000), 1_000_000]),
+    ("Adam", lambda v: Adam([], v), "lr", "a real number > 0",
+     [*NOT_NUMBERS, 0.0, -1.0], [1e-9, 1, np.float32(1e-3), np.int64(1)]),
 ]
 
 
@@ -147,11 +152,15 @@ ACCEPTED = [pytest.param(call, value, id=f"{label}-{field}-{value_id}")
             for value, value_id in map(_value_and_id, values)]
 
 
-# Among these rows, before the shared rule: `AugmentConfig(h_flip_prob=True)`
-# was accepted and `pause_prob="0.5"` failed with a bare TypeError;
-# `events_per_pixel_count(geometry, True)` returned 64 on 8x8 and "1" failed
-# with a bare TypeError; `amplitude=True` was accepted by `gaussian_blobs`;
-# `render_scene(scene, True)` rendered at t = 1 s. Unchecked, a float
+# Among these rows, before the shared rule:
+# `AugmentConfig(h_flip_prob=True)` was accepted and `pause_prob="0.5"`
+# failed with a bare TypeError; `events_per_pixel_count(geometry, True)`
+# returned 64 on 8x8 and "1" failed with a bare TypeError; `amplitude=True`
+# was accepted by `gaussian_blobs`; `render_scene(scene, True)` rendered at
+# t = 1 s. `Adam` accepted a NaN, a negative or a bool `lr`, so a NaN rate
+# showed only one update later, as a non-finite loss;
+# `ground_truth_frame(scene, True)` rendered at 1 us, "7" failed with a bare
+# TypeError and -5 was refused as a `t` of -5e-06. Unchecked, a float
 # geometry side would give a float `pixels`, a float partition size or bin
 # count would fail late with a bare TypeError, a float `unroll_steps` would
 # train nothing (`k == window` never holds) and a `seed` of None would train
@@ -162,8 +171,8 @@ ACCEPTED = [pytest.param(call, value, id=f"{label}-{field}-{value_id}")
 # TypeError from `len`. A `geometry` of None or (16, 16) failed with a bare
 # AttributeError, and a `base` of another shape or with a non-finite value
 # raised a plain ValueError; unchecked, a non-finite one would fail late,
-# inside `generate_events`, with an invalid-value warning. A geometry side of
-# 100000 was accepted, and an x of 70000 passed the bounds check and was
+# inside `generate_events`, with an invalid-value warning. A geometry side
+# of 100000 was accepted, and an x of 70000 passed the bounds check and was
 # stored as 4464 in the stream's uint16 column.
 @pytest.mark.parametrize("call,message,value", ROWS)
 def test_numeric_setting_rejects_wrong_kind_non_finite_or_out_of_range(call, message, value):
