@@ -4,9 +4,11 @@ output checks pass. Tier-1's benchmark smoke runs are 32x32 with S=2.
 
 Each case prints one line: `correct`, its set-up time (setup_s for an
 untraced run, synth.generate.s, the event synthesis inside it, for a traced
-one), any call counts it gates on, and the child's own minor page faults
-and peak RSS, read from os.wait4. Only `correct` and the call counts are
-gated. Run from the repository root:
+one), any call counts it gates on, the child's wall time, and its own CPU
+time (user plus system), minor page faults and peak RSS, read from
+os.wait4. CPU time above wall time means the correlations' worker thread
+ran on a second CPU. Only `correct` and the call counts are gated. Run from
+the repository root:
 
     python3 .github/bench_size_runs.py
 """
@@ -15,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 # (workload, seed, trace, metrics that must be non-zero), and why each runs.
 CASES = [
@@ -33,6 +36,7 @@ CASES = [
 
 
 def run_case(workload: str, seed: int, trace: int, gated: tuple[str, ...]) -> bool:
+    start = time.perf_counter()
     with subprocess.Popen(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
              "--seconds", "0", "--trace", str(trace)], stdout=subprocess.PIPE, text=True) as child:
@@ -41,6 +45,7 @@ def run_case(workload: str, seed: int, trace: int, gated: tuple[str, ...]) -> bo
         # child waited for so far.
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)
+    wall = time.perf_counter() - start
     result = json.loads(out.splitlines()[-1]) if child.returncode == 0 else {}
     metrics = {name: m["value"] for name, m in result.get("metrics", {}).items()}
     shown = {name: metrics.get(name) for name in
@@ -48,6 +53,7 @@ def run_case(workload: str, seed: int, trace: int, gated: tuple[str, ...]) -> bo
     ok = result.get("correct") is True and all(shown[name] for name in gated)
     # ru_maxrss is in KiB on Linux; MB as perfbench/run.py reports peak_rss_mb.
     print(f"{workload} seed={seed} trace={trace}: correct: {result.get('correct')} {shown} "
+          f"wall: {wall:.2f} s, CPU: {usage.ru_utime + usage.ru_stime:.2f} s, "
           f"minor faults: {usage.ru_minflt}, max RSS: {usage.ru_maxrss * 1024 / 1e6:.2f} MB",
           flush=True)
     if not ok:

@@ -89,16 +89,6 @@ def _render(tiled: np.ndarray, velocity, t: float) -> np.ndarray:
     return rows[:-1] * (1.0 - fy) + rows[1:] * fy
 
 
-def render_scene(scene: SyntheticScene, t: float) -> np.ndarray:
-    """Brightness at time t: the base pattern shifted by velocity*t.
-
-    Toroidal wrap with bilinear sub-pixel sampling: the shifted window is a
-    slice of the base tiled 2x2, and its rows share one horizontal lerp.
-    """
-    check_number("t", t, low=0, high=scene.duration)
-    return _render(np.tile(scene.base, (2, 2)), scene.velocity, t)
-
-
 # Steps whose firing records are expanded into events in one pass. Medians
 # of 11 runs of recon_unroll's 3 s blob scene on 2 shared cores: 361 ms at 1
 # step, 233 ms at 32, 229 ms at 64 and 220 ms at 128. The records, 64 bytes
@@ -221,13 +211,12 @@ def ground_truth_flow(scene: SyntheticScene, partition: EventStream) -> FlowFiel
 
 
 def ground_truth_frame(scene: SyntheticScene, t_us: int) -> np.ndarray:
-    """Log-brightness frame at an absolute microsecond timestamp.
+    """Log-brightness frame at an absolute microsecond timestamp: the base
+    pattern shifted by velocity*t, wrapped toroidally.
 
     Event times are rounded to the nearest microsecond, so one up to half a
     microsecond past the end of the scene renders as its final frame.
     """
-    check_number("t_us", t_us, integer=True, low=0)
-    t = t_us / US_PER_SECOND
-    if t_us - 0.5 <= scene.duration * US_PER_SECOND:
-        t = min(t, scene.duration)
-    return render_scene(scene, t)
+    check_number("t_us", t_us, integer=True, low=0, high=scene.duration * US_PER_SECOND + 0.5)
+    t = min(t_us / US_PER_SECOND, scene.duration)
+    return _render(np.tile(scene.base, (2, 2)), scene.velocity, t)

@@ -1,6 +1,13 @@
+import contextlib
 import gc
+import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -778,21 +785,188 @@ def test_weight_gradient_builds_no_im2col():
     assert peak < im2col / 3, f"weight gradient peaks at {peak / im2col:.2f} im2cols"
 
 
-def test_forward_builds_no_whole_frame_im2col():
-    # A 32->32 3x3 conv at 64x64: the forward's banded im2cols, its flat
-    # buffer and its output together must stay below 0.6 of the im2col
-    # over the whole frame (C_in*9*H*(W+2) doubles). Measured at 0.53; a
-    # single whole-frame im2col peaked at 1.11.
+class SlowPool(ThreadPoolExecutor):
+    """A one-thread pool that counts the tasks handed to it and starts each
+    2 ms late, as a busy second CPU may: a caller that read a result before
+    waiting for it would read it unwritten."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.tasks = 0
+
+    def submit(self, fn, *args):
+        self.tasks += 1
+        return super().submit(lambda: time.sleep(0.002) or fn(*args))
+
+
+@contextlib.contextmanager
+def correlation_worker(threads: bool):
+    """Run correlations with a fresh worker thread, or with none as on one
+    CPU, whatever this host's CPU count; yields the worker."""
+    saved = ad._WORKER
+    with SlowPool() as pool:
+        ad._WORKER = pool if threads else None
+        try:
+            yield pool
+        finally:
+            ad._WORKER = saved
+
+
+# A 32->32 3x3 conv at 64x64: the forward's banded im2cols, its flat buffer
+# and its output together against the im2col over the whole frame
+# (C_in*9*H*(W+2) doubles), of which one alone peaked at 1.11. One CPU holds
+# one band at a time and measured 0.53. Two threads each hold their own
+# band and measured 0.81; less when the two bands happen not to overlap.
+@pytest.mark.parametrize("threads,bound", [(False, 0.6), (True, 0.9)],
+                         ids=["one-cpu", "two-threads"])
+def test_forward_builds_no_whole_frame_im2col(threads, bound):
     rng = np.random.default_rng(994)
     x, w = rng.normal(size=(32, 64, 64)), rng.normal(size=(32, 32, 3, 3))
-    tracemalloc.start()
-    try:
-        ad._correlate([x], w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with correlation_worker(threads) as pool:
+        tracemalloc.start()
+        try:
+            ad._correlate([x], w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert pool.tasks == int(threads)
     im2col = 32 * 9 * 64 * 66 * 8
-    assert peak < 0.6 * im2col, f"forward peaks at {peak / im2col:.2f} im2cols"
+    assert peak < bound * im2col, f"forward peaks at {peak / im2col:.2f} im2cols"
+
+
+# (bias, skip, activation, what needs a gradient) per conv2d case. A
+# constant input takes the weight gradient's own path, and a constant
+# weight leaves the backward one GEMM.
+CONV_CASES = [(False, False, None, "xw"), (True, True, "relu", "xw"),
+              (True, False, "tanh", "w"), (False, True, "sigmoid", "xw"),
+              (True, False, None, "x")]
+
+
+def _correlation_outputs(dtype, shape, threads):
+    """Every conv2d case's and a conv_gru step's output and gradients."""
+    rng = np.random.default_rng(997)
+
+    def draw(name, size, needs_grad=True):
+        data = rng.normal(size=size).astype(dtype)
+        return trainable(name, data) if needs_grad else Tensor(data)
+
+    arrays = []
+    with correlation_worker(threads):
+        for k in (1, 3, 5):
+            for bias, skip, activation, grads in CONV_CASES:
+                tensors = [draw("x", (6, *shape), "x" in grads),
+                           draw("w", (5, 6, k, k), "w" in grads),
+                           draw("b", (5,)) if bias else None,
+                           draw("skip", (5, *shape)) if skip else None]
+                out = ad.conv2d(*tensors[:3], activation, skip=tensors[3])
+                ad.tsum(ad.mul(out, rng.normal(size=out.shape))).backward()
+                arrays += [out.data] + [t.grad for t in tensors if t is not None and t.requires_grad]
+        params = [draw(p.name, p.data.shape) for p in gru_parameters(rng, 4, 3)]
+        x, h = draw("x", (3, *shape)), draw("h", (4, *shape))
+        out = ad.conv_gru(x, h, *params)
+        ad.tsum(ad.mul(out, rng.normal(size=out.shape))).backward()
+        arrays += [out.data] + [t.grad for t in (x, h, *params)]
+    return arrays
+
+
+# 1, 2, 3 and 4 forward bands.
+@pytest.mark.parametrize("shape", [(16, 16), (17, 23), (33, 40), (64, 64)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_correlations_are_bit_identical_with_and_without_the_worker(dtype, shape):
+    alone = _correlation_outputs(dtype, shape, threads=False)
+    shared = _correlation_outputs(dtype, shape, threads=True)
+    assert len(alone) == len(shared)
+    for a, b in zip(alone, shared):
+        assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+
+
+def test_correlations_from_several_threads_queue_on_the_one_worker():
+    # More caller threads than CPUs, switching as often as the interpreter
+    # lets them: their tasks queue on the one worker, no task waits on
+    # another, and every call gets the bits that a call alone gets.
+    rng = np.random.default_rng(998)
+    x, w, g = rng.normal(size=(8, 40, 33)), rng.normal(size=(8, 8, 3, 3)), rng.normal(size=(8, 40, 33))
+
+    def correlate():
+        return [ad._correlate([x], w), *ad._correlate_grads([x], w, g)]
+
+    with correlation_worker(True):
+        alone = correlate()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                calls = [callers.submit(correlate) for _ in range(16)]
+                results = [call.result(timeout=60) for call in calls]
+        finally:
+            sys.setswitchinterval(interval)
+    for result in results:
+        assert all(np.array_equal(a, b) for a, b in zip(alone, result))
+
+
+# One FireFlowNet forward and backward at 40x33 (three forward bands), then
+# its SHA-1 and the process's thread count; argv[1] is a CPU to pin the
+# process to before evssl is imported, or "" to leave it as started.
+_FIREFLOWNET_RUN = """
+import hashlib, json, os, sys, threading
+if sys.argv[1]:
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+import numpy as np
+from evssl import autodiff as ad, networks as nets, training
+net = nets.FireFlowNet(bins=5)
+nets.init_parameters(net, np.random.default_rng(0))
+training.Adam(net.parameters(), 1e-3)
+rng = np.random.default_rng(1)
+flow = net(rng.normal(size=(5, 40, 33)), rng.random((40, 33)) > 0.3)
+ad.tsum(ad.square(flow)).backward()
+digest = hashlib.sha1(flow.data.tobytes())
+for p in net.parameters():
+    digest.update(p.grad.tobytes())
+print(json.dumps({"sha1": digest.hexdigest(), "worker": ad._WORKER is not None,
+                  "threads": threading.active_count()}))
+"""
+
+
+def _run_script(script: str, *args: str) -> str:
+    """The standard output of a new Python process running script, with
+    this evssl importable and one BLAS thread."""
+    src = os.path.dirname(os.path.dirname(ad.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_a_process_on_one_cpu_starts_no_worker_and_computes_the_same_bits():
+    pinned = json.loads(_run_script(_FIREFLOWNET_RUN, str(min(os.sched_getaffinity(0)))))
+    assert not pinned["worker"] and pinned["threads"] == 1
+    started = json.loads(_run_script(_FIREFLOWNET_RUN, ""))
+    assert started["worker"] == (len(os.sched_getaffinity(0)) >= 2)
+    assert pinned["sha1"] == started["sha1"]
+
+
+# A correlation starts the worker, the process forks, and the child, which
+# an alarm ends after 20 s, correlates again; prints the child's exit code.
+_FORKED_RUN = """
+import os, signal
+import numpy as np
+from evssl import autodiff as ad
+x, w = np.ones((4, 40, 40)), np.ones((4, 4, 3, 3))
+before = ad._correlate([x], w)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    os._exit(0 if np.array_equal(ad._correlate([x], w), before) else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+def test_a_forked_child_correlates_on_a_worker_of_its_own():
+    # The child inherits the pool but not its thread: a task queued on the
+    # inherited pool never ran, and the alarm ended the child (-14).
+    assert _run_script(_FORKED_RUN).strip() == "0"
 
 
 @pytest.mark.parametrize("kernel", [1, 3, 5])

@@ -126,12 +126,11 @@ FIELDS = [
      [*NOT_NUMBERS, 0.0, -1.0], [1e-3, 2, np.float32(0.5)]),
     ("gaussian_blobs", lambda v: _blobs(amplitude=v), "amplitude", "a real number",
      NOT_NUMBERS, [0.0, -1, np.float64(2)]),
-    ("render_scene", lambda v: synth.render_scene(_scene(), v), "t", "a real number in [0, 1.0]",
-     [*NOT_NUMBERS, -0.1, 1.5, 1.0 + 1e-9], [0, 1.0, 0.5, np.float32(1.0)]),
     ("generate_events", lambda v: synth.generate_events(_scene(), v), "timestep",
      "a real number > 0", [*NOT_NUMBERS, 0.0, -1e-2], [0.5, 0.1, np.float32(0.25)]),
     ("ground_truth_frame", lambda v: synth.ground_truth_frame(_scene(), v), "t_us",
-     "an integer >= 0", [*NOT_NUMBERS, -5, 7.0, 2.5, np.float64(7)],
+     "an integer in [0, 1000000.5]",
+     [*NOT_NUMBERS, -5, 7.0, 2.5, np.float64(7), 1_000_001, 1_500_000],
      [0, 7, np.int64(500_000), np.uint64(1_000_000), 1_000_000]),
     ("Adam", lambda v: Adam([], v), "lr", "a real number > 0",
      [*NOT_NUMBERS, 0.0, -1.0], [1e-9, 1, np.float32(1e-3), np.int64(1)]),
@@ -156,9 +155,8 @@ ACCEPTED = [pytest.param(call, value, id=f"{label}-{field}-{value_id}")
 # `AugmentConfig(h_flip_prob=True)` was accepted and `pause_prob="0.5"`
 # failed with a bare TypeError; `events_per_pixel_count(geometry, True)`
 # returned 64 on 8x8 and "1" failed with a bare TypeError; `amplitude=True`
-# was accepted by `gaussian_blobs`; `render_scene(scene, True)` rendered at
-# t = 1 s. `Adam` accepted a NaN, a negative or a bool `lr`, so a NaN rate
-# showed only one update later, as a non-finite loss;
+# was accepted by `gaussian_blobs`. `Adam` accepted a NaN, a negative or a
+# bool `lr`, so a NaN rate showed only one update later, as a non-finite loss;
 # `ground_truth_frame(scene, True)` rendered at 1 us, "7" failed with a bare
 # TypeError and -5 was refused as a `t` of -5e-06. Unchecked, a float
 # geometry side would give a float `pixels`, a float partition size or bin
@@ -213,7 +211,7 @@ def test_values_on_a_closed_bound_and_numpy_numbers_are_accepted():
     weights = LossWeights(lambda1=np.float64(0.5), c_pos=np.int64(2), deblur_enabled=np.False_)
     assert not weights.deblur_enabled
     scene = _scene(velocity=np.array([-2.5, 0]))
-    synth.render_scene(scene, scene.duration)
+    synth.ground_truth_frame(scene, 1_000_000)
 
 
 @pytest.mark.parametrize("kw,message", [
