@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -902,6 +903,62 @@ def test_correlations_from_several_threads_queue_on_the_one_worker():
             sys.setswitchinterval(interval)
     for result in results:
         assert all(np.array_equal(a, b) for a, b in zip(alone, result))
+
+
+def _on_worker() -> bool:
+    return threading.current_thread().name.startswith("ThreadPoolExecutor")
+
+
+@pytest.mark.parametrize("where", ["forward", "backward"])
+def test_an_error_on_the_worker_reaches_the_caller_and_leaves_the_worker_working(where, monkeypatch):
+    # The forward's later bands and the backward's weight gradient run on the
+    # worker; what they raise is raised by the correlation that started them.
+    rng = np.random.default_rng(999)
+    x, w, g = rng.normal(size=(8, 40, 33)), rng.normal(size=(8, 8, 3, 3)), rng.normal(size=(8, 40, 33))
+
+    def correlate():
+        return [ad._correlate([x], w), *ad._correlate_grads([x], w, g)]
+
+    with correlation_worker(True) as pool:
+        alone = correlate()
+        name = "_drop_junk" if where == "forward" else "_center_product"
+        original = getattr(ad, name)
+
+        def fail_on_worker(*args):
+            if _on_worker():
+                raise RuntimeError("worker task failed")
+            return original(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, name, fail_on_worker)
+            with pytest.raises(RuntimeError, match="worker task failed"):
+                correlate()
+        tasks = pool.tasks
+        again = correlate()
+    assert pool.tasks > tasks
+    assert all(np.array_equal(a, b) for a, b in zip(alone, again))
+
+
+def test_a_forward_that_fails_on_the_caller_waits_for_its_worker_bands(monkeypatch):
+    # The caller's first band raises while the worker, started 2 ms late,
+    # has yet to write its bands: the error leaves only once they are
+    # written, so no task outlives the call into a later one's arrays.
+    rng = np.random.default_rng(1000)
+    x, w = rng.normal(size=(4, 64, 64)), rng.normal(size=(4, 4, 3, 3))
+    original, worker_bands = ad._drop_junk, []
+
+    def drop_junk(*args):
+        if not _on_worker():
+            raise RuntimeError("caller band failed")
+        worker_bands.append(original(*args))
+        return worker_bands[-1]
+
+    monkeypatch.setattr(ad, "_drop_junk", drop_junk)
+    with correlation_worker(True) as pool:
+        with pytest.raises(RuntimeError, match="caller band failed"):
+            ad._correlate([x], w)
+        assert len(worker_bands) == 2  # of 4 bands at 64 rows
+    assert pool.tasks == 1
 
 
 # One FireFlowNet forward and backward at 40x33 (three forward bands), then
